@@ -26,11 +26,11 @@ from .generators import (
     sample_statistic_null,
     save_model,
 )
-from .halton import HaltonSequence, halton_block, halton_point
+from .halton import halton_block, halton_point
 from .inference import (
     PIVOT_MEAN_KNOWN_SCALE,
     PIVOT_STUDENTIZED_MEAN,
-    PivotalResult,
+    PivotalReport,
     TestReport,
     pivotal_inference,
     test_conditional_coherence,
@@ -39,7 +39,6 @@ from .inference import (
 )
 from .metrics import (
     GaussianSummary,
-    cosine_similarity,
     fid,
     gaussian_summary,
     kolmogorov_survival,
@@ -47,13 +46,7 @@ from .metrics import (
     ks_test_standard_gaussian,
     wasserstein_exact,
 )
-from .perturb import (
-    BaseDistribution,
-    NoiseDistribution,
-    PerturbationSpec,
-    perturb,
-    perturbation_discrepancy_f,
-)
+from .perturb import PerturbationSpec, perturb
 from .predict import (
     ConformalModel,
     CoverageReport,
@@ -75,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "BaseDistribution",
     "ConformalModel",
     "CopulaTransport",
     "Correction",
@@ -85,15 +77,13 @@ __all__ = [
     "FitInfo",
     "GaussianSummary",
     "GaussianTransport",
-    "HaltonSequence",
     "InputError",
     "LocationScaleTransport",
-    "NoiseDistribution",
     "NumericError",
     "PaiError",
     "PassConfig",
     "PerturbationSpec",
-    "PivotalResult",
+    "PivotalReport",
     "PIVOT_MEAN_KNOWN_SCALE",
     "PIVOT_STUDENTIZED_MEAN",
     "PredictionInterval",
@@ -102,7 +92,6 @@ __all__ = [
     "conditional_sample",
     "conformal_fit",
     "conformal_interval",
-    "cosine_similarity",
     "coverage_report",
     "derive_rng",
     "empirical_ranks",
@@ -123,7 +112,6 @@ __all__ = [
     "pai_interval",
     "pass_synthesize",
     "perturb",
-    "perturbation_discrepancy_f",
     "pivotal_inference",
     "rank_cost_matrix",
     "rank_discrepancy",

@@ -11,31 +11,23 @@ CSV conventions: headerless by default (``--header`` skips one line); in
 labeled/joint files column 0 is the response or binary label and the
 remaining columns are features.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 usage error, 3 data error (including an input file
+that cannot be read and an output file that cannot be written), 4 numeric
+error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
 from . import dataio
-from .empirical import Correction, EmpiricalDistribution, Sidedness
-from .empirical import p_value as evaluate_p_value
+from .empirical import Correction, Sidedness
 from .errors import InputError, NumericError
-from .generators import (
-    PassConfig,
-    fit_copula,
-    fit_gaussian,
-    fit_location_scale,
-    load_model,
-    pass_synthesize,
-    save_model,
-)
+from .generators import KINDS, PassConfig, fit_model, load_model, pass_synthesize, save_model
 from .inference import (
     PIVOT_MEAN_KNOWN_SCALE,
     PIVOT_STUDENTIZED_MEAN,
@@ -48,13 +40,7 @@ from .inference import (
 from .perturb import PerturbationSpec
 from .predict import pai_interval, run_prediction_study, simulate_regression_data
 
-PIVOTAL_SCHEMA = "pai-pivotal/1"
 INTERVALS_SCHEMA = "pai-intervals/1"
-
-_KINDS = ("gaussian", "copula", "location-scale")
-
-_SIDEDNESS = {"two": Sidedness.TWO_SIDED, "upper": Sidedness.UPPER_TAIL, "lower": Sidedness.LOWER_TAIL}
-_CORRECTION = {"raw": Correction.RAW, "plus-one": Correction.PLUS_ONE}
 
 
 class UsageError(Exception):
@@ -66,12 +52,6 @@ def _mc_count(text: str) -> int:
     if value < 2:
         raise argparse.ArgumentTypeError("Monte Carlo size must be at least 2")
     return value
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
 
 
 def _cfg(args, rank_match: bool = False) -> PassConfig:
@@ -95,13 +75,7 @@ def _labeled(matrix: np.ndarray, what: str):
 
 
 def cmd_fit(args) -> int:
-    data = dataio.read_matrix(args.input, args.header)
-    if args.kind == "gaussian":
-        model = fit_gaussian(data)
-    elif args.kind == "copula":
-        model = fit_copula(data)
-    else:
-        model = fit_location_scale(data)
+    model = fit_model(args.kind, dataio.read_matrix(args.input, args.header))
     save_model(model, args.out)
     print(
         f"fit: kind={model.kind} dim={model.dim} rows={model.fit_info.n_rows} "
@@ -134,10 +108,7 @@ def _finish_report(report: TestReport, args, **extra) -> TestReport:
     merged.update(_echo(args, **extra))
     report = dataclasses.replace(report, config=merged)
     report.save(args.out)
-    print(
-        f"{report.test_name}: statistic={report.statistic:.6g} "
-        f"p={report.p_value:.6g} ({report.sidedness.value}, {report.correction.value}) -> {args.out}"
-    )
+    print(f"{report.test_name}: {report.summary()} -> {args.out}")
     return report
 
 
@@ -151,8 +122,8 @@ def cmd_test_fid(args) -> int:
         model,
         D=args.mc,
         cfg=_cfg(args),
-        sidedness=_SIDEDNESS[args.sided],
-        correction=_CORRECTION[args.correction],
+        sidedness=Sidedness(args.sided),
+        correction=Correction(args.correction),
     )
     _finish_report(report, args, input=args.input, candidate=args.candidate, model=args.model)
     return 0
@@ -175,7 +146,7 @@ def cmd_test_feature(args) -> int:
         model,
         D=args.mc,
         cfg=_cfg(args),
-        correction=_CORRECTION[args.correction],
+        correction=Correction(args.correction),
     )
     _finish_report(report, args, input=args.input, inference=args.inference, model=args.model)
     return 0
@@ -193,7 +164,7 @@ def cmd_test_coherence(args) -> int:
         model2,
         D=args.mc,
         cfg=_cfg(args),
-        correction=_CORRECTION[args.correction],
+        correction=Correction(args.correction),
     )
     _finish_report(report, args, input=args.input, input2=args.input2, model=args.model, model2=args.model2)
     return 0
@@ -204,7 +175,7 @@ def cmd_test_pivotal(args) -> int:
     if data.shape[1] != 1:
         raise InputError(f"pivotal inference expects a single-column file, got {data.shape[1]} columns")
     pivot = PIVOT_MEAN_KNOWN_SCALE if args.sigma is not None else PIVOT_STUDENTIZED_MEAN
-    result = pivotal_inference(
+    report = pivotal_inference(
         data[:, 0],
         D=args.mc,
         cfg=_cfg(args),
@@ -212,29 +183,10 @@ def cmd_test_pivotal(args) -> int:
         pivot=pivot,
         theta0=args.theta0,
         sigma=args.sigma,
-        sidedness=_SIDEDNESS[args.sided],
-        correction=_CORRECTION[args.correction],
+        sidedness=Sidedness(args.sided),
+        correction=Correction(args.correction),
     )
-    payload = {
-        "schema": PIVOTAL_SCHEMA,
-        "pivot": result.pivot,
-        "estimate": result.estimate,
-        "scale": result.scale,
-        "alpha": result.alpha,
-        "lower": result.lower,
-        "upper": result.upper,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "sidedness": args.sided,
-        "correction": args.correction,
-        "null_draws": result.null_draws.values.tolist(),
-        "seed": result.seed,
-        "config": {**result.config, **_echo(args, input=args.input)},
-    }
-    _write_json(args.out, payload)
-    interval = f"[{result.lower:.6g}, {result.upper:.6g}]"
-    p_text = "n/a" if result.p_value is None else f"{result.p_value:.6g}"
-    print(f"pivotal: estimate={result.estimate:.6g} interval={interval} p={p_text} -> {args.out}")
+    _finish_report(report, args, input=args.input)
     return 0
 
 
@@ -272,7 +224,7 @@ def cmd_predict(args) -> int:
         "intervals": records,
         "config": _echo(args, model=args.model, input=args.input, mc=args.mc, tau=args.tau),
     }
-    _write_json(args.out, payload)
+    dataio.write_json(args.out, payload)
     print(f"predict: {len(records)} intervals at alpha={args.alpha} -> {args.out}")
     return 0
 
@@ -288,7 +240,7 @@ def cmd_coverage(args) -> int:
         pai_draws=args.mc,
     )
     study["config"].update(_echo(args))
-    _write_json(args.out, study)
+    dataio.write_json(args.out, study)
     summary = study["summary"]
     print(
         "coverage: median={median_coverage:.3f} mean={mean_coverage:.3f} "
@@ -301,36 +253,11 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_verify_report(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    schema = payload.get("schema")
-    if schema == "pai-report/1":
-        report = TestReport.from_dict(payload)
-        if not report.is_consistent():
-            raise InputError(
-                f"stored p-value {report.p_value} != recomputed {report.recomputed_p_value()}"
-            )
-        print(f"verify: ok (p={report.p_value:.6g} reproduces from {report.null_draws.size} draws)")
-        return 0
-    if schema == PIVOTAL_SCHEMA:
-        draws = EmpiricalDistribution(np.asarray(payload["null_draws"], dtype=np.float64))
-        q_lo, q_hi = draws.quantile([payload["alpha"] / 2.0, 1.0 - payload["alpha"] / 2.0])
-        lower = payload["estimate"] - float(q_hi) * payload["scale"]
-        upper = payload["estimate"] - float(q_lo) * payload["scale"]
-        if not (lower == payload["lower"] and upper == payload["upper"]):
-            raise InputError("stored interval does not reproduce from stored draws")
-        if payload["statistic"] is not None:
-            p = evaluate_p_value(
-                draws,
-                payload["statistic"],
-                _SIDEDNESS[payload["sidedness"]],
-                _CORRECTION[payload["correction"]],
-            )
-            if p != payload["p_value"]:
-                raise InputError(f"stored p-value {payload['p_value']} != recomputed {p}")
-        print("verify: ok (pivotal interval reproduces from stored draws)")
-        return 0
-    raise InputError(f"unrecognized report schema: {schema!r}")
+    report = TestReport.load(args.input)
+    if not report.is_consistent():
+        raise InputError(f"{args.input}: stored results do not reproduce from the stored draws")
+    print(f"verify: ok ({report.test_name} report reproduces from {report.null_draws.size} draws)")
+    return 0
 
 
 def _add_common(sub, *, seed=True, out=True, header=True, tau=False, mc=False, alpha=False):
@@ -349,8 +276,8 @@ def _add_common(sub, *, seed=True, out=True, header=True, tau=False, mc=False, a
 
 
 def _add_test_flags(sub):
-    sub.add_argument("--correction", choices=sorted(_CORRECTION), default="plus-one")
-    sub.add_argument("--sided", choices=sorted(_SIDEDNESS), default="two")
+    sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
+    sub.add_argument("--sided", choices=sorted(s.value for s in Sidedness), default="two")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("fit", help="fit a generator model from a CSV sample")
     sub.add_argument("--input", required=True)
-    sub.add_argument("--kind", choices=_KINDS, default="gaussian")
+    sub.add_argument("--kind", choices=KINDS, default="gaussian")
     _add_common(sub)
     sub.set_defaults(func=cmd_fit)
 
@@ -389,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="joint model over (label, features)")
     sub.add_argument("--mask", required=True, help="comma-separated feature indices to mask")
     _add_common(sub, tau=True, mc=True)
-    sub.add_argument("--correction", choices=sorted(_CORRECTION), default="plus-one")
+    sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
     sub.set_defaults(func=cmd_test_feature)
 
     sub = commands.add_parser("test-coherence", help="two-condition coherence test")
@@ -398,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="condition 1 generator")
     sub.add_argument("--model2", help="condition 2 generator (default: same as --model)")
     _add_common(sub, tau=True, mc=True)
-    sub.add_argument("--correction", choices=sorted(_CORRECTION), default="plus-one")
+    sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
     sub.set_defaults(func=cmd_test_coherence)
 
     sub = commands.add_parser("test-pivotal", help="pivotal mean inference on a 1-column CSV")
@@ -423,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("coverage", help="end-to-end interval coverage study")
     sub.add_argument("--n", type=int, default=3200, help="total simulated rows (default 3200)")
     sub.add_argument("--train", type=int, default=3000, help="training rows (default 3000)")
-    sub.add_argument("--kind", choices=_KINDS, default="copula")
+    sub.add_argument("--kind", choices=KINDS, default="copula")
     sub.add_argument("--mc", type=int, default=4000, help="conditional draws per point")
     sub.add_argument("--tau", type=float, default=0.0)
     sub.add_argument("--alpha", type=float, default=0.05)
@@ -455,6 +382,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # Every input is read through a loader that raises InputError, so
+        # this is an output file that cannot be written.
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

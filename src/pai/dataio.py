@@ -1,13 +1,15 @@
-"""CSV reading/writing with strict parsing and byte-stable output.
+"""The file boundary: reading and writing CSV matrices and JSON documents.
 
-Files are headerless by default (``header=True`` skips one line), one row of
-comma-separated decimal numbers per sample. Parse failures name the line and
-column. Output uses ``%.17g`` so round-tripping is exact and repeated runs
-are byte-identical.
+CSV files are headerless by default (``header=True`` skips one line), one
+row of comma-separated decimal numbers per sample. Parse failures name the
+line and column. Output uses ``%.17g`` so round-tripping is exact and
+repeated runs are byte-identical. Every read turns a missing, unreadable or
+non-UTF-8 file into :class:`InputError`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -15,13 +17,30 @@ import numpy as np
 from .errors import InputError
 
 
-def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
-    """Read an ``n x d`` matrix of reals from a CSV file."""
+def read_text(path: str | os.PathLike) -> str:
+    """Whole contents of a UTF-8 text file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except FileNotFoundError:
-        raise InputError(f"input file not found: {path}") from None
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def read_json_object(path: str | os.PathLike, what: str) -> dict:
+    """A JSON file whose top level is an object; ``what`` names the document."""
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise InputError(f"{path}: not a JSON {what} document ({exc})") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: a {what} document must be a JSON object")
+    return payload
+
+
+def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
+    """Read an ``n x d`` matrix of reals from a CSV file."""
+    lines = read_text(path).splitlines()
     start = 1 if header else 0
     rows: list[list[float]] = []
     width = None
@@ -48,6 +67,13 @@ def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
+
+
+def write_json(path: str | os.PathLike, payload: dict) -> None:
+    """Write a JSON document with sorted keys, so equal payloads give equal bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(payload, handle, sort_keys=True)
+        handle.write("\n")
 
 
 def write_matrix(path: str | os.PathLike, matrix: np.ndarray) -> None:

@@ -20,21 +20,24 @@ models:
   features.
 
 All three expose the invertible pair ``forward`` (latent to data) /
-``inverse`` (data to latent), which is all the synthesis pipeline needs.
+``inverse`` (data to latent), which is all the synthesis pipeline needs;
+``fit_model`` fits the family named by one of :data:`KINDS`.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
 multivariate ranks with a latent representation of an inference sample,
 perturbs it without changing its law, and maps it through the transport.
-``sample_statistic_null`` repeats that ``D`` times to build the Monte Carlo
-null distribution of any scalar statistic.
+``null_replicates`` is the one Monte Carlo loop of the package: it draws the
+``D`` such samples, without rank matching, of every null distribution the
+inference procedures build. ``sample_statistic_null`` applies a scalar
+statistic to each of them.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +45,10 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr, ndtri
 from scipy.stats import rankdata
 
+from .dataio import read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
-from .perturb import BaseDistribution, PerturbationSpec, perturb
+from .perturb import PerturbationSpec, perturb
 from .ranks import match_ranks
 from .streams import PATH_PASS, derive_rng
 
@@ -73,7 +77,8 @@ class FitInfo:
     data_hash: str
 
 
-def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
+def _validate_matrix(data: np.ndarray, name: str, dim: int | None = None) -> np.ndarray:
+    """A finite 2-D float matrix, with ``dim`` columns when ``dim`` is given."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
@@ -81,6 +86,8 @@ def _validate_matrix(data: np.ndarray, name: str) -> np.ndarray:
         raise InputError(f"{name} must be a 2-D matrix")
     if not np.all(np.isfinite(data)):
         raise InputError(f"{name} contains non-finite entries")
+    if dim is not None and data.shape[1] != dim:
+        raise InputError(f"{name} has {data.shape[1]} columns, model dim is {dim}")
     return data
 
 
@@ -103,22 +110,12 @@ class GaussianTransport:
         return self.chol @ self.chol.T
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent")
-        if latent.shape[1] != self.dim:
-            raise InputError(f"latent has {latent.shape[1]} columns, model dim is {self.dim}")
+        latent = _validate_matrix(latent, "latent", self.dim)
         return self.mean + latent @ self.chol.T
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        data = _validate_matrix(data, "data")
-        if data.shape[1] != self.dim:
-            raise InputError(f"data has {data.shape[1]} columns, model dim is {self.dim}")
+        data = _validate_matrix(data, "data", self.dim)
         return solve_triangular(self.chol, (data - self.mean).T, lower=True).T
-
-    def log_density(self, data: np.ndarray) -> np.ndarray:
-        latent = self.inverse(data)
-        log_det = float(np.sum(np.log(np.diag(self.chol))))
-        quad = 0.5 * np.einsum("ij,ij->i", latent, latent)
-        return -quad - log_det - 0.5 * self.dim * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -180,9 +177,7 @@ class CopulaTransport:
         return len(self.marginals)
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent")
-        if latent.shape[1] != self.dim:
-            raise InputError(f"latent has {latent.shape[1]} columns, model dim is {self.dim}")
+        latent = _validate_matrix(latent, "latent", self.dim)
         scores = latent @ self.latent_chol.T
         u = ndtr(scores)
         out = np.empty_like(u)
@@ -191,32 +186,12 @@ class CopulaTransport:
         return out
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        data = _validate_matrix(data, "data")
-        if data.shape[1] != self.dim:
-            raise InputError(f"data has {data.shape[1]} columns, model dim is {self.dim}")
+        data = _validate_matrix(data, "data", self.dim)
         u = np.empty_like(data)
         for j, marginal in enumerate(self.marginals):
             u[:, j] = marginal.cdf(data[:, j])
         scores = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         return solve_triangular(self.latent_chol, scores.T, lower=True).T
-
-    def log_density(self, data: np.ndarray) -> np.ndarray:
-        data = _validate_matrix(data, "data")
-        u = np.empty_like(data)
-        log_marg = np.zeros(data.shape[0])
-        for j, marginal in enumerate(self.marginals):
-            u[:, j] = marginal.cdf(data[:, j])
-            slopes = np.diff(marginal.ps) / np.diff(marginal.xs)
-            seg = np.clip(np.searchsorted(marginal.xs, data[:, j], side="right") - 1, 0, slopes.shape[0] - 1)
-            dens = slopes[seg]
-            inside = (data[:, j] > marginal.xs[0]) & (data[:, j] < marginal.xs[-1])
-            log_marg += np.where(inside & (dens > 0), np.log(np.maximum(dens, 1e-300)), -np.inf)
-        scores = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
-        latent = solve_triangular(self.latent_chol, scores.T, lower=True).T
-        log_det = float(np.sum(np.log(np.diag(self.latent_chol))))
-        copula_term = -0.5 * np.einsum("ij,ij->i", latent, latent) - log_det
-        copula_term += 0.5 * np.einsum("ij,ij->i", scores, scores)
-        return copula_term + log_marg
 
 
 def _quadratic_design(u: np.ndarray) -> np.ndarray:
@@ -272,18 +247,14 @@ class LocationScaleTransport:
         return location, scale
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent")
-        if latent.shape[1] != self.dim:
-            raise InputError(f"latent has {latent.shape[1]} columns, model dim is {self.dim}")
+        latent = _validate_matrix(latent, "latent", self.dim)
         features = self.features.forward(latent[:, 1:])
         location, scale = self.location_scale(features)
         response = location + scale * self.residual.quantile(ndtr(latent[:, 0]))
         return np.column_stack((response, features))
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        data = _validate_matrix(data, "data")
-        if data.shape[1] != self.dim:
-            raise InputError(f"data has {data.shape[1]} columns, model dim is {self.dim}")
+        data = _validate_matrix(data, "data", self.dim)
         location, scale = self.location_scale(data[:, 1:])
         u = self.residual.cdf((data[:, 0] - location) / scale)
         score = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
@@ -433,6 +404,20 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
     )
 
 
+KINDS = ("gaussian", "copula", "location-scale")
+
+
+def fit_model(kind: str, holdout: np.ndarray) -> GeneratorModel:
+    """Fit the transport family named ``kind``, one of :data:`KINDS`."""
+    if kind == "gaussian":
+        return fit_gaussian(holdout)
+    if kind == "copula":
+        return fit_copula(holdout)
+    if kind == "location-scale":
+        return fit_location_scale(holdout)
+    raise InputError(f"unknown generator kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class PassConfig:
     """Synthesis configuration shared by all replicates of one experiment."""
@@ -465,32 +450,15 @@ def pass_synthesize(
     """
     if replicate < 0:
         raise InputError("replicate index must be non-negative")
-    if cfg.perturbation.base is not BaseDistribution.STANDARD_GAUSSIAN:
-        raise InputError(
-            "pass_synthesize requires a StandardGaussian perturbation base: "
-            "every transport family has a standard normal latent"
-        )
-    if cfg.rank_match:
-        if inference is None:
-            raise InputError("rank matching requires an inference sample")
-        inference = _validate_matrix(inference, "inference")
-        if inference.shape[1] != model.dim:
-            raise InputError(
-                f"inference has {inference.shape[1]} columns, model dim is {model.dim}"
-            )
+    if cfg.rank_match and inference is None:
+        raise InputError("rank matching requires an inference sample")
+    if inference is not None:
+        inference = _validate_matrix(inference, "inference", model.dim)
         n_rows = inference.shape[0]
+    elif n is not None:
+        n_rows = int(n)
     else:
-        if inference is not None:
-            inference = _validate_matrix(inference, "inference")
-            if inference.shape[1] != model.dim:
-                raise InputError(
-                    f"inference has {inference.shape[1]} columns, model dim is {model.dim}"
-                )
-            n_rows = inference.shape[0]
-        elif n is not None:
-            n_rows = int(n)
-        else:
-            raise InputError("provide an inference sample or an explicit n")
+        raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
         raise InputError("sample size must be >= 1")
     rng = derive_rng(cfg.mc_seed, PATH_PASS, replicate)
@@ -502,29 +470,49 @@ def pass_synthesize(
     return model.forward(latent)
 
 
+def null_replicates(
+    model: GeneratorModel,
+    n: int,
+    D: int,
+    cfg: PassConfig,
+    first_replicate: int = 0,
+) -> Iterator[np.ndarray]:
+    """The ``D`` PASS samples of a Monte Carlo null, drawn one at a time.
+
+    Replicate ``k`` is the sample of synthesis stream ``first_replicate + k``.
+    Rank matching is always disabled for null simulation (the identity
+    permutation is a valid choice and needs no inference sample). Samples
+    are drawn as they are consumed, so a scalar statistic holds one at a
+    time; a statistic batched over a leading ``D`` axis stacks them.
+    """
+    if D < 2:
+        raise InputError("Monte Carlo size D must be >= 2")
+    cfg = dataclasses.replace(cfg, rank_match=False)
+    return (pass_synthesize(model, None, cfg, replicate=first_replicate + k, n=n) for k in range(D))
+
+
 def sample_statistic_null(
     model: GeneratorModel,
     n: int,
     D: int,
     statistic,
     cfg: PassConfig,
+    first_replicate: int = 0,
 ) -> EmpiricalDistribution:
     """Empirical null distribution of ``statistic`` over ``D`` PASS samples.
 
-    Replicate ``k`` uses the synthesis stream for index ``k``; rank matching is
-    always disabled for null simulation (the identity permutation is a valid
-    choice and needs no inference sample). The statistic must return a finite
-    scalar for every replicate.
+    The samples are :func:`null_replicates` ``(model, n, D, cfg,
+    first_replicate)``. The statistic must return a finite scalar for every
+    replicate.
     """
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
-    cfg_null = dataclasses.replace(cfg, rank_match=False)
+    replicates = null_replicates(model, n, D, cfg, first_replicate)
     values = np.empty(D, dtype=np.float64)
-    for k in range(D):
-        sample = pass_synthesize(model, None, cfg_null, replicate=k, n=n)
+    for k, sample in enumerate(replicates):
         value = float(statistic(sample))
         if not math.isfinite(value):
-            raise InputError(f"statistic returned a non-finite value on replicate {k}")
+            raise InputError(
+                f"statistic returned a non-finite value on replicate {first_replicate + k}"
+            )
         values[k] = value
     return EmpiricalDistribution(values=values)
 
@@ -564,9 +552,7 @@ def save_model(model: GeneratorModel, path: str | os.PathLike) -> None:
         **fields,
         "fitted_on": {"n_rows": model.fit_info.n_rows, "data_hash": model.fit_info.data_hash},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+    write_json(path, payload)
 
 
 def _field(doc, key: str, where: str = ""):
@@ -637,15 +623,7 @@ def load_model(path: str | os.PathLike) -> GeneratorModel:
     increasing marginal grids), so a malformed document raises
     :class:`InputError` rather than loading a model that fails later.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except FileNotFoundError:
-        raise InputError(f"model file not found: {path}") from None
-    except ValueError as exc:
-        raise InputError(f"{path}: not a JSON model document ({exc})") from None
-    if not isinstance(payload, dict):
-        raise InputError(f"{path}: a model document must be a JSON object")
+    payload = read_json_object(path, "model")
     if payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"unrecognized model schema: {payload.get('schema')!r}")
     fitted_on = _field(payload, "fitted_on")

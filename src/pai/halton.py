@@ -12,7 +12,6 @@ are badly correlated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -92,23 +91,3 @@ def halton_block(n: int, d: int, index_offset: int = 0) -> np.ndarray:
     if index_offset < 0:
         raise InputError("index_offset must be non-negative")
     return _cached_block(int(n), int(d), int(index_offset)).copy()
-
-
-@dataclass(frozen=True)
-class HaltonSequence:
-    """A fixed-dimension Halton stream with an optional start offset."""
-
-    dim: int
-    index_offset: int = 0
-    bases: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.dim < 1 or self.dim > MAX_DIM:
-            raise InputError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
-        if self.index_offset < 0:
-            raise InputError("index_offset must be non-negative")
-        object.__setattr__(self, "bases", _PRIMES[: self.dim])
-
-    def block(self, n: int) -> np.ndarray:
-        """Points ``index_offset + 1`` through ``index_offset + n``."""
-        return halton_block(n, self.dim, self.index_offset)

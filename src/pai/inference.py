@@ -1,7 +1,7 @@
 """Monte Carlo hypothesis tests and pivotal inference.
 
-Each test procedure computes its statistic on real data, rebuilds the same
-statistic on ``D`` synthetic replicates drawn from a fitted transport to form
+Each procedure computes its statistic on real data, recomputes it on ``D``
+synthetic replicates from :func:`~pai.generators.null_replicates` to form
 the empirical null distribution, and reports a Monte Carlo p-value:
 
 * :func:`test_two_sample_fid` - is a candidate sample distributionally
@@ -14,12 +14,17 @@ the empirical null distribution, and reports a Monte Carlo p-value:
 * :func:`pivotal_inference` - exact tests and confidence intervals for
   pivotal statistics of the Gaussian mean, where the synthetic null is valid
   even when fitted on the inference sample itself.
+
+Every result is a :class:`TestReport`; pivotal inference returns the
+subclass :class:`PivotalReport`, which adds the inverted confidence
+interval. A report keeps its null draws, so ``is_consistent`` re-derives the
+stored p-value and interval exactly. ``save`` writes a versioned JSON
+document (``pai-report/1`` or ``pai-pivotal/1``) and ``TestReport.load``
+reads either, turning any malformed document into :class:`InputError`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -27,18 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from .dataio import read_json_object, write_json
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError
 from .generators import (
     GeneratorModel,
     PassConfig,
-    fit_gaussian,
     gaussian_from_params,
-    pass_synthesize,
+    null_replicates,
+    sample_statistic_null,
 )
 from .metrics import fid, gaussian_summary
 
 REPORT_SCHEMA = "pai-report/1"
+PIVOTAL_SCHEMA = "pai-pivotal/1"
 
 # Fixed learner for the feature-significance statistic: full-batch gradient
 # descent logistic regression. The exact learner is incidental; it only has
@@ -47,9 +54,65 @@ _LOGISTIC_ITERATIONS = 500
 _LOGISTIC_STEP = 0.1
 
 
-@dataclass(frozen=True)
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(value) -> float | None:
+    return None if value is None else _number(value)
+
+
+def _level(value) -> float:
+    if not 0.0 < _number(value) < 1.0:
+        raise ValueError(f"expected a level in (0, 1), got {value!r}")
+    return float(value)
+
+
+def _draws(value) -> EmpiricalDistribution:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
+    return EmpiricalDistribution(np.array([_number(v) for v in value], dtype=np.float64))
+
+
+def _exactly(kind: type):
+    def parse(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+
+    return parse
+
+
+def _report_field(payload: dict, key: str, parse):
+    """``parse(payload[key])``; a missing key or a value it rejects is an InputError."""
+    if key not in payload:
+        raise InputError(f"report document lacks field {key!r}")
+    try:
+        return parse(payload[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"report field {key!r}: {exc}") from None
+
+
+def _common_fields(payload: dict, scalar) -> dict:
+    """Fields every report document has; ``scalar`` parses statistic and p-value."""
+    return {
+        "statistic": _report_field(payload, "statistic", scalar),
+        "p_value": _report_field(payload, "p_value", scalar),
+        "sidedness": _report_field(payload, "sidedness", Sidedness),
+        "correction": _report_field(payload, "correction", Correction),
+        "null_draws": _report_field(payload, "null_draws", _draws),
+        "seed": _report_field(payload, "seed", _exactly(int)),
+        "config": _report_field(payload, "config", _exactly(dict)),
+    }
+
+
+@dataclass(frozen=True, kw_only=True)
 class TestReport:
     """Self-contained result of one Monte Carlo test."""
+
+    schema = REPORT_SCHEMA
 
     test_name: str
     statistic: float
@@ -60,15 +123,21 @@ class TestReport:
     seed: int
     config: dict
 
-    def recomputed_p_value(self) -> float:
-        return p_value(self.null_draws, self.statistic, self.sidedness, self.correction)
-
     def is_consistent(self) -> bool:
-        return self.recomputed_p_value() == self.p_value
+        """Whether the stored p-value re-derives from the stored draws."""
+        recomputed = p_value(self.null_draws, self.statistic, self.sidedness, self.correction)
+        return recomputed == self.p_value
+
+    def summary(self) -> str:
+        """One line stating the result."""
+        return (
+            f"statistic={self.statistic:.6g} p={self.p_value:.6g} "
+            f"({self.sidedness.value}, {self.correction.value})"
+        )
 
     def to_dict(self) -> dict:
         return {
-            "schema": REPORT_SCHEMA,
+            "schema": self.schema,
             "test": self.test_name,
             "statistic": self.statistic,
             "p_value": self.p_value,
@@ -80,50 +149,46 @@ class TestReport:
         }
 
     def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.to_dict())
+
+    @staticmethod
+    def _parse_fields(payload: dict) -> dict:
+        fields = _common_fields(payload, _number)
+        return {"test_name": _report_field(payload, "test", _exactly(str)), **fields}
 
     @staticmethod
     def from_dict(payload: dict) -> "TestReport":
-        if payload.get("schema") != REPORT_SCHEMA:
-            raise InputError(f"unrecognized report schema: {payload.get('schema')!r}")
-        return TestReport(
-            test_name=str(payload["test"]),
-            statistic=float(payload["statistic"]),
-            p_value=float(payload["p_value"]),
-            sidedness=Sidedness(payload["sidedness"]),
-            correction=Correction(payload["correction"]),
-            null_draws=EmpiricalDistribution(np.asarray(payload["null_draws"], dtype=np.float64)),
-            seed=int(payload["seed"]),
-            config=dict(payload["config"]),
-        )
+        """Parse a document of either report schema."""
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        for report_type in (TestReport, PivotalReport):
+            if schema == report_type.schema:
+                return report_type(**report_type._parse_fields(payload))
+        raise InputError(f"unrecognized report schema: {schema!r}")
 
     @staticmethod
     def load(path: str | os.PathLike) -> "TestReport":
-        with open(path, "r", encoding="utf-8") as handle:
-            return TestReport.from_dict(json.load(handle))
+        """Read a report file of either schema."""
+        return TestReport.from_dict(read_json_object(path, "report"))
 
 
 def _build_report(
     test_name: str,
     statistic: float,
-    draws: np.ndarray,
+    draws: EmpiricalDistribution,
     sidedness: Sidedness,
     correction: Correction,
     cfg: PassConfig,
     config: dict,
     p_override: float | None = None,
 ) -> TestReport:
-    dist = EmpiricalDistribution(draws)
-    p = p_value(dist, statistic, sidedness, correction) if p_override is None else p_override
+    p = p_value(draws, statistic, sidedness, correction) if p_override is None else p_override
     return TestReport(
         test_name=test_name,
         statistic=float(statistic),
         p_value=float(p),
         sidedness=sidedness,
         correction=correction,
-        null_draws=dist,
+        null_draws=draws,
         seed=cfg.mc_seed,
         config=config,
     )
@@ -156,16 +221,12 @@ def test_two_sample_fid(
         raise InputError(f"need at least d + 2 = {d + 2} rows per sample")
     if d != model.dim:
         raise InputError(f"model dim {model.dim} != data dim {d}")
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
     ref_summary = gaussian_summary(reference)
     statistic = fid(ref_summary, gaussian_summary(candidate))
-    cfg_null = dataclasses.replace(cfg, rank_match=False)
     n_draw = candidate.shape[0]
-    draws = np.empty(D)
-    for k in range(D):
-        synthetic = pass_synthesize(model, None, cfg_null, replicate=k, n=n_draw)
-        draws[k] = fid(ref_summary, gaussian_summary(synthetic))
+    draws = sample_statistic_null(
+        model, n_draw, D, lambda sample: fid(ref_summary, gaussian_summary(sample)), cfg
+    )
     config = {
         "test": "fid",
         "n_reference": int(reference.shape[0]),
@@ -289,23 +350,17 @@ def test_feature_significance(
         raise InputError(
             f"model dim {model.dim} != 1 + feature dim {p} (label column 0 plus features)"
         )
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
+    n_train, n_inf = train_X.shape[0], inf_X.shape[0]
+    joints = np.stack(tuple(null_replicates(model, n_train + n_inf, D, cfg)))
 
     statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     statistic = float(statistic)
-
-    n_train, n_inf = train_X.shape[0], inf_X.shape[0]
-    n_total = n_train + n_inf
-    cfg_null = dataclasses.replace(cfg, rank_match=False)
-    joints = np.empty((D, n_total, p + 1))
-    for k in range(D):
-        joints[k] = pass_synthesize(model, None, cfg_null, replicate=k, n=n_total)
     labels = (joints[..., 0] >= label_threshold).astype(np.float64)
     features = joints[..., 1:]
     draws, _ = _risk_difference_statistic(
         features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], mask
     )
+    draws = EmpiricalDistribution(draws)
     config = {
         "test": "feature",
         "n_train": n_train,
@@ -352,18 +407,17 @@ def test_conditional_coherence(
     for label, model in (("cond_model1", cond_model1), ("cond_model2", cond_model2)):
         if model.dim != d:
             raise InputError(f"{label} dim {model.dim} != data dim {d}")
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
     statistic = fid(gaussian_summary(group1), gaussian_summary(group2))
-    cfg_null = dataclasses.replace(cfg, rank_match=False)
-    draws = np.empty(2 * D)
-    for which, model in enumerate((cond_model1, cond_model2)):
-        for k in range(D):
-            replicate = which * D + k
-            pooled = pass_synthesize(model, None, cfg_null, replicate=replicate, n=n1 + n2)
-            draws[replicate] = fid(
-                gaussian_summary(pooled[:n1]), gaussian_summary(pooled[n1:])
-            )
+
+    def split_fid(pooled: np.ndarray) -> float:
+        return fid(gaussian_summary(pooled[:n1]), gaussian_summary(pooled[n1:]))
+
+    # Model 1 uses streams 0..D-1 and model 2 streams D..2D-1.
+    halves = [
+        sample_statistic_null(model, n1 + n2, D, split_fid, cfg, first_replicate=which * D)
+        for which, model in enumerate((cond_model1, cond_model2))
+    ]
+    draws = EmpiricalDistribution(np.concatenate([half.values for half in halves]))
     config = {
         "test": "coherence",
         "n_group1": n1,
@@ -383,21 +437,71 @@ PIVOT_STUDENTIZED_MEAN = "studentized_mean"
 PIVOT_MEAN_KNOWN_SCALE = "mean_known_scale"
 
 
-@dataclass(frozen=True)
-class PivotalResult:
-    """Confidence interval (and optional test) from pivotal Monte Carlo."""
+def _pivot_interval(
+    draws: EmpiricalDistribution, estimate: float, scale: float, alpha: float
+) -> tuple[float, float]:
+    """The ``1 - alpha`` interval for the mean, inverted from the pivot's draws."""
+    q_lo, q_hi = draws.quantile([alpha / 2.0, 1.0 - alpha / 2.0])
+    return estimate - float(q_hi) * scale, estimate - float(q_lo) * scale
 
+
+@dataclass(frozen=True, kw_only=True)
+class PivotalReport(TestReport):
+    """Confidence interval (and optional test) from pivotal Monte Carlo.
+
+    ``statistic`` and ``p_value`` are ``None`` when no null value was tested.
+    """
+
+    schema = PIVOTAL_SCHEMA
+
+    test_name: str = "pivotal"
     estimate: float
     scale: float
     alpha: float
     lower: float
     upper: float
     pivot: str
-    null_draws: EmpiricalDistribution
-    seed: int
-    config: dict
-    statistic: float | None = None
-    p_value: float | None = None
+
+    def is_consistent(self) -> bool:
+        """Whether the stored interval and p-value re-derive from the stored draws."""
+        interval = _pivot_interval(self.null_draws, self.estimate, self.scale, self.alpha)
+        if interval != (self.lower, self.upper):
+            return False
+        if self.statistic is None:
+            return self.p_value is None
+        return super().is_consistent()
+
+    def summary(self) -> str:
+        p_text = "n/a" if self.p_value is None else f"{self.p_value:.6g}"
+        return (
+            f"estimate={self.estimate:.6g} interval=[{self.lower:.6g}, {self.upper:.6g}] "
+            f"p={p_text}"
+        )
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        del doc["test"]
+        doc.update(
+            pivot=self.pivot,
+            estimate=self.estimate,
+            scale=self.scale,
+            alpha=self.alpha,
+            lower=self.lower,
+            upper=self.upper,
+        )
+        return doc
+
+    @staticmethod
+    def _parse_fields(payload: dict) -> dict:
+        return {
+            "pivot": _report_field(payload, "pivot", _exactly(str)),
+            "estimate": _report_field(payload, "estimate", _number),
+            "scale": _report_field(payload, "scale", _number),
+            "alpha": _report_field(payload, "alpha", _level),
+            "lower": _report_field(payload, "lower", _number),
+            "upper": _report_field(payload, "upper", _number),
+            **_common_fields(payload, _optional_number),
+        }
 
 
 def pivotal_inference(
@@ -411,7 +515,7 @@ def pivotal_inference(
     center: float | None = None,
     sidedness: Sidedness = Sidedness.TWO_SIDED,
     correction: Correction = Correction.PLUS_ONE,
-) -> PivotalResult:
+) -> PivotalReport:
     """Monte Carlo inference for a pivotal statistic of the Gaussian mean.
 
     Because the pivot's law does not depend on the parameters, the generator
@@ -434,8 +538,6 @@ def pivotal_inference(
         raise InputError("inference sample contains non-finite entries")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
     theta_hat = float(data.mean())
     sd_hat = float(data.std(ddof=1))
     theta_tilde = theta_hat if center is None else float(center)
@@ -452,24 +554,19 @@ def pivotal_inference(
     else:
         raise InputError(f"unknown pivot {pivot!r}")
     model = gaussian_from_params([theta_tilde], chol=[[gen_scale]])
-    cfg_null = dataclasses.replace(cfg, rank_match=False)
-    draws = np.empty(D)
-    for k in range(D):
-        synthetic = pass_synthesize(model, None, cfg_null, replicate=k, n=n)[:, 0]
-        mean_k = synthetic.mean()
-        if pivot == PIVOT_STUDENTIZED_MEAN:
-            draws[k] = math.sqrt(n) * (mean_k - theta_tilde) / synthetic.std(ddof=1)
-        else:
-            draws[k] = math.sqrt(n) * (mean_k - theta_tilde) / gen_scale
-    dist = EmpiricalDistribution(draws)
-    q_lo, q_hi = dist.quantile([alpha / 2.0, 1.0 - alpha / 2.0])
-    lower = theta_hat - float(q_hi) * obs_scale
-    upper = theta_hat - float(q_lo) * obs_scale
+
+    def pivot_value(sample: np.ndarray) -> float:
+        synthetic = sample[:, 0]
+        spread = synthetic.std(ddof=1) if pivot == PIVOT_STUDENTIZED_MEAN else gen_scale
+        return math.sqrt(n) * (synthetic.mean() - theta_tilde) / spread
+
+    draws = sample_statistic_null(model, n, D, pivot_value, cfg)
+    lower, upper = _pivot_interval(draws, theta_hat, obs_scale, alpha)
     statistic = None
     p = None
     if theta0 is not None:
         statistic = (theta_hat - float(theta0)) / obs_scale
-        p = p_value(dist, statistic, sidedness, correction)
+        p = p_value(draws, statistic, sidedness, correction)
     config = {
         "test": "pivotal",
         "pivot": pivot,
@@ -481,16 +578,18 @@ def pivotal_inference(
         "center": center,
         "tau": cfg.perturbation.tau,
     }
-    return PivotalResult(
+    return PivotalReport(
         estimate=theta_hat,
         scale=obs_scale,
         alpha=alpha,
         lower=lower,
         upper=upper,
         pivot=pivot,
-        null_draws=dist,
-        seed=cfg.mc_seed,
-        config=config,
         statistic=statistic,
         p_value=p,
+        sidedness=sidedness,
+        correction=correction,
+        null_draws=draws,
+        seed=cfg.mc_seed,
+        config=config,
     )

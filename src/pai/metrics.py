@@ -2,8 +2,8 @@
 
 Implements the Frechet distance between Gaussian summaries (the squared
 2-Wasserstein distance between fitted Gaussians), exact empirical 1- and
-2-Wasserstein distances via optimal matching, two-sample and one-sample
-Kolmogorov-Smirnov machinery, and cosine similarity.
+2-Wasserstein distances via optimal matching, and two-sample and one-sample
+Kolmogorov-Smirnov machinery.
 """
 
 from __future__ import annotations
@@ -182,16 +182,3 @@ def ks_test_standard_gaussian(sample: np.ndarray) -> tuple[float, float]:
     statistic = float(max((i / n - cdf).max(), (cdf - (i - 1) / n).max()))
     p = kolmogorov_survival(math.sqrt(n) * statistic)
     return statistic, p
-
-
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two non-zero vectors."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: {a.shape} != {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise InputError("cosine similarity is undefined for zero vectors")
-    return float(np.clip(a @ b / (norm_a * norm_b), -1.0, 1.0))

@@ -1,95 +1,37 @@
-"""Distribution-preserving perturbation of base samples.
+"""Distribution-preserving perturbation of standard Gaussian base samples.
 
 A base sample is jittered with scaled Gaussian noise and then pushed back to
-the base law by a coordinatewise increasing map ``W``, so the perturbed rows
-still follow the base distribution exactly while individual rows move. For a
-standard Gaussian base the push-back is the linear rescaling
-``W(x) = x / sqrt(1 + tau^2)``; for the uniform cube it is the closed-form
-CDF of the uniform-plus-Gaussian convolution (the uniform quantile function
-is the identity on [0, 1], so no numerical inversion is needed). Because ``W``
-is strictly increasing in every coordinate, the perturbation approximately
-preserves multivariate ranks, degrading only with the noise size ``tau``.
+the standard Gaussian law by the linear rescaling
+``W(x) = x / sqrt(1 + tau^2)``, so the perturbed rows still follow the base
+distribution exactly while individual rows move. Every transport family in
+:mod:`pai.generators` has a standard normal latent, so this is the only base
+law the package needs. Because ``W`` is strictly increasing in every
+coordinate, the perturbation approximately preserves multivariate ranks,
+degrading only with the noise size ``tau``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InputError
 
 
-class BaseDistribution(enum.Enum):
-    STANDARD_GAUSSIAN = "gaussian"
-    UNIFORM_CUBE = "uniform"
-
-
-class NoiseDistribution(enum.Enum):
-    GAUSSIAN = "gaussian"
-
-
-# Sup-norms of the base marginal densities, the Lipschitz constants of the
-# corresponding population rank maps.
-_DENSITY_SUP = {
-    BaseDistribution.STANDARD_GAUSSIAN: 1.0 / math.sqrt(2.0 * math.pi),
-    BaseDistribution.UNIFORM_CUBE: 1.0,
-}
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Noise size and base/noise family for a perturbation step.
+    """Noise size of a perturbation step.
 
     ``tau = 0`` makes the perturbation the identity map.
     """
 
     tau: float
-    base: BaseDistribution = BaseDistribution.STANDARD_GAUSSIAN
-    noise: NoiseDistribution = NoiseDistribution.GAUSSIAN
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.tau) or self.tau < 0:
             raise InputError(f"perturbation size tau must be finite and >= 0, got {self.tau}")
-        if not isinstance(self.base, BaseDistribution):
-            raise InputError(f"unsupported base distribution: {self.base!r}")
-        if not isinstance(self.noise, NoiseDistribution):
-            raise InputError(f"unsupported noise distribution: {self.noise!r}")
-
-
-def _phi(x: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def _gauss_cdf_antiderivative(t: np.ndarray) -> np.ndarray:
-    # d/dt [t*Phi(t) + phi(t)] = Phi(t)
-    return t * ndtr(t) + _phi(t)
-
-
-def uniform_convolution_cdf(x: np.ndarray, tau: float) -> np.ndarray:
-    """CDF of ``U + tau * eps`` with ``U ~ U(0,1)`` and ``eps ~ N(0,1)``.
-
-    Closed form: ``tau * (A(x/tau) - A((x-1)/tau))`` with
-    ``A(t) = t*Phi(t) + phi(t)``.
-    """
-    if tau <= 0:
-        return np.clip(x, 0.0, 1.0)
-    x = np.asarray(x, dtype=np.float64)
-    hi = _gauss_cdf_antiderivative(x / tau)
-    lo = _gauss_cdf_antiderivative((x - 1.0) / tau)
-    return np.clip(tau * (hi - lo), 0.0, 1.0)
-
-
-def draw_base(n: int, d: int, spec: PerturbationSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw an ``n x d`` sample from the spec's base distribution."""
-    if n < 1 or d < 1:
-        raise InputError("base sample needs n >= 1 and d >= 1")
-    if spec.base is BaseDistribution.STANDARD_GAUSSIAN:
-        return rng.standard_normal((n, d))
-    return rng.random((n, d))
 
 
 def perturb(
@@ -99,10 +41,10 @@ def perturb(
 ) -> np.ndarray:
     """Apply ``V_i = W(U_i + tau * eps_i)`` row by row.
 
-    ``base_rows`` must already follow the spec's base law (and already carry
-    any rank-matching permutation); the output follows the same law exactly.
-    At ``tau = 0`` the input is returned unchanged and no noise is consumed
-    from ``rng``.
+    ``base_rows`` must already follow the standard Gaussian law (and already
+    carry any rank-matching permutation); the output follows the same law
+    exactly. At ``tau = 0`` the input is returned unchanged and no noise is
+    consumed from ``rng``.
     """
     rows = np.asarray(base_rows, dtype=np.float64)
     if rows.ndim != 2:
@@ -112,23 +54,4 @@ def perturb(
     if spec.tau == 0.0:
         return rows.copy()
     noisy = rows + spec.tau * rng.standard_normal(rows.shape)
-    if spec.base is BaseDistribution.STANDARD_GAUSSIAN:
-        return noisy / math.sqrt(1.0 + spec.tau**2)
-    return uniform_convolution_cdf(noisy, spec.tau)
-
-
-def perturbation_discrepancy_f(tau: float, spec: PerturbationSpec, dim: int = 1) -> float:
-    """Upper bound on the squared rank-map discrepancy induced by ``tau``.
-
-    For product-form bases with marginal density sup-norm ``L`` the
-    population rank maps of the base and the tau-perturbed law differ by at
-    most ``L^2 * tau^2 * E||eps||^2`` in squared sup norm, and the Gaussian
-    noise gives ``E||eps||^2 = dim``. Monotone increasing in ``tau`` and 0 at
-    ``tau = 0``.
-    """
-    if not math.isfinite(tau) or tau < 0:
-        raise InputError(f"tau must be finite and >= 0, got {tau}")
-    if dim < 1:
-        raise InputError("dim must be >= 1")
-    L = _DENSITY_SUP[spec.base]
-    return L * L * tau * tau * float(dim)
+    return noisy / math.sqrt(1.0 + spec.tau**2)

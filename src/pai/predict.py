@@ -34,11 +34,9 @@ from .generators import (
     GeneratorModel,
     LocationScaleTransport,
     PassConfig,
-    fit_copula,
-    fit_gaussian,
-    fit_location_scale,
+    fit_model,
 )
-from .perturb import BaseDistribution, PerturbationSpec
+from .perturb import PerturbationSpec, perturb
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
 N_FEATURES = 7
@@ -133,20 +131,14 @@ def conditional_sample(
     """Draw ``m`` responses from the model's conditional law at ``x``.
 
     The standardized conditional draws pass through the same
-    distribution-preserving perturbation as unconditional synthesis
-    (``z -> (z + tau * eps) / sqrt(1 + tau^2)``), so the perturbation size
-    never changes the sampled law.
+    distribution-preserving :func:`~pai.perturb.perturb` as unconditional
+    synthesis, so the perturbation size never changes the sampled law.
     """
     if m < 1:
         raise InputError("draw count m must be >= 1")
-    if cfg.perturbation.base is not BaseDistribution.STANDARD_GAUSSIAN:
-        raise InputError("conditional sampling requires a StandardGaussian base")
     cond_mean, cond_sd = _conditional_params(model, x)
     rng = derive_rng(cfg.mc_seed, PATH_CONDITIONAL, stream_index)
-    z = rng.standard_normal(m)
-    tau = cfg.perturbation.tau
-    if tau > 0:
-        z = (z + tau * rng.standard_normal(m)) / math.sqrt(1.0 + tau * tau)
+    z = perturb(rng.standard_normal(m)[:, None], cfg.perturbation, rng)[:, 0]
     if isinstance(model, GaussianTransport):
         return cond_mean + cond_sd * z
     if isinstance(model, LocationScaleTransport):
@@ -391,23 +383,15 @@ def run_prediction_study(
     after the first ``n_train`` rows as test points, builds Monte Carlo and
     conformal intervals for each test point, and evaluates per-point coverage
     from fresh truth draws. ``kind`` names the generator family fitted to the
-    joint (response, features) sample: ``"copula"``, ``"gaussian"`` or
-    ``"location-scale"``. Returns a JSON-ready dictionary.
+    joint (response, features) sample, one of
+    :data:`~pai.generators.KINDS`. Returns a JSON-ready dictionary.
     """
     if n_train >= n_total:
         raise InputError("n_total must exceed n_train")
     X, y = simulate_regression_data(n_total, seed)
     X_train, y_train = X[:n_train], y[:n_train]
     X_test = X[n_train:]
-    joint = np.column_stack((y_train, X_train))
-    if kind == "copula":
-        model = fit_copula(joint)
-    elif kind == "gaussian":
-        model = fit_gaussian(joint)
-    elif kind == "location-scale":
-        model = fit_location_scale(joint)
-    else:
-        raise InputError(f"unknown generator kind {kind!r}")
+    model = fit_model(kind, np.column_stack((y_train, X_train)))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
     pai_intervals = [
         pai_interval(model, x, alpha, pai_draws, cfg, stream_index=i)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pai import dataio
+from pai import PassConfig, dataio, gaussian_from_params, pivotal_inference
+from pai import test_two_sample_fid as fid_test
 from pai.cli import main
 
 
@@ -123,6 +124,11 @@ def test_pivotal_cli(tmp_path):
     assert payload["lower"] < 3.0 < payload["upper"]
     assert run("verify-report", "--input", out) == 0
 
+    # a stored interval that no longer reproduces must fail verification
+    payload["upper"] += 1e-9
+    out.write_text(json.dumps(payload))
+    assert run("verify-report", "--input", out) == 3
+
 
 def test_predict_cli(tmp_path, sim_csv):
     model = tmp_path / "model.json"
@@ -191,3 +197,104 @@ def test_usage_errors_exit_2():
     assert run("synthesize") == 2  # missing required flags
     assert run("unknown-command") == 2
     assert run() == 2
+
+
+def _report_documents():
+    rng = np.random.default_rng(8)
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    fid = fid_test(rng.standard_normal((20, 2)), rng.standard_normal((20, 2)), model, 5, PassConfig())
+    pivotal = pivotal_inference(rng.standard_normal(10), D=9, cfg=PassConfig(), theta0=0.0)
+    return {"pai-report/1": fid.to_dict(), "pai-pivotal/1": pivotal.to_dict()}
+
+
+REPORT_DOCUMENTS = _report_documents()
+
+MALFORMED_REPORTS = {
+    "report-schema-only": ("pai-report/1", lambda doc: {"schema": "pai-report/1"}),
+    "report-no-draws": ("pai-report/1", lambda doc: {k: v for k, v in doc.items() if k != "null_draws"}),
+    "report-test-not-string": ("pai-report/1", lambda doc: {**doc, "test": 3}),
+    "report-statistic-string": ("pai-report/1", lambda doc: {**doc, "statistic": "x"}),
+    "report-p-bool": ("pai-report/1", lambda doc: {**doc, "p_value": True}),
+    "report-sideways": ("pai-report/1", lambda doc: {**doc, "sidedness": "sideways"}),
+    "report-correction": ("pai-report/1", lambda doc: {**doc, "correction": "none"}),
+    "report-draws-string": ("pai-report/1", lambda doc: {**doc, "null_draws": "abc"}),
+    "report-draws-nan": ("pai-report/1", lambda doc: {**doc, "null_draws": [1.0, float("nan")]}),
+    "report-draws-nested": ("pai-report/1", lambda doc: {**doc, "null_draws": [[1.0], [2.0]]}),
+    "report-one-draw": ("pai-report/1", lambda doc: {**doc, "null_draws": [1.0]}),
+    "report-seed-float": ("pai-report/1", lambda doc: {**doc, "seed": 1.5}),
+    "report-config-list": ("pai-report/1", lambda doc: {**doc, "config": []}),
+    "pivotal-schema-only": ("pai-pivotal/1", lambda doc: {"schema": "pai-pivotal/1"}),
+    "pivotal-alpha-string": ("pai-pivotal/1", lambda doc: {**doc, "alpha": "x"}),
+    "pivotal-alpha-one": ("pai-pivotal/1", lambda doc: {**doc, "alpha": 1.0}),
+    "pivotal-alpha-zero": ("pai-pivotal/1", lambda doc: {**doc, "alpha": 0}),
+    "pivotal-draws-string": ("pai-pivotal/1", lambda doc: {**doc, "null_draws": "abc"}),
+    "pivotal-draws-inf": ("pai-pivotal/1", lambda doc: {**doc, "null_draws": [1.0, float("inf")]}),
+    "pivotal-sideways": ("pai-pivotal/1", lambda doc: {**doc, "sidedness": "sideways"}),
+    "pivotal-lower-null": ("pai-pivotal/1", lambda doc: {**doc, "lower": None}),
+    "pivotal-estimate-huge": ("pai-pivotal/1", lambda doc: {**doc, "estimate": 10**400}),
+    "pivotal-statistic-list": ("pai-pivotal/1", lambda doc: {**doc, "statistic": [1.0]}),
+    "unknown-schema": ("pai-report/1", lambda doc: {**doc, "schema": "pai-report/0"}),
+    "unhashable-schema": ("pai-report/1", lambda doc: {**doc, "schema": ["pai-report/1"]}),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(REPORT_DOCUMENTS))
+def test_valid_report_documents_verify(tmp_path, schema):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(REPORT_DOCUMENTS[schema]))
+    assert run("verify-report", "--input", path) == 0
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_malformed_report_exit_code(tmp_path, capsys, case):
+    schema, mutate = MALFORMED_REPORTS[case]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(mutate(REPORT_DOCUMENTS[schema])))
+    assert run("verify-report", "--input", path) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+@pytest.mark.parametrize("text", ["{not json", "", "[1, 2]", '"report"', "{}"])
+def test_report_file_that_is_not_a_json_object_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert run("verify-report", "--input", path) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+BAD_PATHS = {
+    "fit-input-dir": ("fit", "--input", "{dir}", "--seed", 1, "--out", "{dir}/m.json"),
+    "fit-input-latin1": ("fit", "--input", "{latin1}", "--seed", 1, "--out", "{dir}/m.json"),
+    "synthesize-model-dir": ("synthesize", "--model", "{dir}", "--n", 5, "--seed", 1, "--out", "{dir}/s.csv"),
+    "synthesize-model-latin1": ("synthesize", "--model", "{latin1}", "--n", 5, "--seed", 1, "--out", "{dir}/s.csv"),
+    "verify-input-dir": ("verify-report", "--input", "{dir}"),
+    "verify-input-missing": ("verify-report", "--input", "{dir}/absent.json"),
+    "verify-input-latin1": ("verify-report", "--input", "{latin1}"),
+    "simulate-out-no-dir": ("simulate", "--n", 5, "--seed", 1, "--out", "{dir}/nodir/x.csv"),
+    "simulate-out-dir": ("simulate", "--n", 5, "--seed", 1, "--out", "{dir}"),
+    "fit-out-no-dir": ("fit", "--input", "{csv}", "--seed", 1, "--out", "{dir}/nodir/m.json"),
+    "pivotal-out-no-dir": (
+        "test-pivotal", "--input", "{onecol}", "--mc", 9, "--seed", 1, "--out", "{dir}/nodir/p.json",
+    ),
+    "predict-out-no-dir": (
+        "predict", "--model", "{model}", "--input", "{points}", "--mc", 100, "--seed", 1,
+        "--out", "{dir}/nodir/i.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PATHS))
+def test_unreadable_input_or_unwritable_output_exit_code(tmp_path, capsys, sim_csv, case):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("1.0,2.0\n\xe9,3.0\n".encode("latin-1"))
+    onecol = tmp_path / "onecol.csv"
+    dataio.write_matrix(onecol, np.random.default_rng(1).standard_normal((10, 1)))
+    points = tmp_path / "points.csv"
+    dataio.write_matrix(points, np.random.default_rng(2).random((3, 7)))
+    model = tmp_path / "model.json"
+    assert run("fit", "--input", sim_csv, "--kind", "copula", "--seed", 1, "--out", model) == 0
+    capsys.readouterr()
+    names = {"dir": tmp_path, "latin1": latin1, "csv": sim_csv, "onecol": onecol, "points": points, "model": model}
+    argv = [str(a).format(**names) for a in BAD_PATHS[case]]
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith("data error:")

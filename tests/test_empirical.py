@@ -1,7 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pai import Correction, EmpiricalDistribution, InputError, Sidedness, cdf_eval, p_value
+
+finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def null_and_statistic(draw):
+    """Draws and a statistic that is either arbitrary or tied with a draw."""
+    values = draw(st.lists(finite, min_size=2, max_size=40))
+    statistic = draw(st.one_of(finite, st.sampled_from(values)))
+    return EmpiricalDistribution(np.array(values)), statistic
 
 
 def test_distribution_invariants():
@@ -51,3 +63,26 @@ def test_quantile_linear_interpolation():
     assert dist.quantile(0.5) == pytest.approx(1.5)
     lo, hi = dist.quantile([0.0, 1.0])
     assert (lo, hi) == (0.0, 3.0)
+
+
+@given(null_and_statistic(), st.sampled_from(list(Sidedness)))
+def test_plus_one_p_values_lie_in_their_range(case, sidedness):
+    dist, statistic = case
+    p = p_value(dist, statistic, sidedness, Correction.PLUS_ONE)
+    assert 1.0 / (dist.size + 1) <= p <= 1.0
+
+
+@given(null_and_statistic(), st.sampled_from(list(Sidedness)))
+def test_raw_p_values_lie_in_the_unit_interval(case, sidedness):
+    dist, statistic = case
+    assert 0.0 <= p_value(dist, statistic, sidedness, Correction.RAW) <= 1.0
+
+
+@given(null_and_statistic(), st.sampled_from(list(Correction)))
+def test_two_sided_p_value_is_twice_the_smaller_tail_capped_at_one(case, correction):
+    dist, statistic = case
+    two = p_value(dist, statistic, Sidedness.TWO_SIDED, correction)
+    upper = p_value(dist, statistic, Sidedness.UPPER_TAIL, correction)
+    lower = p_value(dist, statistic, Sidedness.LOWER_TAIL, correction)
+    assert two <= 1.0
+    assert two == min(1.0, 2.0 * min(upper, lower))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pai import (
-    BaseDistribution,
     InputError,
     PassConfig,
     PerturbationSpec,
@@ -21,6 +20,7 @@ from pai import (
     sample_statistic_null,
     save_model,
 )
+from pai.generators import KINDS, fit_model, null_replicates
 
 
 def test_fit_gaussian_degenerate_sample():
@@ -49,13 +49,6 @@ def test_fit_gaussian_errors():
         fit_gaussian(np.zeros((3, 2)))  # needs d + 2 rows
     with pytest.raises(InputError):
         fit_gaussian(np.array([[1.0], [np.nan], [2.0]]))
-
-
-def test_gaussian_log_density_matches_formula():
-    model = gaussian_from_params([0.0], cov=[[4.0]])
-    x = np.array([[1.0]])
-    expected = -0.5 * (1.0 / 4.0) - 0.5 * math.log(2 * math.pi * 4.0)
-    assert model.log_density(x)[0] == pytest.approx(expected)
 
 
 def test_fit_copula_independent_uniforms():
@@ -133,9 +126,6 @@ def test_pass_errors(rng):
         pass_synthesize(model, None, cfg, replicate=0)  # no n
     with pytest.raises(InputError):
         pass_synthesize(model, None, cfg, replicate=-1, n=10)
-    cube = PassConfig(perturbation=PerturbationSpec(tau=0.1, base=BaseDistribution.UNIFORM_CUBE))
-    with pytest.raises(InputError):
-        pass_synthesize(model, None, cube, replicate=0, n=10)
     with pytest.raises(InputError):
         pass_synthesize(model, None, PassConfig(rank_match=True), replicate=0, n=10)
 
@@ -166,6 +156,28 @@ def test_null_distribution_minimal_and_errors():
         sample_statistic_null(model, n=5, D=3, statistic=lambda z: float("nan"), cfg=PassConfig(mc_seed=4))
     with pytest.raises(InputError):
         sample_statistic_null(model, n=5, D=1, statistic=lambda z: 0.0, cfg=PassConfig(mc_seed=4))
+
+
+def test_null_replicates_stack_unmatched_pass_streams():
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), rank_match=True, mc_seed=5)
+    stack = np.stack(tuple(null_replicates(model, 7, 3, cfg, first_replicate=4)))
+    assert stack.shape == (3, 7, 2)
+    unmatched = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=5)
+    for k in range(3):
+        np.testing.assert_array_equal(stack[k], pass_synthesize(model, None, unmatched, replicate=4 + k, n=7))
+    with pytest.raises(InputError):
+        null_replicates(model, 7, 1, cfg)  # rejected before any sample is drawn
+    with pytest.raises(InputError):
+        tuple(null_replicates(model, 0, 3, cfg))
+
+
+def test_fit_model_dispatches_on_kind(rng):
+    data = np.column_stack((rng.standard_normal(60), rng.random((60, 2))))
+    for kind in KINDS:
+        assert fit_model(kind, data).kind == kind
+    with pytest.raises(InputError, match="unknown generator kind"):
+        fit_model("vae", data)
 
 
 def test_within_sample_rows_look_independent(rng):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pai import InputError, halton_block, halton_point
-from pai.halton import HaltonSequence
 
 
 def test_radical_inverse_hand_values():
@@ -59,9 +58,7 @@ def test_errors():
 
 
 def test_sequence_offset():
-    seq = HaltonSequence(dim=1, index_offset=2)
     # indices 3, 4 in base 2
-    np.testing.assert_allclose(seq.block(2)[:, 0], [0.75, 0.125])
-    assert seq.bases == (2,)
+    np.testing.assert_allclose(halton_block(2, 1, index_offset=2)[:, 0], [0.75, 0.125])
     with pytest.raises(InputError):
-        HaltonSequence(dim=0)
+        halton_block(2, 1, index_offset=-1)

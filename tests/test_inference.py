@@ -1,15 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from pai import (
+    Correction,
+    EmpiricalDistribution,
     InputError,
     PassConfig,
+    PivotalReport,
     Sidedness,
     fit_gaussian,
     gaussian_from_params,
+    p_value,
     pass_synthesize,
     pivotal_inference,
 )
@@ -184,3 +191,62 @@ def test_null_draws_do_not_reuse_candidate_stream(rng):
     cand = pass_synthesize(MODEL_2D, None, PassConfig(mc_seed=100), replicate=0, n=60)
     report = fid_test(rng.standard_normal((60, 2)), cand, MODEL_2D, D=10, cfg=PassConfig(mc_seed=101))
     assert np.unique(report.null_draws.values).size == 10
+
+
+def _through_json(report):
+    return json.loads(json.dumps(report.to_dict()))
+
+
+@given(
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
+    st.floats(-1e6, 1e6),
+    st.sampled_from(list(Sidedness)),
+    st.sampled_from(list(Correction)),
+)
+def test_report_dict_round_trip_stays_consistent(draws, statistic, sidedness, correction):
+    dist = EmpiricalDistribution(np.array(draws))
+    report = Report(
+        test_name="fid",
+        statistic=statistic,
+        p_value=p_value(dist, statistic, sidedness, correction),
+        sidedness=sidedness,
+        correction=correction,
+        null_draws=dist,
+        seed=3,
+        config={"D": dist.size},
+    )
+    loaded = Report.from_dict(_through_json(report))
+    assert loaded.to_dict() == report.to_dict()
+    assert loaded.is_consistent()
+
+
+@given(
+    st.lists(st.integers(-400, 400), min_size=3, max_size=12).filter(lambda xs: len(set(xs)) > 1),
+    st.integers(2, 30),
+    st.floats(0.01, 0.99),
+    st.one_of(st.none(), st.floats(-50.0, 50.0)),
+    st.sampled_from(list(Sidedness)),
+    st.sampled_from(list(Correction)),
+)
+def test_pivotal_dict_round_trip_stays_consistent(data, D, alpha, theta0, sidedness, correction):
+    report = pivotal_inference(
+        np.array(data) / 8.0, D=D, cfg=PassConfig(mc_seed=D), alpha=alpha, theta0=theta0,
+        sidedness=sidedness, correction=correction,
+    )
+    assert report.is_consistent()
+    loaded = PivotalReport.from_dict(_through_json(report))
+    assert loaded.to_dict() == report.to_dict()
+    assert loaded.is_consistent()
+
+
+def test_pivotal_report_detects_tampering():
+    data = np.random.default_rng(18).standard_normal(15)
+    report = pivotal_inference(data, D=99, cfg=PassConfig(mc_seed=19), theta0=0.0)
+    doc = report.to_dict()
+    for key, value in (("upper", report.upper + 1e-9), ("p_value", 0.5), ("statistic", None)):
+        tampered = PivotalReport.from_dict({**doc, key: value})
+        assert not tampered.is_consistent(), key
+    untested = pivotal_inference(data, D=99, cfg=PassConfig(mc_seed=19))
+    assert untested.statistic is None and untested.p_value is None
+    assert untested.is_consistent()
+    assert not PivotalReport.from_dict({**untested.to_dict(), "p_value": 0.5}).is_consistent()

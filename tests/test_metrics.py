@@ -7,7 +7,6 @@ from scipy.special import kolmogorov, ndtri
 from pai import (
     GaussianSummary,
     InputError,
-    cosine_similarity,
     fid,
     gaussian_summary,
     ks_distance,
@@ -134,11 +133,3 @@ def test_ks_null_calibration():
 def test_kolmogorov_survival_against_scipy():
     for lam in (0.3, 0.5, 0.8, 1.0, 1.5, 2.0):
         assert kolmogorov_survival(lam) == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
-
-
-def test_cosine_similarity():
-    assert cosine_similarity([1.0, 0.0], [1.0, 0.0]) == pytest.approx(1.0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    assert cosine_similarity([1.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0 / math.sqrt(2.0))
-    with pytest.raises(InputError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from pai import (
-    BaseDistribution,
     InputError,
     PerturbationSpec,
     derive_rng,
     ks_test_standard_gaussian,
     perturb,
-    perturbation_discrepancy_f,
 )
-from pai.metrics import kolmogorov_survival
-from pai.perturb import uniform_convolution_cdf
 
 
 def test_spec_validation():
@@ -21,8 +17,6 @@ def test_spec_validation():
         PerturbationSpec(tau=-0.1)
     with pytest.raises(InputError):
         PerturbationSpec(tau=float("nan"))
-    with pytest.raises(InputError):
-        PerturbationSpec(tau=0.1, base="gaussian")
 
 
 def test_identity_at_zero_tau(rng):
@@ -57,26 +51,7 @@ def test_gaussian_distribution_preservation():
         assert good >= 95, f"tau={tau}: only {good}/100 runs preserved the base law"
 
 
-def test_uniform_base_preserves_uniform_law():
-    spec = PerturbationSpec(tau=0.5, base=BaseDistribution.UNIFORM_CUBE)
-    stream = derive_rng(17)
-    rows = stream.random((20_000, 1))
-    out = perturb(rows, spec, stream)
-    assert out.min() > 0.0 and out.max() < 1.0
-    srt = np.sort(out[:, 0])
-    n = srt.shape[0]
-    i = np.arange(1, n + 1)
-    stat = max((i / n - srt).max(), (srt - (i - 1) / n).max())
-    assert kolmogorov_survival(math.sqrt(n) * stat) > 0.001
-
-
 def test_pushback_maps_are_increasing():
-    for tau in (0.05, 0.3, 1.0, 2.5):
-        # effective support of U + tau*eps; far outside it the CDF
-        # saturates at exactly 0/1 in floating point
-        grid = np.linspace(-4.0 * tau, 1.0 + 4.0 * tau, 2001)
-        vals = uniform_convolution_cdf(grid, tau)
-        assert np.all(np.diff(vals) > 0)
     # Gaussian push-back is a positive rescaling: order of the noisy input
     # is preserved exactly (noise is added before the map, so compare
     # against the rescaled input, not the unnoised one)
@@ -84,26 +59,6 @@ def test_pushback_maps_are_increasing():
     noisy = np.linspace(-3.0, 3.0, 500)[:, None]
     rescaled = noisy / math.sqrt(1.0 + tau**2)
     assert np.all(np.diff(rescaled[:, 0]) > 0)
-
-
-def test_uniform_convolution_cdf_limits():
-    assert uniform_convolution_cdf(np.array([-10.0]), 0.3)[0] == pytest.approx(0.0, abs=1e-12)
-    assert uniform_convolution_cdf(np.array([11.0]), 0.3)[0] == pytest.approx(1.0, abs=1e-12)
-    # small tau approaches the uniform CDF itself
-    assert uniform_convolution_cdf(np.array([0.4]), 1e-9)[0] == pytest.approx(0.4, abs=1e-6)
-
-
-def test_discrepancy_bound_values():
-    spec = PerturbationSpec(tau=0.0)
-    assert perturbation_discrepancy_f(0.0, spec, dim=3) == 0.0
-    assert perturbation_discrepancy_f(1.0, PerturbationSpec(tau=1.0), dim=1) == pytest.approx(
-        1.0 / (2.0 * math.pi)
-    )
-    taus = np.linspace(0.0, 2.0, 10)
-    bounds = [perturbation_discrepancy_f(t, spec, dim=2) for t in taus]
-    assert np.all(np.diff(bounds) > 0)
-    uniform = PerturbationSpec(tau=0.5, base=BaseDistribution.UNIFORM_CUBE)
-    assert perturbation_discrepancy_f(0.5, uniform, dim=2) == pytest.approx(0.5)
 
 
 def test_perturb_errors(rng):
