@@ -9,7 +9,7 @@ conditional prediction intervals.
 """
 
 from .assignment import Assignment, rank_cost_matrix, solve_lsap
-from .empirical import Correction, EmpiricalDistribution, Sidedness, cdf_eval, p_value
+from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError, PaiError
 from .generators import (
     CopulaTransport,
@@ -88,7 +88,6 @@ __all__ = [
     "PIVOT_STUDENTIZED_MEAN",
     "PredictionInterval",
     "TestReport",
-    "cdf_eval",
     "conditional_sample",
     "conformal_fit",
     "conformal_interval",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
 from .errors import InputError
 
@@ -84,7 +85,7 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
     This is the matching cost between sample rows and their candidate rank
     targets; dividing by ``n`` makes the optimal total an average squared
-    distance.
+    distance. The only ``n x n`` allocation is the result itself.
     """
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -97,5 +98,4 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    diff = points[:, None, :] - targets[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff) / n
+    return cdist(points, targets, "sqeuclidean") / n

@@ -1,15 +1,17 @@
 """The file boundary: reading and writing CSV matrices and JSON documents.
 
 CSV files are headerless by default (``header=True`` skips one line), one
-row of comma-separated decimal numbers per sample. Parse failures name the
-line and column. Output uses ``%.17g`` so round-tripping is exact and
-repeated runs are byte-identical. Every read turns a missing, unreadable or
-non-UTF-8 file into :class:`InputError`.
+row of comma-separated finite decimal numbers per sample. Parse failures
+and non-finite fields (``nan``, ``inf``) name the line and column. Output
+uses ``%.17g`` so round-tripping is exact and repeated runs are
+byte-identical. Every read turns a missing, unreadable or non-UTF-8 file
+into :class:`InputError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -62,6 +64,10 @@ def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
                 raise InputError(
                     f"{path}: line {line_no}, column {col_no}: cannot parse {field.strip()!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise InputError(
+                    f"{path}: line {line_no}, column {col_no}: non-finite value {field.strip()!r}"
+                )
             row.append(value)
         rows.append(row)
     if not rows:

@@ -50,19 +50,9 @@ class EmpiricalDistribution:
     def size(self) -> int:
         return int(self.values.shape[0])
 
-    def cdf(self, x: float) -> float:
-        return cdf_eval(self, x)
-
     def quantile(self, q) -> np.ndarray:
         """Linear-interpolated order-statistic quantile(s)."""
         return np.quantile(self.values, q)
-
-
-def cdf_eval(dist: EmpiricalDistribution, x: float) -> float:
-    """Fraction of draws that are <= ``x``."""
-    if not math.isfinite(x):
-        raise InputError("cdf evaluation point must be finite")
-    return float(np.searchsorted(dist.values, x, side="right")) / dist.size
 
 
 def p_value(

@@ -60,24 +60,41 @@ def halton_point(index: int, base: int) -> float:
     return value
 
 
+def _radical_inverses(indices: np.ndarray, base: int) -> np.ndarray:
+    """:func:`halton_point` of every entry of ``indices`` in one prime base.
+
+    The float operations are those of :func:`halton_point`, in the same
+    order, so each entry is bit-identical to the scalar result. An entry
+    whose digits are used up only gains ``f * 0 == 0.0`` per extra step.
+    """
+    if not _is_prime(base):
+        raise InputError(f"Halton base must be a prime >= 2, got {base}")
+    values = np.zeros(indices.shape[0], dtype=np.float64)
+    f = 1.0
+    i = indices.copy()
+    while i.any():
+        f /= base
+        values += f * (i % base)
+        i //= base
+    return values
+
+
 @lru_cache(maxsize=64)
-def _cached_block(n: int, d: int, offset: int) -> np.ndarray:
+def _cached_block(n: int, d: int) -> np.ndarray:
+    indices = np.arange(1, n + 1, dtype=np.int64)
     out = np.empty((n, d), dtype=np.float64)
     for j in range(d):
-        b = _PRIMES[j]
-        for i in range(n):
-            out[i, j] = halton_point(offset + i + 1, b)
+        out[:, j] = _radical_inverses(indices, _PRIMES[j])
     out.setflags(write=False)
     return out
 
 
-def halton_block(n: int, d: int, index_offset: int = 0) -> np.ndarray:
+def halton_block(n: int, d: int) -> np.ndarray:
     """First ``n`` points of the ``d``-dimensional Halton sequence.
 
-    Row ``i`` (0-based) holds the radical inverses of index
-    ``index_offset + i + 1`` in the first ``d`` primes. Rows are pairwise
-    distinct and the empirical measure converges weakly to the uniform law
-    on the unit cube as ``n`` grows.
+    Row ``i`` (0-based) holds the radical inverses of index ``i + 1`` in the
+    first ``d`` primes. Rows are pairwise distinct and the empirical measure
+    converges weakly to the uniform law on the unit cube as ``n`` grows.
     """
     if n < 1:
         raise InputError("Halton block needs n >= 1")
@@ -88,6 +105,4 @@ def halton_block(n: int, d: int, index_offset: int = 0) -> np.ndarray:
             f"unsupported dimension {d}: only the first {MAX_DIM} primes are "
             "tabulated and unscrambled Halton degrades beyond that"
         )
-    if index_offset < 0:
-        raise InputError("index_offset must be non-negative")
-    return _cached_block(int(n), int(d), int(index_offset)).copy()
+    return _cached_block(int(n), int(d)).copy()

@@ -87,6 +87,8 @@ def _conditional_params(model: GeneratorModel, x: np.ndarray):
         raise InputError(
             f"conditioning point has {x.shape[0]} coordinates, expected {model.dim - 1}"
         )
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"conditioning point is not finite: {x.tolist()}")
     if isinstance(model, LocationScaleTransport):
         location, scale = model.location_scale(x[None, :])
         if not (math.isfinite(location[0]) and math.isfinite(scale[0])):

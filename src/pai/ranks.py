@@ -7,20 +7,32 @@ matchings into the permutation ``r`` that aligns the ranks of a base sample
 with those of a latent sample, and ``rank_discrepancy`` measures how far two
 equally-sized samples' rank patterns are from each other.
 
-In one dimension the optimal matching pairs sorted values with sorted Halton
-points, so the induced ordering coincides with ordinary sort order (ties are
-resolved by the solver's deterministic scan order; any resolution is optimal).
+In one dimension squared cost on a line is solved exactly by the monotone
+(Monge) pairing, so the map pairs the stable sort order of the sample with
+the sort order of the Halton points and no assignment problem is solved.
+Tied values keep their row order; any resolution of a tie is optimal. In
+higher dimensions the map is the exact LSAP solution on the ``cdist`` cost
+matrix.
+
+Solved maps are memoised by the bytes of the sample, so rank-matched
+synthesis solves the latent map of an inference sample once rather than
+once per replicate. Equal bytes give the same deterministic solve, so a
+cached map is exactly the map a fresh solve would return.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .assignment import rank_cost_matrix, solve_lsap
+from .assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
 from .errors import InputError
 from .halton import halton_block
+
+# Enough for the latent and base maps of a few consecutive replicates.
+RANK_MAP_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -58,17 +70,37 @@ def _validate_sample(sample: np.ndarray, name: str = "sample") -> np.ndarray:
     return sample
 
 
+@lru_cache(maxsize=RANK_MAP_CACHE_SIZE)
+def _solve_rank_map(key: bytes, n: int, d: int) -> tuple[np.ndarray, float]:
+    """``(perm, total_cost)`` of the sample whose float64 bytes are ``key``."""
+    sample = np.frombuffer(key, dtype=np.float64).reshape(n, d)
+    targets = halton_block(n, d)
+    if d == 1:
+        perm = np.empty(n, dtype=np.intp)
+        perm[np.argsort(targets[:, 0])] = np.argsort(sample[:, 0], kind="stable")
+        total = float(((sample[perm, 0] - targets[:, 0]) ** 2 / n).sum())
+    else:
+        assignment = solve_lsap(rank_cost_matrix(sample, targets))
+        perm, total = assignment.perm, assignment.total_cost
+    perm.setflags(write=False)
+    return perm, total
+
+
 def empirical_ranks(sample: np.ndarray) -> EmpiricalRankMap:
     """Solve the discrete Monge problem from ``sample`` to Halton targets."""
     sample = _validate_sample(sample)
     n, d = sample.shape
-    targets = halton_block(n, d)
-    assignment = solve_lsap(rank_cost_matrix(sample, targets))
+    if n > HARD_SIZE_LIMIT:
+        raise InputError(
+            f"rank map size {n} exceeds the hard limit {HARD_SIZE_LIMIT}"
+        )
+    key = np.ascontiguousarray(sample).tobytes()
+    perm, total = _solve_rank_map(key, n, d)
     return EmpiricalRankMap(
         source=sample,
-        perm=assignment.perm,
-        targets=targets,
-        total_cost=assignment.total_cost,
+        perm=perm.copy(),
+        targets=halton_block(n, d),
+        total_cost=total,
     )
 
 
@@ -96,8 +128,9 @@ def rank_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
 
     Both samples are ranked independently against the same Halton targets;
     rows are paired by index. Samples whose rows induce the same matching
-    (in particular identical samples) have discrepancy exactly 0. Rank maps
-    are recomputed from scratch on each call so the operation stays pure.
+    (in particular identical samples) have discrepancy exactly 0. A rank map
+    from the cache equals a fresh solve, so the result does not depend on
+    what was ranked before.
     """
     a = _validate_sample(a, "a")
     b = _validate_sample(b, "b")

@@ -147,6 +147,23 @@ def test_predict_cli(tmp_path, sim_csv):
         assert record["alpha"] == 0.05
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "location-scale"])
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_predict_non_finite_point_exit_code(tmp_path, capsys, sim_csv, kind, field):
+    model = tmp_path / "model.json"
+    assert run("fit", "--input", sim_csv, "--kind", kind, "--seed", 1, "--out", model) == 0
+    points = tmp_path / "pts.csv"
+    rows = np.random.default_rng(5).random((2, 7)).astype(str)
+    rows[1, 2] = field
+    points.write_text("".join(",".join(row) + "\n" for row in rows))
+    capsys.readouterr()
+    out = tmp_path / "intervals.json"
+    assert run("predict", "--model", model, "--input", points, "--mc", 100, "--seed", 2, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "line 2, column 3" in err and "non-finite" in err
+    assert not out.exists()
+
+
 def test_location_scale_fit_predict_is_byte_deterministic(tmp_path, sim_csv):
     points = tmp_path / "pts.csv"
     dataio.write_matrix(points, np.random.default_rng(4).random((5, 7)))

@@ -1,0 +1,205 @@
+"""Hypothesis fuzzing of the CLI.
+
+Whatever the argument vector and whatever the contents of the files it
+names, ``pai`` exits with 0, 2, 3 or 4 and never with a traceback. Each
+example runs in a fresh copy of a small work directory, so outputs written
+by one example (an ``--out`` may name an input) never feed the next.
+"""
+
+import contextlib
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pai import dataio
+from pai.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# One valid, cheap argument vector per subcommand; fuzzed vectors are edits of these.
+VALID_ARGV = {
+    "fit": ["fit", "--input", "data.csv", "--kind", "copula", "--seed", "1", "--out", "o.json"],
+    "synthesize": ["synthesize", "--model", "gaussian.json", "--rank-match", "--input", "data.csv",
+                   "--tau", "0.1", "--seed", "1", "--out", "o.csv"],
+    "test-fid": ["test-fid", "--input", "data.csv", "--candidate", "data.csv", "--model",
+                 "gaussian.json", "--mc", "3", "--seed", "1", "--out", "o.json"],
+    "test-feature": ["test-feature", "--input", "labeled.csv", "--inference", "labeled.csv",
+                     "--model", "gaussian.json", "--mask", "1", "--mc", "3", "--seed", "1",
+                     "--out", "o.json"],
+    "test-coherence": ["test-coherence", "--input", "data.csv", "--input2", "data.csv", "--model",
+                       "gaussian.json", "--mc", "3", "--seed", "1", "--out", "o.json"],
+    "test-pivotal": ["test-pivotal", "--input", "onecol.csv", "--theta0", "1", "--mc", "19",
+                     "--seed", "1", "--out", "o.json"],
+    "simulate": ["simulate", "--n", "5", "--seed", "1", "--out", "o.csv"],
+    "predict": ["predict", "--model", "copula.json", "--input", "points.csv", "--mc", "100",
+                "--seed", "1", "--out", "o.json"],
+    "coverage": ["coverage", "--n", "260", "--train", "200", "--mc", "100", "--seed", "1",
+                 "--out", "o.json"],
+    "verify-report": ["verify-report", "--input", "pivotal.json"],
+}
+FLAGS = (
+    "--input", "--input2", "--candidate", "--inference", "--model", "--model2", "--out",
+    "--kind", "--n", "--train", "--seed", "--mc", "--tau", "--alpha", "--mask", "--theta0",
+    "--sigma", "--replicate", "--rank-match", "--header", "--correction", "--sided",
+)
+FILES = (
+    "data.csv", "labeled.csv", "onecol.csv", "points.csv", "gaussian.json", "copula.json",
+    "location-scale.json", "report.json", "pivotal.json", "absent.csv", "out.csv", ".",
+)
+# Sizes stay small so every example is cheap, whichever flag a value lands on.
+VALUES = (
+    "0", "1", "2", "3", "5", "19", "40", "-1", "0.1", "0.5", "1.5", "-0.3", "nan", "inf",
+    "1e400", "", "x", "0,1", "1,9", "gaussian", "copula", "location-scale", "raw", "plus-one",
+    "upper", "two",
+)
+
+
+def run_in(directory, argv):
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
+            return main(list(argv))
+    finally:
+        os.chdir(previous)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A work directory holding one valid file of every kind the CLI reads."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(11)
+    dataio.write_matrix(root / "data.csv", rng.standard_normal((30, 3)))
+    labeled = np.column_stack((rng.integers(0, 2, 40), rng.standard_normal((40, 2))))
+    dataio.write_matrix(root / "labeled.csv", labeled)
+    dataio.write_matrix(root / "onecol.csv", 1.0 + rng.standard_normal((12, 1)))
+    dataio.write_matrix(root / "points.csv", rng.random((2, 2)))
+    for kind in ("gaussian", "copula", "location-scale"):
+        assert run_in(root, ["fit", "--input", "data.csv", "--kind", kind, "--seed", "1",
+                             "--out", f"{kind}.json"]) == 0
+    assert run_in(root, ["test-fid", "--input", "data.csv", "--candidate", "data.csv",
+                         "--model", "gaussian.json", "--mc", "5", "--seed", "2",
+                         "--out", "report.json"]) == 0
+    assert run_in(root, ["test-pivotal", "--input", "onecol.csv", "--mc", "19", "--seed", "3",
+                         "--out", "pivotal.json"]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def workdir(pristine, tmp_path_factory):
+    """Hands out fresh copies of the pristine directory, one per example."""
+    base = tmp_path_factory.mktemp("examples")
+    count = iter(range(10**9))
+
+    def fresh():
+        directory = base / str(next(count))
+        shutil.copytree(pristine, directory)
+        return directory
+
+    return fresh
+
+
+value = st.one_of(st.sampled_from(FILES), st.sampled_from(VALUES))
+edit = st.tuples(
+    st.sampled_from(["replace", "delete", "insert"]), st.integers(0, 20), st.sampled_from(FLAGS), value,
+)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """A valid argument vector after a few edits.
+
+    An edit replaces the value of a flag, deletes a token, or inserts a flag
+    with a value, so many vectors still parse and reach the command.
+    """
+    argv = list(VALID_ARGV[draw(st.sampled_from(sorted(VALID_ARGV)))])
+    for action, index, flag, replacement in draw(st.lists(edit, max_size=3)):
+        index = 1 + index % len(argv)
+        if action == "insert":
+            argv[index:index] = [flag, replacement]
+        elif index < len(argv) and action == "delete":
+            del argv[index]
+        elif index < len(argv) and not argv[index].startswith("--"):
+            argv[index] = replacement
+    return argv
+
+
+def test_every_valid_argument_vector_succeeds(workdir):
+    for argv in VALID_ARGV.values():
+        assert run_in(workdir(), argv) == 0, argv
+
+
+@settings(max_examples=300)
+@given(argv=fuzzed_argv())
+def test_arbitrary_arguments_exit_with_a_documented_code(workdir, argv):
+    assert run_in(workdir(), argv) in EXIT_CODES
+
+
+csv_field = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-10, 10).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", "1e400", "1e-400", "x", "0x10", "1_0", "١", "\"1\""]),
+)
+csv_text = st.lists(
+    st.lists(csv_field, min_size=1, max_size=4).map(",".join), max_size=12,
+).flatmap(lambda rows: st.sampled_from(["\n", "\r\n"]).map(lambda end: end.join(rows)))
+
+json_value = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-10**20, 10**20) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_document(draw, pristine_json):
+    """A valid model or report document with one field replaced or removed."""
+    name = draw(st.sampled_from(sorted(pristine_json)))
+    doc = dict(pristine_json[name])
+    key = draw(st.sampled_from(sorted(doc)))
+    if draw(st.booleans()):
+        del doc[key]
+    else:
+        doc[key] = draw(json_value)
+    return json.dumps(doc)
+
+
+# (argv, which file the fuzzed text replaces)
+FILE_COMMANDS = (
+    (["fit", "--input", "fuzz", "--kind", "gaussian", "--seed", "1", "--out", "m.json"], "csv"),
+    (["fit", "--input", "fuzz", "--kind", "copula", "--seed", "1", "--out", "m.json"], "csv"),
+    (["fit", "--input", "fuzz", "--kind", "location-scale", "--seed", "1", "--out", "m.json"], "csv"),
+    (["synthesize", "--model", "gaussian.json", "--rank-match", "--input", "fuzz", "--seed", "1",
+      "--out", "s.csv"], "csv"),
+    (["test-fid", "--input", "fuzz", "--candidate", "data.csv", "--model", "gaussian.json",
+      "--mc", "3", "--seed", "1", "--out", "r.json"], "csv"),
+    (["test-pivotal", "--input", "fuzz", "--mc", "19", "--seed", "1", "--out", "p.json"], "csv"),
+    (["predict", "--model", "copula.json", "--input", "fuzz", "--mc", "100", "--seed", "1",
+      "--out", "i.json"], "csv"),
+    (["synthesize", "--model", "fuzz", "--n", "3", "--seed", "1", "--out", "s.csv"], "json"),
+    (["predict", "--model", "fuzz", "--input", "points.csv", "--mc", "100", "--seed", "1",
+      "--out", "i.json"], "json"),
+    (["verify-report", "--input", "fuzz"], "json"),
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_arbitrary_file_contents_exit_with_a_documented_code(workdir, pristine, data):
+    argv, kind = data.draw(st.sampled_from(FILE_COMMANDS))
+    if kind == "csv":
+        text = data.draw(csv_text | st.text(max_size=40))
+    else:
+        documents = {
+            name: json.loads((pristine / name).read_text())
+            for name in ("gaussian.json", "copula.json", "location-scale.json", "report.json", "pivotal.json")
+        }
+        text = data.draw(mutated_document(documents) | json_value.map(json.dumps) | st.text(max_size=40))
+    directory = workdir()
+    (directory / "fuzz").write_text(text, encoding="utf-8")
+    assert run_in(directory, argv) in EXIT_CODES

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pai import Correction, EmpiricalDistribution, InputError, Sidedness, cdf_eval, p_value
+from pai import Correction, EmpiricalDistribution, InputError, Sidedness, p_value
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -26,14 +26,17 @@ def test_distribution_invariants():
         EmpiricalDistribution(np.array([1.0, np.nan]))
 
 
-def test_cdf_eval_hand_values():
+def test_raw_lower_tail_is_the_empirical_cdf():
+    def cdf(dist, x):
+        return p_value(dist, x, Sidedness.LOWER_TAIL, Correction.RAW)
+
     dist = EmpiricalDistribution(np.array([1.0, 2.0, 3.0]))
-    assert cdf_eval(dist, 2.0) == pytest.approx(2 / 3)
-    assert cdf_eval(dist, 0.0) == 0.0
-    assert cdf_eval(dist, 3.0) == 1.0
-    assert cdf_eval(dist, 99.0) == 1.0
+    assert cdf(dist, 2.0) == pytest.approx(2 / 3)
+    assert cdf(dist, 0.0) == 0.0
+    assert cdf(dist, 3.0) == 1.0
+    assert cdf(dist, 99.0) == 1.0
     ties = EmpiricalDistribution(np.array([1.0, 2.0, 2.0, 3.0]))
-    assert cdf_eval(ties, 2.0) == pytest.approx(3 / 4)
+    assert cdf(ties, 2.0) == pytest.approx(3 / 4)
 
 
 def test_p_value_hand_values():

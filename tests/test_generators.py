@@ -133,9 +133,8 @@ def test_pass_errors(rng):
 def test_null_distribution_constant_statistic():
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
     dist = sample_statistic_null(model, n=10, D=25, statistic=lambda z: 4.5, cfg=PassConfig(mc_seed=2))
+    assert dist.size == 25
     assert np.all(dist.values == 4.5)
-    assert dist.cdf(4.5) == 1.0
-    assert dist.cdf(4.4999) == 0.0
 
 
 def test_null_distribution_of_the_mean():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pai import InputError, halton_block, halton_point
+from pai.halton import MAX_DIM
 
 
 def test_radical_inverse_hand_values():
@@ -58,7 +59,13 @@ def test_errors():
 
 
 def test_sequence_offset():
-    # indices 3, 4 in base 2
-    np.testing.assert_allclose(halton_block(2, 1, index_offset=2)[:, 0], [0.75, 0.125])
-    with pytest.raises(InputError):
-        halton_block(2, 1, index_offset=-1)
+    # row i holds index i + 1: rows 2, 3 are indices 3, 4 in base 2
+    np.testing.assert_array_equal(halton_block(4, 1)[2:, 0], [0.75, 0.125])
+
+
+def test_block_is_bit_identical_to_the_scalar_radical_inverse():
+    n = 5000
+    block = halton_block(n, MAX_DIM)
+    primes = [b for b in range(2, 72) if all(b % k for k in range(2, b))]
+    expected = np.array([[halton_point(i + 1, b) for b in primes] for i in range(n)])
+    np.testing.assert_array_equal(block, expected)

@@ -21,6 +21,7 @@ from pai import (
     regression_noise_sd,
     simulate_regression_data,
 )
+from pai.generators import fit_model
 from pai.predict import PredictionInterval
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
@@ -130,6 +131,14 @@ def test_pai_interval_validation():
         pai_interval(model, [0.0], 1.2, 100, PassConfig(mc_seed=1))
     with pytest.raises(InputError):
         pai_interval(model, [0.0, 0.0], 0.05, 100, PassConfig(mc_seed=1))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "location-scale"])
+def test_conditional_sample_rejects_a_non_finite_point(kind):
+    model = fit_model(kind, np.random.default_rng(48).random((200, 3)))
+    for x in ([np.nan, 0.5], [0.5, np.inf], [-np.inf, 0.5]):
+        with pytest.raises(InputError, match="not finite"):
+            conditional_sample(model, x, 10, PassConfig(mc_seed=1))
 
 
 def test_conformal_collapses_on_noiseless_gridded_data():

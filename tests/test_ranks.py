@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import brute_force_lsap_cost
 
+import pai.ranks
 from pai import (
     InputError,
     empirical_ranks,
@@ -9,7 +12,15 @@ from pai import (
     match_ranks,
     rank_cost_matrix,
     rank_discrepancy,
+    solve_lsap,
 )
+from pai.assignment import HARD_SIZE_LIMIT
+
+
+def lsap_rank_map(sample):
+    """The rank map solved as a plain LSAP, bypassing the sort path and the cache."""
+    n, d = sample.shape
+    return solve_lsap(rank_cost_matrix(sample, halton_block(n, d)))
 
 
 def test_univariate_three_point_example():
@@ -86,3 +97,60 @@ def test_errors():
         match_ranks(np.zeros((3, 1)), np.zeros((4, 1)))
     with pytest.raises(InputError):
         rank_discrepancy(np.zeros((3, 1)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 1024])
+def test_univariate_sort_path_equals_the_lsap(rng, n):
+    sample = rng.standard_normal((n, 1))
+    rank_map = empirical_ranks(sample)
+    oracle = lsap_rank_map(sample)
+    np.testing.assert_array_equal(rank_map.perm, oracle.perm)
+    assert rank_map.total_cost == pytest.approx(oracle.total_cost, rel=1e-12, abs=1e-15)
+
+
+def test_univariate_sort_path_is_optimal_on_ties(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        sample = rng.integers(0, 3, size=(n, 1)).astype(np.float64)
+        rank_map = empirical_ranks(sample)
+        np.testing.assert_array_equal(np.sort(rank_map.perm), np.arange(n))
+        oracle = brute_force_lsap_cost(rank_cost_matrix(sample, halton_block(n, 1)))
+        assert abs(rank_map.total_cost - oracle) <= 1e-12
+
+
+def test_cache_hit_returns_a_perm_the_caller_owns(rng):
+    sample = rng.standard_normal((30, 2))
+    first = empirical_ranks(sample)
+    hits = pai.ranks._solve_rank_map.cache_info().hits
+    second = empirical_ranks(sample.copy())
+    assert pai.ranks._solve_rank_map.cache_info().hits == hits + 1
+    np.testing.assert_array_equal(second.perm, first.perm)
+    expected = first.perm.copy()
+    first.perm[:] = 0
+    second.perm[:] = 0
+    np.testing.assert_array_equal(empirical_ranks(sample).perm, expected)
+    np.testing.assert_array_equal(empirical_ranks(sample).perm, lsap_rank_map(sample).perm)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_mutating_the_input_in_place_gives_a_fresh_rank_map(rng, d):
+    sample = rng.standard_normal((40, d))
+    stale = empirical_ranks(sample).perm
+    sample[[0, 1, 2]] = sample[[2, 0, 1]]
+    sample[5] += 10.0
+    fresh = empirical_ranks(sample).perm
+    np.testing.assert_array_equal(fresh, lsap_rank_map(sample).perm)
+    assert not np.array_equal(fresh, stale)
+
+
+def test_size_guard_fires_before_any_allocation():
+    sample = np.zeros((HARD_SIZE_LIMIT + 1, 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="hard limit"):
+            empirical_ranks(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a Halton block of this shape alone is 1 MB and its cost matrix 2 GB
+    assert peak < 256 * 1024
