@@ -275,9 +275,10 @@ def _add_common(sub, *, seed=True, out=True, header=True, tau=False, mc=False, a
         sub.add_argument("--alpha", type=float, default=0.05, help="level (default 0.05)")
 
 
-def _add_test_flags(sub):
+def _add_test_flags(sub, sided=True):
     sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
-    sub.add_argument("--sided", choices=sorted(s.value for s in Sidedness), default="two")
+    if sided:
+        sub.add_argument("--sided", choices=sorted(s.value for s in Sidedness), default="two")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="joint model over (label, features)")
     sub.add_argument("--mask", required=True, help="comma-separated feature indices to mask")
     _add_common(sub, tau=True, mc=True)
-    sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
+    _add_test_flags(sub, sided=False)
     sub.set_defaults(func=cmd_test_feature)
 
     sub = commands.add_parser("test-coherence", help="two-condition coherence test")
@@ -325,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True, help="condition 1 generator")
     sub.add_argument("--model2", help="condition 2 generator (default: same as --model)")
     _add_common(sub, tau=True, mc=True)
-    sub.add_argument("--correction", choices=sorted(c.value for c in Correction), default="plus-one")
+    _add_test_flags(sub, sided=False)
     sub.set_defaults(func=cmd_test_coherence)
 
     sub = commands.add_parser("test-pivotal", help="pivotal mean inference on a 1-column CSV")

@@ -21,7 +21,12 @@ models:
 
 All three expose the invertible pair ``forward`` (latent to data) /
 ``inverse`` (data to latent), which is all the synthesis pipeline needs;
-``fit_model`` fits the family named by one of :data:`KINDS`.
+``fit_model`` fits the family named by one of :data:`KINDS`. Each class also
+owns the two things that differ by kind elsewhere: ``conditional_response``
+maps standard-normal draws to the response's conditional law at a feature
+point (what :func:`pai.predict.conditional_sample` samples), and
+``_fields`` / ``_from_fields`` write and validate its own fields of the model
+document, whose common envelope :func:`save_model` / :func:`load_model` own.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
 multivariate ranks with a latent representation of an inference sample,
 perturbs it without changing its law, and maps it through the transport.
@@ -41,7 +46,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtr, ndtri
 from scipy.stats import rankdata
 
@@ -91,6 +96,25 @@ def _validate_matrix(data: np.ndarray, name: str, dim: int | None = None) -> np.
     return data
 
 
+def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[float, float]:
+    """Mean and sd of coordinate 0 of a Gaussian given the others.
+
+    ``cov`` is the joint covariance, ``mean0`` the unconditional mean of
+    coordinate 0 and ``rhs`` the centered values of the other coordinates.
+    """
+    s_yx = cov[0, 1:]
+    try:
+        factor = cho_factor(cov[1:, 1:], lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("conditioning covariance is not positive definite") from exc
+    weights = cho_solve(factor, s_yx)
+    cond_mean = float(mean0 + weights @ rhs)
+    cond_var = float(cov[0, 0] - weights @ s_yx)
+    if cond_var < -1e-10:
+        raise NumericError(f"conditional variance {cond_var} is negative")
+    return cond_mean, math.sqrt(max(cond_var, 0.0))
+
+
 @dataclass(frozen=True)
 class GaussianTransport:
     """Affine transport between a standard normal latent and fitted Gaussian."""
@@ -116,6 +140,22 @@ class GaussianTransport:
     def inverse(self, data: np.ndarray) -> np.ndarray:
         data = _validate_matrix(data, "data", self.dim)
         return solve_triangular(self.chol, (data - self.mean).T, lower=True).T
+
+    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``z`` to responses given features ``x``."""
+        cond_mean, cond_sd = _schur_conditional(self.cov, self.mean[0], x - self.mean[1:])
+        return cond_mean + cond_sd * z
+
+    def _fields(self) -> dict:
+        return {"mean": self.mean.tolist(), "chol": self.chol.tolist()}
+
+    @classmethod
+    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> GaussianTransport:
+        return cls(
+            mean=_array_field(payload, "mean", (dim,)),
+            chol=_load_chol(payload, "chol", dim),
+            fit_info=info,
+        )
 
 
 @dataclass(frozen=True)
@@ -193,6 +233,34 @@ class CopulaTransport:
         scores = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         return solve_triangular(self.latent_chol, scores.T, lower=True).T
 
+    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``z`` to responses given features ``x``.
+
+        The conditioning is on the response's latent score; the conditional
+        scores go back through the normal CDF and the response's quantile.
+        """
+        u = np.array([m.cdf(v) for m, v in zip(self.marginals[1:], x)])
+        rhs = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
+        cond_mean, cond_sd = _schur_conditional(self.latent_chol @ self.latent_chol.T, 0.0, rhs)
+        return self.marginals[0].quantile(ndtr(cond_mean + cond_sd * z))
+
+    def _fields(self) -> dict:
+        return {
+            "marginals": [_marginal_doc(m) for m in self.marginals],
+            "latent_chol": self.latent_chol.tolist(),
+        }
+
+    @classmethod
+    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> CopulaTransport:
+        docs = _field(payload, "marginals")
+        if not isinstance(docs, list) or len(docs) != dim:
+            raise InputError(f"model field 'marginals' must list {dim} marginals")
+        return cls(
+            marginals=tuple(_load_marginal(m, f"marginals[{j}].") for j, m in enumerate(docs)),
+            latent_chol=_load_chol(payload, "latent_chol", dim),
+            fit_info=info,
+        )
+
 
 def _quadratic_design(u: np.ndarray) -> np.ndarray:
     """Columns ``1, u_j, u_j * u_k (j <= k)``: the full second-order polynomial."""
@@ -260,8 +328,50 @@ class LocationScaleTransport:
         score = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         return np.column_stack((score, self.features.inverse(data[:, 1:])))
 
+    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``z`` to responses given features ``x``.
+
+        The map is triangular, so this is the response map at ``x``.
+        """
+        location, scale = self.location_scale(x[None, :])
+        if not (math.isfinite(location[0]) and math.isfinite(scale[0])):
+            raise NumericError(f"location-scale model is not finite at {x.tolist()}")
+        return float(location[0]) + float(scale[0]) * self.residual.quantile(ndtr(z))
+
+    def _fields(self) -> dict:
+        return {
+            **self.features._fields(),
+            "x_mean": self.x_mean.tolist(),
+            "x_sd": self.x_sd.tolist(),
+            "mean_coef": self.mean_coef.tolist(),
+            "scale_coef": self.scale_coef.tolist(),
+            "residual": _marginal_doc(self.residual),
+        }
+
+    @classmethod
+    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> LocationScaleTransport:
+        if dim < 2:
+            raise InputError("a location-scale model needs dim >= 2 (response plus features)")
+        p = dim - 1
+        x_sd = _array_field(payload, "x_sd", (p,))
+        if np.any(x_sd <= 0):
+            raise InputError("model field 'x_sd' must be positive")
+        return cls(
+            features=CopulaTransport._from_fields(payload, p, info),
+            x_mean=_array_field(payload, "x_mean", (p,)),
+            x_sd=x_sd,
+            mean_coef=_array_field(payload, "mean_coef", (_quadratic_terms(p),)),
+            scale_coef=_array_field(payload, "scale_coef", (p + 1,)),
+            residual=_load_marginal(_field(payload, "residual"), "residual."),
+            fit_info=info,
+        )
+
 
 GeneratorModel = GaussianTransport | CopulaTransport | LocationScaleTransport
+
+_MODEL_CLASSES = {cls.kind: cls for cls in (GaussianTransport, CopulaTransport, LocationScaleTransport)}
+
+KINDS = tuple(_MODEL_CLASSES)
 
 
 def fit_gaussian(holdout: np.ndarray, ridge: float = _DEFAULT_RIDGE) -> GaussianTransport:
@@ -404,18 +514,12 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
     )
 
 
-KINDS = ("gaussian", "copula", "location-scale")
-
-
 def fit_model(kind: str, holdout: np.ndarray) -> GeneratorModel:
     """Fit the transport family named ``kind``, one of :data:`KINDS`."""
-    if kind == "gaussian":
-        return fit_gaussian(holdout)
-    if kind == "copula":
-        return fit_copula(holdout)
-    if kind == "location-scale":
-        return fit_location_scale(holdout)
-    raise InputError(f"unknown generator kind {kind!r}")
+    if kind not in KINDS:
+        raise InputError(f"unknown generator kind {kind!r}")
+    fitters = {"gaussian": fit_gaussian, "copula": fit_copula, "location-scale": fit_location_scale}
+    return fitters[kind](holdout)
 
 
 @dataclass(frozen=True)
@@ -521,35 +625,13 @@ def _marginal_doc(marginal: Marginal) -> dict:
     return {"xs": marginal.xs.tolist(), "ps": marginal.ps.tolist()}
 
 
-def _copula_doc(model: CopulaTransport) -> dict:
-    return {
-        "marginals": [_marginal_doc(m) for m in model.marginals],
-        "latent_chol": model.latent_chol.tolist(),
-    }
-
-
 def save_model(model: GeneratorModel, path: str | os.PathLike) -> None:
     """Serialize a fitted model to a self-describing JSON document."""
-    if isinstance(model, GaussianTransport):
-        fields = {"mean": model.mean.tolist(), "chol": model.chol.tolist()}
-    elif isinstance(model, CopulaTransport):
-        fields = _copula_doc(model)
-    elif isinstance(model, LocationScaleTransport):
-        fields = {
-            **_copula_doc(model.features),
-            "x_mean": model.x_mean.tolist(),
-            "x_sd": model.x_sd.tolist(),
-            "mean_coef": model.mean_coef.tolist(),
-            "scale_coef": model.scale_coef.tolist(),
-            "residual": _marginal_doc(model.residual),
-        }
-    else:
-        raise InputError(f"cannot serialize model of type {type(model).__name__}")
     payload = {
         "schema": MODEL_SCHEMA,
         "kind": model.kind,
         "dim": model.dim,
-        **fields,
+        **model._fields(),
         "fitted_on": {"n_rows": model.fit_info.n_rows, "data_hash": model.fit_info.data_hash},
     }
     write_json(path, payload)
@@ -604,17 +686,6 @@ def _load_chol(doc, key: str, dim: int) -> np.ndarray:
     return chol
 
 
-def _load_copula(payload: dict, dim: int, info: FitInfo) -> CopulaTransport:
-    docs = _field(payload, "marginals")
-    if not isinstance(docs, list) or len(docs) != dim:
-        raise InputError(f"model field 'marginals' must list {dim} marginals")
-    return CopulaTransport(
-        marginals=tuple(_load_marginal(m, f"marginals[{j}].") for j, m in enumerate(docs)),
-        latent_chol=_load_chol(payload, "latent_chol", dim),
-        fit_info=info,
-    )
-
-
 def load_model(path: str | os.PathLike) -> GeneratorModel:
     """Load a model saved by :func:`save_model`.
 
@@ -636,28 +707,6 @@ def load_model(path: str | os.PathLike) -> GeneratorModel:
     dim = _field(payload, "dim")
     if type(dim) is not int or dim < 1:
         raise InputError(f"model field 'dim' must be a positive integer, got {dim!r}")
-    if kind == "gaussian":
-        return GaussianTransport(
-            mean=_array_field(payload, "mean", (dim,)),
-            chol=_load_chol(payload, "chol", dim),
-            fit_info=info,
-        )
-    if kind == "copula":
-        return _load_copula(payload, dim, info)
-    if kind == "location-scale":
-        if dim < 2:
-            raise InputError("a location-scale model needs dim >= 2 (response plus features)")
-        p = dim - 1
-        x_sd = _array_field(payload, "x_sd", (p,))
-        if np.any(x_sd <= 0):
-            raise InputError("model field 'x_sd' must be positive")
-        return LocationScaleTransport(
-            features=_load_copula(payload, p, info),
-            x_mean=_array_field(payload, "x_mean", (p,)),
-            x_sd=x_sd,
-            mean_coef=_array_field(payload, "mean_coef", (_quadratic_terms(p),)),
-            scale_coef=_array_field(payload, "scale_coef", (p + 1,)),
-            residual=_load_marginal(_field(payload, "residual"), "residual."),
-            fit_info=info,
-        )
-    raise InputError(f"unrecognized model kind: {kind!r}")
+    if kind not in KINDS:  # tested before the lookup: a list or dict kind cannot be a dict key
+        raise InputError(f"unrecognized model kind: {kind!r}")
+    return _MODEL_CLASSES[kind]._from_fields(payload, dim, info)

@@ -2,10 +2,12 @@
 
 The Monte Carlo route samples the conditional law of the response given the
 features directly from a fitted joint transport and reads off empirical
-quantiles. For the Gaussian and copula transports the conditional comes
-from exact Schur-complement conditioning in the Gaussian latent space; the
-location-scale transport is triangular, so its conditional is its response
-map at the given features. The baseline is split conformal prediction
+quantiles. Each transport class in :mod:`pai.generators` maps
+standard-normal draws to its own conditional law (``conditional_response``:
+Schur-complement conditioning in the Gaussian latent space for the Gaussian
+and copula kinds, the response map at the given features for the triangular
+location-scale kind); this module checks the point and draws and perturbs
+the standard-normal stream. The baseline is split conformal prediction
 around a k-NN point predictor with a k-NN spread estimate, whose normalized
 deviations on a calibration split give the distribution-free half-width
 multiplier.
@@ -20,22 +22,13 @@ features.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
-from scipy.special import ndtr, ndtri
 
-from .errors import InputError, NumericError
-from .generators import (
-    CopulaTransport,
-    GaussianTransport,
-    GeneratorModel,
-    LocationScaleTransport,
-    PassConfig,
-    fit_model,
-)
+from .errors import InputError
+from .generators import GeneratorModel, PassConfig, fit_model
 from .perturb import PerturbationSpec, perturb
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
@@ -73,56 +66,6 @@ def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return X, y
 
 
-def _conditional_params(model: GeneratorModel, x: np.ndarray):
-    """Mean/sd of the response's conditional in the model's own space.
-
-    For the Gaussian transport the conditional is directly on the response.
-    For the copula it is on the response's latent score; the caller maps
-    draws back through the normal CDF and the response's quantile function.
-    For the location-scale transport the pair is the location ``m(x)`` and
-    scale ``s(x)`` that the caller applies to residual-quantile draws.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.dim - 1:
-        raise InputError(
-            f"conditioning point has {x.shape[0]} coordinates, expected {model.dim - 1}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InputError(f"conditioning point is not finite: {x.tolist()}")
-    if isinstance(model, LocationScaleTransport):
-        location, scale = model.location_scale(x[None, :])
-        if not (math.isfinite(location[0]) and math.isfinite(scale[0])):
-            raise NumericError(f"location-scale model is not finite at {x.tolist()}")
-        return float(location[0]), float(scale[0])
-    if isinstance(model, GaussianTransport):
-        cov = model.cov
-        mean = model.mean
-        s_yy = cov[0, 0]
-        s_yx = cov[0, 1:]
-        s_xx = cov[1:, 1:]
-        rhs = x - mean[1:]
-    elif isinstance(model, CopulaTransport):
-        corr = model.latent_chol @ model.latent_chol.T
-        s_yy = corr[0, 0]
-        s_yx = corr[0, 1:]
-        s_xx = corr[1:, 1:]
-        u = np.array([m.cdf(v) for m, v in zip(model.marginals[1:], x)])
-        rhs = ndtri(np.clip(u, model._EPS, 1.0 - model._EPS))
-        mean = np.zeros(model.dim)
-    else:
-        raise InputError(f"unsupported model type {type(model).__name__}")
-    try:
-        factor = cho_factor(s_xx, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("conditioning covariance is not positive definite") from exc
-    weights = cho_solve(factor, s_yx)
-    cond_mean = float(mean[0] + weights @ rhs)
-    cond_var = float(s_yy - weights @ s_yx)
-    if cond_var < -1e-10:
-        raise NumericError(f"conditional variance {cond_var} is negative")
-    return cond_mean, math.sqrt(max(cond_var, 0.0))
-
-
 def conditional_sample(
     model: GeneratorModel,
     x: np.ndarray,
@@ -138,15 +81,16 @@ def conditional_sample(
     """
     if m < 1:
         raise InputError("draw count m must be >= 1")
-    cond_mean, cond_sd = _conditional_params(model, x)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.shape[0] != model.dim - 1:
+        raise InputError(
+            f"conditioning point has {x.shape[0]} coordinates, expected {model.dim - 1}"
+        )
+    if not np.all(np.isfinite(x)):
+        raise InputError(f"conditioning point is not finite: {x.tolist()}")
     rng = derive_rng(cfg.mc_seed, PATH_CONDITIONAL, stream_index)
     z = perturb(rng.standard_normal(m)[:, None], cfg.perturbation, rng)[:, 0]
-    if isinstance(model, GaussianTransport):
-        return cond_mean + cond_sd * z
-    if isinstance(model, LocationScaleTransport):
-        return cond_mean + cond_sd * model.residual.quantile(ndtr(z))
-    scores = cond_mean + cond_sd * z
-    return model.marginals[0].quantile(ndtr(scores))
+    return model.conditional_response(x, z)
 
 
 @dataclass(frozen=True)
@@ -210,8 +154,6 @@ class ConformalModel:
     k: int
     alpha: float
     qhat: float
-    calibration_scores: np.ndarray
-    score_floor: float = _SIGMA_FLOOR
 
 
 def _knn_mean(queries: np.ndarray, table: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
@@ -224,7 +166,7 @@ def _conformal_predict(model: ConformalModel, X: np.ndarray):
     X_std = (X - model.x_mean) / model.x_sd
     point = _knn_mean(X_std, model.table_X, model.table_y, model.k)
     spread = _knn_mean(X_std, model.table_X, model.table_abs_resid, model.k)
-    return point, np.maximum(spread, model.score_floor)
+    return point, np.maximum(spread, _SIGMA_FLOOR)
 
 
 def conformal_fit(
@@ -237,7 +179,7 @@ def conformal_fit(
     """Fit the point/spread models and calibrate the conformal quantile.
 
     The training data is split at random into a modeling part (k-NN tables,
-    in-sample absolute residuals) and a calibration part whose normalized
+    in-sample absolute errors) and a calibration part whose normalized
     deviations ``|y - point| / max(spread, floor)`` supply the
     ``ceil((n_cal + 1)(1 - alpha))``-th order statistic as the half-width
     multiplier.
@@ -267,7 +209,7 @@ def conformal_fit(
     table_X = (X_model - x_mean) / x_sd
     point_in_sample = _knn_mean(table_X, table_X, y_model, k)
     abs_resid = np.abs(y_model - point_in_sample)
-    stub = ConformalModel(
+    uncalibrated = ConformalModel(
         x_mean=x_mean,
         x_sd=x_sd,
         table_X=table_X,
@@ -276,23 +218,11 @@ def conformal_fit(
         k=k,
         alpha=alpha,
         qhat=0.0,
-        calibration_scores=np.empty(0),
     )
-    point_cal, spread_cal = _conformal_predict(stub, X_cal)
+    point_cal, spread_cal = _conformal_predict(uncalibrated, X_cal)
     scores = np.sort(np.abs(y_cal - point_cal) / spread_cal)
     rank = min(int(math.ceil((n_cal + 1) * (1.0 - alpha))), n_cal)
-    qhat = float(scores[rank - 1])
-    return ConformalModel(
-        x_mean=x_mean,
-        x_sd=x_sd,
-        table_X=table_X,
-        table_y=y_model,
-        table_abs_resid=abs_resid,
-        k=k,
-        alpha=alpha,
-        qhat=qhat,
-        calibration_scores=scores,
-    )
+    return replace(uncalibrated, qhat=float(scores[rank - 1]))
 
 
 def conformal_interval(model: ConformalModel, x: np.ndarray) -> PredictionInterval:
@@ -319,6 +249,21 @@ class CoverageReport:
     baseline_per_point: np.ndarray | None = None
 
 
+def _coverage_summary(intervals: list[PredictionInterval], truths, prefix: str):
+    """Per-point coverage, lengths, and their ``prefix``-keyed mean/median summary."""
+    per_point = np.array(
+        [iv.contains(np.asarray(draws, dtype=np.float64)).mean() for iv, (_, draws) in zip(intervals, truths)]
+    )
+    lengths = np.array([iv.length for iv in intervals])
+    summary = {
+        f"{prefix}mean_coverage": float(per_point.mean()),
+        f"{prefix}median_coverage": float(np.median(per_point)),
+        f"{prefix}mean_length": float(lengths.mean()),
+        f"{prefix}median_length": float(np.median(lengths)),
+    }
+    return per_point, lengths, summary
+
+
 def coverage_report(
     intervals: list[PredictionInterval],
     truths: list[tuple[np.ndarray, np.ndarray]],
@@ -335,35 +280,13 @@ def coverage_report(
         raise InputError("one truth entry per interval is required")
     if baseline_intervals is not None and len(baseline_intervals) != len(intervals):
         raise InputError("baseline interval count must match")
-    per_point = np.array(
-        [iv.contains(np.asarray(draws, dtype=np.float64)).mean() for iv, (_, draws) in zip(intervals, truths)]
-    )
-    lengths = np.array([iv.length for iv in intervals])
-    summary = {
-        "points": len(intervals),
-        "mean_coverage": float(per_point.mean()),
-        "median_coverage": float(np.median(per_point)),
-        "mean_length": float(lengths.mean()),
-        "median_length": float(np.median(lengths)),
-    }
+    per_point, lengths, summary = _coverage_summary(intervals, truths, "")
+    summary = {"points": len(intervals), **summary}
     baseline_cov = None
     if baseline_intervals is not None:
-        baseline_cov = np.array(
-            [
-                iv.contains(np.asarray(draws, dtype=np.float64)).mean()
-                for iv, (_, draws) in zip(baseline_intervals, truths)
-            ]
-        )
-        base_lengths = np.array([iv.length for iv in baseline_intervals])
-        summary.update(
-            {
-                "baseline_mean_coverage": float(baseline_cov.mean()),
-                "baseline_median_coverage": float(np.median(baseline_cov)),
-                "baseline_mean_length": float(base_lengths.mean()),
-                "baseline_median_length": float(np.median(base_lengths)),
-                "shorter_fraction": float((lengths < base_lengths).mean()),
-            }
-        )
+        baseline_cov, base_lengths, base_summary = _coverage_summary(baseline_intervals, truths, "baseline_")
+        summary.update(base_summary)
+        summary["shorter_fraction"] = float((lengths < base_lengths).mean())
     return CoverageReport(per_point=per_point, summary=summary, baseline_per_point=baseline_cov)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pai import PassConfig, dataio, gaussian_from_params, pivotal_inference
+from pai import PassConfig, dataio, gaussian_from_params, pivotal_inference, save_model
 from pai import test_two_sample_fid as fid_test
 from pai.cli import main
 
@@ -161,6 +161,19 @@ def test_predict_non_finite_point_exit_code(tmp_path, capsys, sim_csv, kind, fie
     assert run("predict", "--model", model, "--input", points, "--mc", 100, "--seed", 2, "--out", out) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and "line 2, column 3" in err and "non-finite" in err
+    assert not out.exists()
+
+
+def test_predict_singular_conditioning_covariance_exit_code(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(gaussian_from_params(np.zeros(2), chol=np.array([[1.0, 0.0], [0.0, 1e-200]])), model)
+    points = tmp_path / "pts.csv"
+    dataio.write_matrix(points, np.array([[0.5]]))
+    capsys.readouterr()
+    out = tmp_path / "intervals.json"
+    assert run("predict", "--model", model, "--input", points, "--mc", 100, "--seed", 2, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "conditioning covariance is not positive definite" in err
     assert not out.exists()
 
 

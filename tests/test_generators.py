@@ -316,6 +316,10 @@ _FITTERS = {"gaussian": fit_gaussian, "copula": fit_copula, "location-scale": fi
         ("location-scale", lambda d: d["fitted_on"].update(n_rows="many")),
         ("location-scale", lambda d: d.update(dim=1)),
         ("location-scale", lambda d: d.update(kind="spline")),
+        ("location-scale", lambda d: d.update(kind=[])),
+        ("location-scale", lambda d: d.update(kind={})),
+        ("location-scale", lambda d: d.update(kind=None)),
+        ("location-scale", lambda d: d.update(kind=1)),
     ],
 )
 def test_load_model_rejects_bad_fields(tmp_path, kind, mutate):

@@ -114,6 +114,14 @@ def test_pai_interval_degenerate_conditional():
     assert interval.center_estimate == pytest.approx(2.0, abs=1e-6)
 
 
+def test_conditional_sample_singular_conditioning_covariance():
+    # the feature's variance underflows to 0 in chol @ chol.T, so the Schur
+    # complement has nothing to condition on
+    model = gaussian_from_params(np.zeros(2), chol=np.array([[1.0, 0.0], [0.0, 1e-200]]))
+    with pytest.raises(NumericError, match="conditioning covariance is not positive definite"):
+        conditional_sample(model, [0.5], 10, PassConfig(mc_seed=1))
+
+
 def test_pai_interval_quantile_nesting():
     model = _bivariate_model(0.6)
     widths = []
