@@ -26,7 +26,7 @@ from .generators import (
     sample_statistic_null,
     save_model,
 )
-from .halton import halton_block, halton_point
+from .halton import halton_block
 from .inference import (
     PIVOT_MEAN_KNOWN_SCALE,
     PIVOT_STUDENTIZED_MEAN,
@@ -37,15 +37,7 @@ from .inference import (
     test_feature_significance,
     test_two_sample_fid,
 )
-from .metrics import (
-    GaussianSummary,
-    fid,
-    gaussian_summary,
-    kolmogorov_survival,
-    ks_distance,
-    ks_test_standard_gaussian,
-    wasserstein_exact,
-)
+from .metrics import GaussianSummary, fid, gaussian_summary
 from .perturb import PerturbationSpec, perturb
 from .predict import (
     ConformalModel,
@@ -61,7 +53,7 @@ from .predict import (
     run_prediction_study,
     simulate_regression_data,
 )
-from .ranks import EmpiricalRankMap, empirical_ranks, match_ranks, rank_discrepancy
+from .ranks import empirical_ranks, match_ranks
 from .streams import derive_rng
 
 __version__ = "0.1.0"
@@ -73,7 +65,6 @@ __all__ = [
     "Correction",
     "CoverageReport",
     "EmpiricalDistribution",
-    "EmpiricalRankMap",
     "FitInfo",
     "GaussianSummary",
     "GaussianTransport",
@@ -101,10 +92,6 @@ __all__ = [
     "gaussian_from_params",
     "gaussian_summary",
     "halton_block",
-    "halton_point",
-    "kolmogorov_survival",
-    "ks_distance",
-    "ks_test_standard_gaussian",
     "load_model",
     "match_ranks",
     "p_value",
@@ -113,7 +100,6 @@ __all__ = [
     "perturb",
     "pivotal_inference",
     "rank_cost_matrix",
-    "rank_discrepancy",
     "regression_mean",
     "regression_noise_sd",
     "run_prediction_study",
@@ -124,5 +110,4 @@ __all__ = [
     "test_conditional_coherence",
     "test_feature_significance",
     "test_two_sample_fid",
-    "wasserstein_exact",
 ]

@@ -34,10 +34,6 @@ class Assignment:
     perm: np.ndarray
     total_cost: float
 
-    @property
-    def size(self) -> int:
-        return self.perm.shape[0]
-
 
 def _validate_costs(costs: np.ndarray) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)

@@ -52,6 +52,8 @@ PIVOTAL_SCHEMA = "pai-pivotal/1"
 # to be applied identically to real and synthetic data.
 _LOGISTIC_ITERATIONS = 500
 _LOGISTIC_STEP = 0.1
+# Synthesized label columns are continuous; they are binarized here.
+_LABEL_THRESHOLD = 0.5
 
 
 def _number(value) -> float:
@@ -310,7 +312,6 @@ def test_feature_significance(
     D: int,
     cfg: PassConfig,
     correction: Correction = Correction.PLUS_ONE,
-    label_threshold: float = 0.5,
 ) -> TestReport:
     """Significance test for a feature subset in binary classification.
 
@@ -320,8 +321,8 @@ def test_feature_significance(
     the difference negative, so the p-value is lower-tailed. Null replicates
     are drawn from ``model``, a transport over the joint ``(label,
     features)`` layout with the label in column 0; synthesized label columns
-    are binarized at ``label_threshold``. Each replicate is split into train
-    and inference parts with the same sizes as the real data.
+    are binarized at 0.5. Each replicate is split into train and inference
+    parts with the same sizes as the real data.
 
     ``model`` must embody the null hypothesis: fit it on data where the
     masked features carry no signal, e.g. on a holdout sample with the
@@ -355,7 +356,7 @@ def test_feature_significance(
 
     statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     statistic = float(statistic)
-    labels = (joints[..., 0] >= label_threshold).astype(np.float64)
+    labels = (joints[..., 0] >= _LABEL_THRESHOLD).astype(np.float64)
     features = joints[..., 1:]
     draws, _ = _risk_difference_statistic(
         features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], mask
@@ -369,7 +370,7 @@ def test_feature_significance(
         "masked_features": mask.tolist(),
         "D": D,
         "tau": cfg.perturbation.tau,
-        "label_threshold": label_threshold,
+        "label_threshold": _LABEL_THRESHOLD,
         "model_kind": model.kind,
         "model_fitted_on": model.fit_info.data_hash,
     }

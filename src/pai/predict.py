@@ -36,6 +36,10 @@ N_FEATURES = 7
 
 _SIGMA_FLOOR = 1e-6
 
+# Conformal baseline of the prediction study: k-NN size and calibration share.
+_STUDY_K_NEIGHBORS = 25
+_STUDY_CALIBRATION_FRACTION = 0.2
+
 
 def regression_mean(X: np.ndarray) -> np.ndarray:
     """Noise-free response surface of the benchmark regression law."""
@@ -298,8 +302,6 @@ def run_prediction_study(
     kind: str = "copula",
     tau: float = 0.0,
     pai_draws: int = 4000,
-    k_neighbors: int = 25,
-    calibration_fraction: float = 0.2,
     truth_draws: int = 2000,
 ) -> dict:
     """End-to-end benchmark: simulate, fit both methods, report coverage.
@@ -322,7 +324,9 @@ def run_prediction_study(
         pai_interval(model, x, alpha, pai_draws, cfg, stream_index=i)
         for i, x in enumerate(X_test)
     ]
-    conf_model = conformal_fit((X_train, y_train), calibration_fraction, alpha, k_neighbors, seed)
+    conf_model = conformal_fit(
+        (X_train, y_train), _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed
+    )
     conf_intervals = [conformal_interval(conf_model, x) for x in X_test]
     truths = []
     for i, x in enumerate(X_test):
@@ -358,8 +362,8 @@ def run_prediction_study(
             "kind": kind,
             "tau": tau,
             "pai_draws": pai_draws,
-            "k_neighbors": k_neighbors,
-            "calibration_fraction": calibration_fraction,
+            "k_neighbors": _STUDY_K_NEIGHBORS,
+            "calibration_fraction": _STUDY_CALIBRATION_FRACTION,
             "truth_draws": truth_draws,
         },
         "summary": report.summary,

@@ -4,8 +4,7 @@ The empirical rank of a sample row is the Halton point it is matched to by
 the minimum-cost assignment between the sample and the first ``n`` Halton
 points - the discrete Monge solution. ``match_ranks`` composes two such
 matchings into the permutation ``r`` that aligns the ranks of a base sample
-with those of a latent sample, and ``rank_discrepancy`` measures how far two
-equally-sized samples' rank patterns are from each other.
+with those of a latent sample.
 
 In one dimension squared cost on a line is solved exactly by the monotone
 (Monge) pairing, so the map pairs the stable sort order of the sample with
@@ -22,41 +21,16 @@ cached map is exactly the map a fresh solve would return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
+from .assignment import HARD_SIZE_LIMIT, Assignment, rank_cost_matrix, solve_lsap
 from .errors import InputError
 from .halton import halton_block
 
 # Enough for the latent and base maps of a few consecutive replicates.
 RANK_MAP_CACHE_SIZE = 8
-
-
-@dataclass(frozen=True)
-class EmpiricalRankMap:
-    """Minimum-cost matching of ``source`` rows onto Halton targets.
-
-    ``perm[t]`` is the source row assigned to target ``t``, i.e. the row
-    whose empirical rank is ``targets[t]``; ``total_cost`` is the achieved
-    average squared distance.
-    """
-
-    source: np.ndarray
-    perm: np.ndarray
-    targets: np.ndarray
-    total_cost: float
-
-    def inverse_perm(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.shape[0])
-        return inv
-
-    def row_ranks(self) -> np.ndarray:
-        """Halton rank of each source row, in source row order."""
-        return self.targets[self.inverse_perm()]
 
 
 def _validate_sample(sample: np.ndarray, name: str = "sample") -> np.ndarray:
@@ -86,8 +60,13 @@ def _solve_rank_map(key: bytes, n: int, d: int) -> tuple[np.ndarray, float]:
     return perm, total
 
 
-def empirical_ranks(sample: np.ndarray) -> EmpiricalRankMap:
-    """Solve the discrete Monge problem from ``sample`` to Halton targets."""
+def empirical_ranks(sample: np.ndarray) -> Assignment:
+    """Solve the discrete Monge problem from ``sample`` to Halton targets.
+
+    ``perm[t]`` is the sample row assigned to target ``t``, the ``t``-th row
+    of ``halton_block(n, d)``, so that row's empirical rank is that target;
+    ``total_cost`` is the achieved average squared distance.
+    """
     sample = _validate_sample(sample)
     n, d = sample.shape
     if n > HARD_SIZE_LIMIT:
@@ -96,12 +75,7 @@ def empirical_ranks(sample: np.ndarray) -> EmpiricalRankMap:
         )
     key = np.ascontiguousarray(sample).tobytes()
     perm, total = _solve_rank_map(key, n, d)
-    return EmpiricalRankMap(
-        source=sample,
-        perm=perm.copy(),
-        targets=halton_block(n, d),
-        total_cost=total,
-    )
+    return Assignment(perm=perm.copy(), total_cost=total)
 
 
 def match_ranks(latent: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -121,22 +95,3 @@ def match_ranks(latent: np.ndarray, base: np.ndarray) -> np.ndarray:
     inv_latent = np.empty_like(perm_latent)
     inv_latent[perm_latent] = np.arange(perm_latent.shape[0])
     return perm_base[inv_latent]
-
-
-def rank_discrepancy(a: np.ndarray, b: np.ndarray) -> float:
-    """Root-mean-square distance between row-wise ranks of two samples.
-
-    Both samples are ranked independently against the same Halton targets;
-    rows are paired by index. Samples whose rows induce the same matching
-    (in particular identical samples) have discrepancy exactly 0. A rank map
-    from the cache equals a fresh solve, so the result does not depend on
-    what was ranked before.
-    """
-    a = _validate_sample(a, "a")
-    b = _validate_sample(b, "b")
-    if a.shape != b.shape:
-        raise InputError(f"shape mismatch: {a.shape} != {b.shape}")
-    ranks_a = empirical_ranks(a).row_ranks()
-    ranks_b = empirical_ranks(b).row_ranks()
-    diff = ranks_a - ranks_b
-    return float(np.sqrt(np.mean(np.einsum("ij,ij->i", diff, diff))))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import halton_point
 
-from pai import InputError, halton_block, halton_point
+from pai import InputError, halton_block
 from pai.halton import MAX_DIM
 
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import brute_force_lsap_cost
+from oracles import brute_force_lsap_cost, rank_discrepancy, row_ranks
 
 import pai.ranks
 from pai import (
@@ -11,7 +11,6 @@ from pai import (
     halton_block,
     match_ranks,
     rank_cost_matrix,
-    rank_discrepancy,
     solve_lsap,
 )
 from pai.assignment import HARD_SIZE_LIMIT
@@ -25,12 +24,12 @@ def lsap_rank_map(sample):
 
 def test_univariate_three_point_example():
     # targets for n=3, d=1 are (1/2, 1/4, 3/4); optimal matching is monotone
-    ranks = empirical_ranks(np.array([[3.0], [1.0], [2.0]])).row_ranks()
+    ranks = row_ranks(np.array([[3.0], [1.0], [2.0]]))
     np.testing.assert_allclose(ranks[:, 0], [0.75, 0.25, 0.5])
 
 
 def test_single_row_gets_first_target():
-    ranks = empirical_ranks(np.array([[12.3, -4.0]])).row_ranks()
+    ranks = row_ranks(np.array([[12.3, -4.0]]))
     np.testing.assert_allclose(ranks, halton_block(1, 2))
 
 
@@ -43,7 +42,7 @@ def test_halton_block_is_fixed_point():
 
 def test_univariate_order_consistency(rng):
     sample = rng.standard_normal((40, 1))
-    ranks = empirical_ranks(sample).row_ranks()[:, 0]
+    ranks = row_ranks(sample)[:, 0]
     assert np.array_equal(np.argsort(sample[:, 0]), np.argsort(ranks))
 
 
@@ -65,8 +64,8 @@ def test_match_ranks_aligns_targets(rng):
     latent = rng.standard_normal((25, 3))
     base = rng.standard_normal((25, 3))
     r = match_ranks(latent, base)
-    latent_ranks = empirical_ranks(latent).row_ranks()
-    base_ranks = empirical_ranks(base).row_ranks()
+    latent_ranks = row_ranks(latent)
+    base_ranks = row_ranks(base)
     np.testing.assert_allclose(base_ranks[r], latent_ranks)
 
 
