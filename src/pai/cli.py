@@ -12,8 +12,8 @@ labeled/joint files column 0 is the response or binary label and the
 remaining columns are features.
 
 Exit codes: 0 success, 2 usage error, 3 data error (including an input file
-that cannot be read and an output file that cannot be written), 4 numeric
-error.
+that cannot be read, an output file that cannot be written and a size that
+cannot be allocated), 4 numeric error.
 """
 
 from __future__ import annotations
@@ -383,6 +383,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # A size argument asked for more memory than the machine can give.
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         # Every input is read through a loader that raises InputError, so
         # this is an output file that cannot be written.

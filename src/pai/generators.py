@@ -21,6 +21,10 @@ models:
 
 All three expose the invertible pair ``forward`` (latent to data) /
 ``inverse`` (data to latent), which is all the synthesis pipeline needs;
+``forward`` also maps a ``(..., n, dim)`` stack of latent samples, each
+slice bit for bit as alone (every matrix product runs slice by slice, with
+the sizes of one sample, because BLAS rounding can depend on a row's place in
+a larger product);
 ``fit_model`` fits the family named by one of :data:`KINDS`. Each class also
 owns the two things that differ by kind elsewhere: ``conditional_response``
 maps standard-normal draws to the response's conditional law at a feature
@@ -30,10 +34,14 @@ document, whose common envelope :func:`save_model` / :func:`load_model` own.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
 multivariate ranks with a latent representation of an inference sample,
 perturbs it without changing its law, and maps it through the transport.
-``null_replicates`` is the one Monte Carlo loop of the package: it draws the
+``null_replicates`` is the one Monte Carlo engine of the package: it draws the
 ``D`` such samples, without rank matching, of every null distribution the
-inference procedures build. ``sample_statistic_null`` applies a scalar
-statistic to each of them.
+inference procedures build, in stacked chunks of at most ``2**17`` values
+that each go through one ``forward`` call. ``sample_statistic_null`` applies
+a batched statistic (a chunk of ``B`` samples to ``B`` values) to them. Both
+paths draw replicate ``k`` from stream ``(mc_seed, PATH_PASS, k)`` through one
+helper, base rows first and perturbation noise second, so a null replicate
+equals the :func:`pass_synthesize` sample of the same index bit for bit.
 """
 
 from __future__ import annotations
@@ -82,17 +90,22 @@ class FitInfo:
     data_hash: str
 
 
-def _validate_matrix(data: np.ndarray, name: str, dim: int | None = None) -> np.ndarray:
-    """A finite 2-D float matrix, with ``dim`` columns when ``dim`` is given."""
+def _validate_matrix(
+    data: np.ndarray, name: str, dim: int | None = None, stack: bool = False
+) -> np.ndarray:
+    """A finite 2-D float matrix, with ``dim`` columns when ``dim`` is given.
+
+    With ``stack``, a ``(..., n, columns)`` stack of such matrices passes too.
+    """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
-    if data.ndim != 2:
+    if data.ndim != 2 and not (stack and data.ndim > 2):
         raise InputError(f"{name} must be a 2-D matrix")
     if not np.all(np.isfinite(data)):
         raise InputError(f"{name} contains non-finite entries")
-    if dim is not None and data.shape[1] != dim:
-        raise InputError(f"{name} has {data.shape[1]} columns, model dim is {dim}")
+    if dim is not None and data.shape[-1] != dim:
+        raise InputError(f"{name} has {data.shape[-1]} columns, model dim is {dim}")
     return data
 
 
@@ -134,7 +147,7 @@ class GaussianTransport:
         return self.chol @ self.chol.T
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent", self.dim)
+        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
         return self.mean + latent @ self.chol.T
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
@@ -217,12 +230,12 @@ class CopulaTransport:
         return len(self.marginals)
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent", self.dim)
+        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
         scores = latent @ self.latent_chol.T
         u = ndtr(scores)
         out = np.empty_like(u)
         for j, marginal in enumerate(self.marginals):
-            out[:, j] = marginal.quantile(u[:, j])
+            out[..., j] = marginal.quantile(u[..., j])
         return out
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
@@ -264,12 +277,12 @@ class CopulaTransport:
 
 def _quadratic_design(u: np.ndarray) -> np.ndarray:
     """Columns ``1, u_j, u_j * u_k (j <= k)``: the full second-order polynomial."""
-    j, k = np.triu_indices(u.shape[1])
-    return np.column_stack((np.ones(u.shape[0]), u, u[:, j] * u[:, k]))
+    j, k = np.triu_indices(u.shape[-1])
+    return np.concatenate((np.ones(u.shape[:-1] + (1,)), u, u[..., j] * u[..., k]), axis=-1)
 
 
 def _linear_design(u: np.ndarray) -> np.ndarray:
-    return np.column_stack((np.ones(u.shape[0]), u))
+    return np.concatenate((np.ones(u.shape[:-1] + (1,)), u), axis=-1)
 
 
 def _quadratic_terms(p: int) -> int:
@@ -315,11 +328,11 @@ class LocationScaleTransport:
         return location, scale
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent", self.dim)
-        features = self.features.forward(latent[:, 1:])
+        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
+        features = self.features.forward(latent[..., 1:])
         location, scale = self.location_scale(features)
-        response = location + scale * self.residual.quantile(ndtr(latent[:, 0]))
-        return np.column_stack((response, features))
+        response = location + scale * self.residual.quantile(ndtr(latent[..., 0]))
+        return np.concatenate((response[..., None], features), axis=-1)
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
         data = _validate_matrix(data, "data", self.dim)
@@ -535,6 +548,20 @@ class PassConfig:
             raise InputError("mc_seed must be non-negative")
 
 
+def _pass_latent(dim: int, n_rows: int, cfg: PassConfig, replicate: int, align=None) -> np.ndarray:
+    """Latent rows of PASS replicate ``replicate``: the one stream layout.
+
+    Stream ``(cfg.mc_seed, PATH_PASS, replicate)`` gives the ``(n_rows, dim)``
+    standard normal base first, then the perturbation noise. ``align``, when
+    given, maps the base to the row permutation applied before the noise.
+    """
+    rng = derive_rng(cfg.mc_seed, PATH_PASS, replicate)
+    base = rng.standard_normal((n_rows, dim))
+    if align is not None:
+        base = base[align(base)]
+    return perturb(base, cfg.perturbation, rng)
+
+
 def pass_synthesize(
     model: GeneratorModel,
     inference: np.ndarray | None,
@@ -565,13 +592,13 @@ def pass_synthesize(
         raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
         raise InputError("sample size must be >= 1")
-    rng = derive_rng(cfg.mc_seed, PATH_PASS, replicate)
-    base = rng.standard_normal((n_rows, model.dim))
-    if cfg.rank_match:
-        r = match_ranks(model.inverse(inference), base)
-        base = base[r]
-    latent = perturb(base, cfg.perturbation, rng)
-    return model.forward(latent)
+    align = (lambda base: match_ranks(model.inverse(inference), base)) if cfg.rank_match else None
+    return model.forward(_pass_latent(model.dim, n_rows, cfg, replicate, align))
+
+
+# Values (replicates x rows x columns) in one chunk of ``null_replicates``:
+# a memory budget of 1 MiB of float64, not a replicate count.
+_CHUNK_VALUES = 2**17
 
 
 def null_replicates(
@@ -581,18 +608,36 @@ def null_replicates(
     cfg: PassConfig,
     first_replicate: int = 0,
 ) -> Iterator[np.ndarray]:
-    """The ``D`` PASS samples of a Monte Carlo null, drawn one at a time.
+    """The ``D`` PASS samples of a Monte Carlo null, in stacked chunks.
 
-    Replicate ``k`` is the sample of synthesis stream ``first_replicate + k``.
-    Rank matching is always disabled for null simulation (the identity
-    permutation is a valid choice and needs no inference sample). Samples
-    are drawn as they are consumed, so a scalar statistic holds one at a
-    time; a statistic batched over a leading ``D`` axis stacks them.
+    Yields arrays of shape ``(B, n, model.dim)``, ``B = max(1, 2**17 // (n *
+    model.dim))`` (the last chunk holds the rest). Replicate ``k``, counted
+    across chunks, is the sample of synthesis stream ``first_replicate + k``,
+    bit for bit what :func:`pass_synthesize` returns for that replicate. Rank
+    matching is always disabled for null simulation (the identity
+    permutation is a valid choice and needs no inference sample). Each chunk
+    is one ``model.forward`` call, and chunks are drawn as they are
+    consumed, so memory stays bounded whatever ``D`` is. Arguments are
+    checked when this is called, before any sample is drawn.
     """
     if D < 2:
         raise InputError("Monte Carlo size D must be >= 2")
-    cfg = dataclasses.replace(cfg, rank_match=False)
-    return (pass_synthesize(model, None, cfg, replicate=first_replicate + k, n=n) for k in range(D))
+    if n < 1:
+        raise InputError("sample size must be >= 1")
+    if first_replicate < 0:
+        raise InputError("replicate index must be non-negative")
+    return _null_chunks(model, int(n), D, cfg, first_replicate)
+
+
+def _null_chunks(model, n, D, cfg, first_replicate) -> Iterator[np.ndarray]:
+    dim = model.dim
+    per_chunk = max(1, _CHUNK_VALUES // (n * dim))
+    for start in range(0, D, per_chunk):
+        size = min(per_chunk, D - start)
+        latent = np.empty((size, n, dim))
+        for k in range(size):
+            latent[k] = _pass_latent(dim, n, cfg, first_replicate + start + k)
+        yield model.forward(latent)
 
 
 def sample_statistic_null(
@@ -606,18 +651,28 @@ def sample_statistic_null(
     """Empirical null distribution of ``statistic`` over ``D`` PASS samples.
 
     The samples are :func:`null_replicates` ``(model, n, D, cfg,
-    first_replicate)``. The statistic must return a finite scalar for every
-    replicate.
+    first_replicate)``. ``statistic`` is batched: it maps a chunk of shape
+    ``(B, n, model.dim)`` to ``B`` finite values, one per replicate. The
+    ``D`` values are allocated before the first replicate is drawn.
     """
-    replicates = null_replicates(model, n, D, cfg, first_replicate)
+    chunks = null_replicates(model, n, D, cfg, first_replicate)
     values = np.empty(D, dtype=np.float64)
-    for k, sample in enumerate(replicates):
-        value = float(statistic(sample))
-        if not math.isfinite(value):
+    start = 0
+    for chunk in chunks:
+        size = chunk.shape[0]
+        chunk_values = np.asarray(statistic(chunk), dtype=np.float64)
+        if chunk_values.shape != (size,):
             raise InputError(
-                f"statistic returned a non-finite value on replicate {first_replicate + k}"
+                f"statistic must map a chunk of shape {chunk.shape} to shape ({size},), "
+                f"got shape {chunk_values.shape}"
             )
-        values[k] = value
+        bad = np.flatnonzero(~np.isfinite(chunk_values))
+        if bad.size:
+            raise InputError(
+                f"statistic returned a non-finite value on replicate {first_replicate + start + int(bad[0])}"
+            )
+        values[start : start + size] = chunk_values
+        start += size
     return EmpiricalDistribution(values=values)
 
 

@@ -2,7 +2,13 @@
 
 Each procedure computes its statistic on real data, recomputes it on ``D``
 synthetic replicates from :func:`~pai.generators.null_replicates` to form
-the empirical null distribution, and reports a Monte Carlo p-value:
+the empirical null distribution, and reports a Monte Carlo p-value. The
+replicates come in stacked chunks, and the fid, coherence and pivot
+statistics are computed on a whole chunk at once (the stacked
+:func:`~pai.metrics.gaussian_summary` and :func:`~pai.metrics.fid`), with
+the same bits as one replicate at a time; the feature test stacks all ``D``
+replicates, filled chunk by chunk into an array allocated before the first
+draw, because its learner runs over the whole stack:
 
 * :func:`test_two_sample_fid` - is a candidate sample distributionally
   indistinguishable from a reference sample? (two-sided by default, since a
@@ -227,7 +233,7 @@ def test_two_sample_fid(
     statistic = fid(ref_summary, gaussian_summary(candidate))
     n_draw = candidate.shape[0]
     draws = sample_statistic_null(
-        model, n_draw, D, lambda sample: fid(ref_summary, gaussian_summary(sample)), cfg
+        model, n_draw, D, lambda chunk: fid(ref_summary, gaussian_summary(chunk)), cfg
     )
     config = {
         "test": "fid",
@@ -352,7 +358,12 @@ def test_feature_significance(
             f"model dim {model.dim} != 1 + feature dim {p} (label column 0 plus features)"
         )
     n_train, n_inf = train_X.shape[0], inf_X.shape[0]
-    joints = np.stack(tuple(null_replicates(model, n_train + n_inf, D, cfg)))
+    replicates = null_replicates(model, n_train + n_inf, D, cfg)
+    joints = np.empty((D, n_train + n_inf, model.dim))
+    start = 0
+    for chunk in replicates:
+        joints[start : start + chunk.shape[0]] = chunk
+        start += chunk.shape[0]
 
     statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     statistic = float(statistic)
@@ -410,8 +421,8 @@ def test_conditional_coherence(
             raise InputError(f"{label} dim {model.dim} != data dim {d}")
     statistic = fid(gaussian_summary(group1), gaussian_summary(group2))
 
-    def split_fid(pooled: np.ndarray) -> float:
-        return fid(gaussian_summary(pooled[:n1]), gaussian_summary(pooled[n1:]))
+    def split_fid(pooled: np.ndarray) -> np.ndarray:
+        return fid(gaussian_summary(pooled[:, :n1]), gaussian_summary(pooled[:, n1:]))
 
     # Model 1 uses streams 0..D-1 and model 2 streams D..2D-1.
     halves = [
@@ -556,12 +567,12 @@ def pivotal_inference(
         raise InputError(f"unknown pivot {pivot!r}")
     model = gaussian_from_params([theta_tilde], chol=[[gen_scale]])
 
-    def pivot_value(sample: np.ndarray) -> float:
-        synthetic = sample[:, 0]
-        spread = synthetic.std(ddof=1) if pivot == PIVOT_STUDENTIZED_MEAN else gen_scale
-        return math.sqrt(n) * (synthetic.mean() - theta_tilde) / spread
+    def pivot_values(chunk: np.ndarray) -> np.ndarray:
+        synthetic = chunk[..., 0]
+        spread = synthetic.std(axis=-1, ddof=1) if pivot == PIVOT_STUDENTIZED_MEAN else gen_scale
+        return math.sqrt(n) * (synthetic.mean(axis=-1) - theta_tilde) / spread
 
-    draws = sample_statistic_null(model, n, D, pivot_value, cfg)
+    draws = sample_statistic_null(model, n, D, pivot_values, cfg)
     lower, upper = _pivot_interval(draws, theta_hat, obs_scale, alpha)
     statistic = None
     p = None

@@ -2,7 +2,12 @@
 
 A sample is summarised by its mean and covariance; the Frechet distance
 between two summaries is the squared 2-Wasserstein distance between the
-Gaussians they fit. It is the statistic of the two-sample fid test.
+Gaussians they fit. It is the statistic of the two-sample fid and coherence
+tests. Both functions broadcast over leading stack axes, so a chunk of Monte
+Carlo replicates is summarised and compared in one call; every slice equals
+the single-sample result bit for bit, because each step (``axis=-2`` means,
+stacked matrix products and ``eigh``, diagonal traces) runs the same
+arithmetic per slice.
 """
 
 from __future__ import annotations
@@ -21,36 +26,50 @@ _NEG_EIG_WARN = 1e-6
 
 @dataclass(frozen=True)
 class GaussianSummary:
-    """First two moments of a sample."""
+    """First two moments of a sample, or a stack of them.
+
+    ``mean`` has shape ``(..., d)`` and ``cov`` shape ``(..., d, d)``; the
+    leading axes, if any, index the samples of a stack.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
 
     @property
     def dim(self) -> int:
-        return int(self.mean.shape[0])
+        return int(self.mean.shape[-1])
 
 
 def gaussian_summary(sample: np.ndarray) -> GaussianSummary:
-    """Sample mean and (n-1)-denominator covariance."""
+    """Sample mean and (n-1)-denominator covariance over the last two axes.
+
+    ``sample`` is an ``(n, d)`` matrix (a 1-D array is one column) or a
+    ``(..., n, d)`` stack of them; each slice of a stacked summary equals the
+    summary of that slice alone, bit for bit.
+    """
     sample = np.asarray(sample, dtype=np.float64)
     if sample.ndim == 1:
         sample = sample[:, None]
-    if sample.ndim != 2:
-        raise InputError("sample must be a 2-D matrix")
-    n = sample.shape[0]
+    if sample.ndim < 2:
+        raise InputError("sample must be a 2-D matrix or a stack of them")
+    n = sample.shape[-2]
     if n < 2:
         raise InputError(f"need at least 2 rows for a Gaussian summary, got {n}")
     if not np.all(np.isfinite(sample)):
         raise InputError("sample contains non-finite entries")
-    mean = sample.mean(axis=0)
-    centered = sample - mean
-    cov = centered.T @ centered / (n - 1)
+    mean = sample.mean(axis=-2)
+    centered = sample - mean[..., None, :]
+    cov = np.swapaxes(centered, -1, -2) @ centered / (n - 1)
     return GaussianSummary(mean=mean, cov=cov)
 
 
+def _trace(matrix: np.ndarray) -> np.ndarray:
+    return np.trace(matrix, axis1=-2, axis2=-1)
+
+
 def _sqrtm_psd(matrix: np.ndarray, label: str) -> np.ndarray:
-    sym = 0.5 * (matrix + matrix.T)
+    """Symmetric PSD square root of a matrix or of each matrix in a stack."""
+    sym = 0.5 * (matrix + np.swapaxes(matrix, -1, -2))
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -63,21 +82,24 @@ def _sqrtm_psd(matrix: np.ndarray, label: str) -> np.ndarray:
             stacklevel=3,
         )
     eigvals = np.maximum(eigvals, 0.0)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    return (eigvecs * np.sqrt(eigvals)[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
 
 
-def fid(a: GaussianSummary, b: GaussianSummary) -> float:
+def fid(a: GaussianSummary, b: GaussianSummary):
     """Frechet distance between two Gaussian summaries.
 
     ``||mu_a - mu_b||^2 + tr(S_a + S_b - 2 (S_b S_a)^{1/2})``, with the cross
     square root evaluated through the symmetric sandwich
     ``S_a^{1/2} S_b S_a^{1/2}`` (same trace, always PSD). The result is
-    clamped at 0 against rounding.
+    clamped at 0 against rounding. Stacked summaries broadcast over their
+    leading axes and give an array of distances, each equal bit for bit to
+    the float of its slices alone.
     """
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} != {b.dim}")
     delta = a.mean - b.mean
     root_a = _sqrtm_psd(a.cov, "covariance")
     cross = _sqrtm_psd(root_a @ b.cov @ root_a, "cross covariance product")
-    value = float(delta @ delta + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
-    return max(value, 0.0)
+    squared_shift = (delta[..., None, :] @ delta[..., :, None])[..., 0, 0]
+    value = np.maximum(squared_shift + _trace(a.cov) + _trace(b.cov) - 2.0 * _trace(cross), 0.0)
+    return float(value) if value.ndim == 0 else value

@@ -82,7 +82,7 @@ def test_criterion_2_ks_error_bound():
     violations = 0
     for r in range(R):
         dist = sample_statistic_null(
-            model, n=n, D=D, statistic=lambda z: z.mean(), cfg=PassConfig(mc_seed=90_000 + r)
+            model, n=n, D=D, statistic=lambda z: z.mean(axis=(1, 2)), cfg=PassConfig(mc_seed=90_000 + r)
         )
         violations += stats.ks_2samp(dist.values, oracle, method="asymp").statistic > bound
     rate = violations / R

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pai import PassConfig, dataio, gaussian_from_params, pivotal_inference, save_model
+from pai import PassConfig, dataio, gaussian_from_params, generators, pivotal_inference, save_model
 from pai import test_two_sample_fid as fid_test
 from pai.cli import main
 
@@ -110,6 +110,46 @@ def test_mc_flag_validation(tmp_path, sim_csv):
         "--mc", 0, "--seed", 1, "--out", tmp_path / "r.json",
     )
     assert code == 2
+
+
+# Sizes whose arrays exceed any 47-bit address space, so no allocation
+# succeeds even where the kernel overcommits memory.
+IMPOSSIBLE = 10**15
+
+
+def _no_replicate_may_be_drawn(*args):
+    raise AssertionError("a replicate was drawn before the null's outputs were allocated")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal"])
+def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command):
+    if command != "synthesize":
+        # Every engine consumer allocates its outputs before the first draw;
+        # a draw would mean an impossible D runs until memory is gone.
+        monkeypatch.setattr(generators, "_pass_latent", _no_replicate_may_be_drawn)
+    rng = np.random.default_rng(4)
+    sample, labeled, column = tmp_path / "x.csv", tmp_path / "labeled.csv", tmp_path / "col.csv"
+    dataio.write_matrix(sample, rng.standard_normal((30, 2)))
+    dataio.write_matrix(labeled, np.column_stack((np.arange(30) % 2, rng.standard_normal(30))))
+    dataio.write_matrix(column, rng.standard_normal((30, 1)))
+    model = tmp_path / "model.json"
+    save_model(gaussian_from_params(np.zeros(2), cov=np.eye(2)), model)
+    out = tmp_path / "out"
+    common = ["--seed", 1, "--out", out]
+    argv = {
+        "synthesize": ["--model", model, "--n", IMPOSSIBLE],
+        "test-fid": ["--input", sample, "--candidate", sample, "--model", model, "--mc", IMPOSSIBLE],
+        "test-feature": [
+            "--input", labeled, "--inference", labeled, "--model", model, "--mask", "0", "--mc", IMPOSSIBLE,
+        ],
+        "test-coherence": ["--input", sample, "--input2", sample, "--model", model, "--mc", IMPOSSIBLE],
+        "test-pivotal": ["--input", column, "--mc", IMPOSSIBLE],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv, *common) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_pivotal_cli(tmp_path):

@@ -19,6 +19,7 @@ from pai import (
     sample_statistic_null,
     save_model,
 )
+from pai import fid, gaussian_summary, generators
 from pai.generators import KINDS, fit_model, null_replicates
 
 
@@ -131,7 +132,9 @@ def test_pass_errors(rng):
 
 def test_null_distribution_constant_statistic():
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
-    dist = sample_statistic_null(model, n=10, D=25, statistic=lambda z: 4.5, cfg=PassConfig(mc_seed=2))
+    dist = sample_statistic_null(
+        model, n=10, D=25, statistic=lambda z: np.full(z.shape[0], 4.5), cfg=PassConfig(mc_seed=2)
+    )
     assert dist.size == 25
     assert np.all(dist.values == 4.5)
 
@@ -139,7 +142,7 @@ def test_null_distribution_constant_statistic():
 def test_null_distribution_of_the_mean():
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
     dist = sample_statistic_null(
-        model, n=100, D=2000, statistic=lambda z: z.mean(), cfg=PassConfig(mc_seed=3)
+        model, n=100, D=2000, statistic=lambda z: z.mean(axis=(1, 2)), cfg=PassConfig(mc_seed=3)
     )
     sd = dist.values.std(ddof=1)
     assert abs(sd - 0.1) < 0.015  # within 15% of 1/sqrt(n)
@@ -147,19 +150,25 @@ def test_null_distribution_of_the_mean():
 
 def test_null_distribution_minimal_and_errors():
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
-    dist = sample_statistic_null(model, n=5, D=2, statistic=lambda z: z.mean(), cfg=PassConfig(mc_seed=4))
+    dist = sample_statistic_null(
+        model, n=5, D=2, statistic=lambda z: z.mean(axis=(1, 2)), cfg=PassConfig(mc_seed=4)
+    )
     assert dist.size == 2
     assert np.isfinite(dist.quantile(0.5))
     with pytest.raises(InputError, match="replicate 0"):
-        sample_statistic_null(model, n=5, D=3, statistic=lambda z: float("nan"), cfg=PassConfig(mc_seed=4))
+        sample_statistic_null(
+            model, n=5, D=3, statistic=lambda z: np.full(z.shape[0], np.nan), cfg=PassConfig(mc_seed=4)
+        )
     with pytest.raises(InputError):
-        sample_statistic_null(model, n=5, D=1, statistic=lambda z: 0.0, cfg=PassConfig(mc_seed=4))
+        sample_statistic_null(
+            model, n=5, D=1, statistic=lambda z: np.zeros(z.shape[0]), cfg=PassConfig(mc_seed=4)
+        )
 
 
 def test_null_replicates_stack_unmatched_pass_streams():
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), rank_match=True, mc_seed=5)
-    stack = np.stack(tuple(null_replicates(model, 7, 3, cfg, first_replicate=4)))
+    stack = np.concatenate(tuple(null_replicates(model, 7, 3, cfg, first_replicate=4)))
     assert stack.shape == (3, 7, 2)
     unmatched = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=5)
     for k in range(3):
@@ -168,6 +177,79 @@ def test_null_replicates_stack_unmatched_pass_streams():
         null_replicates(model, 7, 1, cfg)  # rejected before any sample is drawn
     with pytest.raises(InputError):
         tuple(null_replicates(model, 0, 3, cfg))
+
+
+def _model_of_kind(kind: str) -> object:
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((150, 3))
+    y = X[:, 0] ** 2 + 0.5 * X[:, 2] + (0.3 + 0.2 * np.abs(X[:, 0])) * rng.standard_normal(150)
+    return fit_model(kind, np.column_stack((y, X)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_null_chunks_are_the_pass_synthesize_samples(monkeypatch, kind, tau):
+    # n = 13 rows is no multiple of a BLAS kernel's row block: mapped as one
+    # (B*n)-row matrix, the location-scale kind's 10-term design products
+    # would round some rows of most replicates differently
+    model = _model_of_kind(kind)
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=17)
+    n, D, first = 13, 11, 6
+    expected = [pass_synthesize(model, None, cfg, replicate=first + k, n=n) for k in range(D)]
+    for replicates, sizes in ((None, [D]), (4, [4, 4, 3])):
+        if replicates is not None:
+            monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
+        chunks = list(null_replicates(model, n, D, cfg, first_replicate=first))
+        assert [chunk.shape for chunk in chunks] == [(size, n, model.dim) for size in sizes]
+        samples = [sample for chunk in chunks for sample in chunk]
+        assert [s.tobytes() for s in samples] == [e.tobytes() for e in expected]
+
+
+def test_sample_statistic_null_does_not_depend_on_the_chunk_budget(monkeypatch):
+    model = gaussian_from_params(np.array([0.5, -1.0]), cov=np.array([[1.0, 0.3], [0.3, 2.0]]))
+    ref = gaussian_summary(np.random.default_rng(3).standard_normal((40, 2)))
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=8)
+    n, D, first = 30, 10, 5
+    expected = np.array(
+        [fid(ref, gaussian_summary(pass_synthesize(model, None, cfg, replicate=first + k, n=n))) for k in range(D)]
+    )
+    for replicates, sizes in ((1, [1] * D), (3, [3, 3, 3, 1]), (D, [D]), (D + 7, [D])):
+        monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
+        seen = []
+
+        def statistic(chunk):
+            seen.append(fid(ref, gaussian_summary(chunk)))
+            return seen[-1]
+
+        dist = sample_statistic_null(model, n, D, statistic, cfg, first_replicate=first)
+        assert [values.shape[0] for values in seen] == sizes
+        assert np.concatenate(seen).tobytes() == expected.tobytes()
+        assert dist.values.tobytes() == np.sort(expected).tobytes()
+
+
+def test_sample_statistic_null_checks_the_statistic_shape():
+    model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
+    cfg = PassConfig(mc_seed=4)
+    for statistic in (lambda z: 0.0, lambda z: np.zeros(z.shape[0] - 1), lambda z: np.zeros((z.shape[0], 1))):
+        with pytest.raises(InputError, match=r"to shape \(6,\)"):
+            sample_statistic_null(model, n=5, D=6, statistic=statistic, cfg=cfg)
+
+
+def test_non_finite_value_names_its_global_replicate(monkeypatch):
+    monkeypatch.setattr(generators, "_CHUNK_VALUES", 4 * 5)  # 4 replicates per chunk at n=5, dim=1
+    model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
+    calls = []
+
+    def statistic(chunk):
+        calls.append(chunk.shape[0])
+        values = chunk.mean(axis=(1, 2))
+        if len(calls) == 2:
+            values[1] = np.inf
+        return values
+
+    with pytest.raises(InputError, match=r"non-finite value on replicate 15$"):
+        sample_statistic_null(model, n=5, D=10, statistic=statistic, cfg=PassConfig(mc_seed=4), first_replicate=10)
+    assert calls == [4, 4]
 
 
 def test_fit_model_dispatches_on_kind(rng):

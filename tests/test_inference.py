@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,21 @@ from pai import test_feature_significance as feature_test
 from pai import test_two_sample_fid as fid_test
 
 MODEL_2D = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+
+
+@pytest.mark.parametrize("D", [200, 2000])
+def test_fid_null_memory_does_not_grow_with_D(D):
+    # the engine holds one chunk of at most 2**17 values (1 MiB) at a time
+    rng = np.random.default_rng(5)
+    reference, candidate = rng.standard_normal((1000, 8)), rng.standard_normal((1000, 8))
+    model = gaussian_from_params(np.zeros(8), cov=np.eye(8))
+    tracemalloc.start()
+    try:
+        fid_test(reference, candidate, model, D=D, cfg=PassConfig(mc_seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_fid_report_and_extreme_rejection(rng):

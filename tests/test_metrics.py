@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,42 @@ def test_fid_symmetry_and_translation(rng):
         assert fid(*shifted_both) == pytest.approx(fid(a, b), abs=1e-8)
         shifted_one = GaussianSummary(a.mean + delta, a.cov)
         assert fid(shifted_one, a) == pytest.approx(delta @ delta, abs=1e-8)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_stacked_summary_and_fid_equal_per_slice_calls(rng, d):
+    stack = rng.standard_normal((7, 30, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+    ref = gaussian_summary(rng.standard_normal((50, d)))
+    stacked = gaussian_summary(stack)
+    assert stacked.dim == d and stacked.mean.shape == (7, d) and stacked.cov.shape == (7, d, d)
+    against_ref = fid(ref, stacked)
+    halves = fid(gaussian_summary(stack[:, :13]), gaussian_summary(stack[:, 13:]))
+    assert against_ref.shape == halves.shape == (7,)
+    for k in range(7):
+        alone = gaussian_summary(stack[k])
+        assert stacked.mean[k].tobytes() == alone.mean.tobytes()
+        assert stacked.cov[k].tobytes() == alone.cov.tobytes()
+        assert against_ref[k].tobytes() == np.float64(fid(ref, alone)).tobytes()
+        split = fid(gaussian_summary(stack[k, :13]), gaussian_summary(stack[k, 13:]))
+        assert halves[k].tobytes() == np.float64(split).tobytes()
+    assert isinstance(fid(ref, gaussian_summary(stack[0])), float)
+
+
+def test_negative_eigenvalue_warning_fires_for_one_bad_slice(rng):
+    good = gaussian_summary(rng.standard_normal((40, 2)))
+    covs = np.stack([good.cov] * 4)
+    covs[2] = [[1.0, 0.0], [0.0, -1e-3]]
+    stack = GaussianSummary(np.zeros((4, 2)), covs)
+    unit = GaussianSummary(np.zeros(2), np.eye(2))
+    for label, pair in (("cross covariance product", (unit, stack)), ("covariance", (stack, unit))):
+        with pytest.warns(RuntimeWarning, match=f"^{label} has negative eigenvalue mass 1.000e-03"):
+            values = fid(*pair)
+        for k in range(4):
+            sliced = GaussianSummary(np.zeros(2), covs[k])
+            alone_pair = (unit, sliced) if pair[0] is unit else (sliced, unit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error" if k != 2 else "ignore")
+                assert values[k] == fid(*alone_pair)
 
 
 def test_fid_below_squared_w2(rng):
