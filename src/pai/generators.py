@@ -37,11 +37,15 @@ perturbs it without changing its law, and maps it through the transport.
 ``null_replicates`` is the one Monte Carlo engine of the package: it draws the
 ``D`` such samples, without rank matching, of every null distribution the
 inference procedures build, in stacked chunks of at most ``2**17`` values
-that each go through one ``forward`` call. ``sample_statistic_null`` applies
-a batched statistic (a chunk of ``B`` samples to ``B`` values) to them. Both
-paths draw replicate ``k`` from stream ``(mc_seed, PATH_PASS, k)`` through one
-helper, base rows first and perturbation noise second, so a null replicate
-equals the :func:`pass_synthesize` sample of the same index bit for bit.
+that each go through one ``perturb`` and one ``forward`` call.
+``sample_statistic_null`` applies a batched statistic (a chunk of ``B``
+samples to ``B`` values) to them. Both paths draw replicate ``k`` from stream
+``(mc_seed, PATH_PASS, k)`` in the one layout of :func:`latent_draws`, base
+rows first and perturbation noise second, so a null replicate equals the
+:func:`pass_synthesize` sample of the same index bit for bit.
+:func:`pass_synthesize` builds its one stream with ``derive_rng``; the engine
+takes a chunk's streams from ``derive_rng_block``, which yields the same
+streams without a ``SeedSequence`` per replicate.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .perturb import PerturbationSpec, perturb
 from .ranks import match_ranks
-from .streams import PATH_PASS, derive_rng
+from .streams import PATH_PASS, derive_rng, derive_rng_block
 
 MODEL_SCHEMA = "pai-model/1"
 
@@ -548,18 +552,44 @@ class PassConfig:
             raise InputError("mc_seed must be non-negative")
 
 
-def _pass_latent(dim: int, n_rows: int, cfg: PassConfig, replicate: int, align=None) -> np.ndarray:
-    """Latent rows of PASS replicate ``replicate``: the one stream layout.
+def allocate(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)`` of float64, with every impossible size a ``MemoryError``.
 
-    Stream ``(cfg.mc_seed, PATH_PASS, replicate)`` gives the ``(n_rows, dim)``
-    standard normal base first, then the perturbation noise. ``align``, when
-    given, maps the base to the row permutation applied before the noise.
+    numpy raises ``ValueError`` for a shape whose byte count no signed 64-bit
+    integer holds; such a request fails here as the ``MemoryError`` of any
+    other allocation that cannot succeed, before anything is drawn.
     """
-    rng = derive_rng(cfg.mc_seed, PATH_PASS, replicate)
-    base = rng.standard_normal((n_rows, dim))
+    if math.prod(shape) > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {' x '.join(map(str, shape))} float64 values")
+    return np.empty(shape)
+
+
+def latent_draws(count: int, n_rows: int, dim: int, spec: PerturbationSpec) -> np.ndarray:
+    """Room for the standard normal draws of ``count`` perturbed latent samples.
+
+    This is the one stream layout. Sample ``i``'s stream fills ``draws[i]``,
+    of shape ``(k, n_rows, dim)``, in one :func:`_draw_replicate` call: the
+    base first, then the perturbation noise when ``spec.tau > 0`` (``k`` is 2,
+    else 1). One draw of that block equals the two draws in turn.
+    """
+    return allocate((count, 2 if spec.tau > 0 else 1, n_rows, dim))
+
+
+def _draw_replicate(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(out=out)
+
+
+def perturbed_latent(draws: np.ndarray, spec: PerturbationSpec, align=None) -> np.ndarray:
+    """The latent samples of :func:`latent_draws` ``draws``, in one :func:`perturb` call.
+
+    ``draws`` is one sample's ``(k, n_rows, dim)`` block or a stack of them.
+    ``align``, given for one sample only, maps its base to the row permutation
+    applied before the noise.
+    """
+    base = draws[..., 0, :, :]
     if align is not None:
         base = base[align(base)]
-    return perturb(base, cfg.perturbation, rng)
+    return perturb(base, spec, draws[..., 1, :, :] if spec.tau > 0 else None)
 
 
 def pass_synthesize(
@@ -592,8 +622,10 @@ def pass_synthesize(
         raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
         raise InputError("sample size must be >= 1")
+    draws = latent_draws(1, n_rows, model.dim, cfg.perturbation)[0]
+    _draw_replicate(derive_rng(cfg.mc_seed, PATH_PASS, replicate), draws)
     align = (lambda base: match_ranks(model.inverse(inference), base)) if cfg.rank_match else None
-    return model.forward(_pass_latent(model.dim, n_rows, cfg, replicate, align))
+    return model.forward(perturbed_latent(draws, cfg.perturbation, align))
 
 
 # Values (replicates x rows x columns) in one chunk of ``null_replicates``:
@@ -615,10 +647,11 @@ def null_replicates(
     across chunks, is the sample of synthesis stream ``first_replicate + k``,
     bit for bit what :func:`pass_synthesize` returns for that replicate. Rank
     matching is always disabled for null simulation (the identity
-    permutation is a valid choice and needs no inference sample). Each chunk
-    is one ``model.forward`` call, and chunks are drawn as they are
-    consumed, so memory stays bounded whatever ``D`` is. Arguments are
-    checked when this is called, before any sample is drawn.
+    permutation is a valid choice and needs no inference sample). A chunk's
+    streams come from one :func:`~pai.streams.derive_rng_block` pass, and the
+    chunk is one ``perturb`` and one ``model.forward`` call. Chunks are drawn
+    as they are consumed, so memory stays bounded whatever ``D`` is.
+    Arguments are checked when this is called, before any sample is drawn.
     """
     if D < 2:
         raise InputError("Monte Carlo size D must be >= 2")
@@ -634,10 +667,11 @@ def _null_chunks(model, n, D, cfg, first_replicate) -> Iterator[np.ndarray]:
     per_chunk = max(1, _CHUNK_VALUES // (n * dim))
     for start in range(0, D, per_chunk):
         size = min(per_chunk, D - start)
-        latent = np.empty((size, n, dim))
-        for k in range(size):
-            latent[k] = _pass_latent(dim, n, cfg, first_replicate + start + k)
-        yield model.forward(latent)
+        draws = latent_draws(size, n, dim, cfg.perturbation)
+        streams = derive_rng_block(cfg.mc_seed, PATH_PASS, first_replicate + start, size)
+        for out, rng in zip(draws, streams):
+            _draw_replicate(rng, out)
+        yield model.forward(perturbed_latent(draws, cfg.perturbation))
 
 
 def sample_statistic_null(
@@ -656,7 +690,7 @@ def sample_statistic_null(
     ``D`` values are allocated before the first replicate is drawn.
     """
     chunks = null_replicates(model, n, D, cfg, first_replicate)
-    values = np.empty(D, dtype=np.float64)
+    values = allocate((D,))
     start = 0
     for chunk in chunks:
         size = chunk.shape[0]

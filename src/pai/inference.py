@@ -44,6 +44,7 @@ from .errors import InputError
 from .generators import (
     GeneratorModel,
     PassConfig,
+    allocate,
     gaussian_from_params,
     null_replicates,
     sample_statistic_null,
@@ -359,7 +360,7 @@ def test_feature_significance(
         )
     n_train, n_inf = train_X.shape[0], inf_X.shape[0]
     replicates = null_replicates(model, n_train + n_inf, D, cfg)
-    joints = np.empty((D, n_train + n_inf, model.dim))
+    joints = allocate((D, n_train + n_inf, model.dim))
     start = 0
     for chunk in replicates:
         joints[start : start + chunk.shape[0]] = chunk

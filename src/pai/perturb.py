@@ -8,6 +8,13 @@ distribution exactly while individual rows move. Every transport family in
 law the package needs. Because ``W`` is strictly increasing in every
 coordinate, the perturbation approximately preserves multivariate ranks,
 degrading only with the noise size ``tau``.
+
+:func:`perturb` draws nothing: the caller passes the noise it drew from the
+sample's stream (right after the base, in the layout
+:mod:`pai.generators` writes), and ``None`` at ``tau = 0``, where a stream
+yields no noise. So the Monte Carlo engine, whose chunk streams come from
+:func:`pai.streams.derive_rng_block` rather than one ``SeedSequence`` each,
+perturbs a whole ``(B, n, dim)`` chunk in one call.
 """
 
 from __future__ import annotations
@@ -37,21 +44,31 @@ class PerturbationSpec:
 def perturb(
     base_rows: np.ndarray,
     spec: PerturbationSpec,
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
     """Apply ``V_i = W(U_i + tau * eps_i)`` row by row.
 
-    ``base_rows`` must already follow the standard Gaussian law (and already
-    carry any rank-matching permutation); the output follows the same law
-    exactly. At ``tau = 0`` the input is returned unchanged and no noise is
-    consumed from ``rng``.
+    ``base_rows`` is an ``(n, dim)`` matrix or a ``(..., n, dim)`` stack of
+    them; it must already follow the standard Gaussian law (and already carry
+    any rank-matching permutation), and the output follows the same law
+    exactly. ``noise`` holds the already-drawn standard normal ``eps``, of the
+    same shape, and must be ``None`` at ``tau = 0``, where the input is
+    returned unchanged (as a copy). A stack maps each slice bit for bit as a
+    call on that slice alone.
     """
     rows = np.asarray(base_rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise InputError("base_rows must be a 2-D matrix")
+    if rows.ndim < 2:
+        raise InputError("base_rows must be a 2-D matrix or a stack of them")
     if not np.all(np.isfinite(rows)):
         raise InputError("base_rows contain non-finite entries")
     if spec.tau == 0.0:
+        if noise is not None:
+            raise InputError("perturbation noise given at tau = 0, where none is drawn")
         return rows.copy()
-    noisy = rows + spec.tau * rng.standard_normal(rows.shape)
+    if noise is None:
+        raise InputError(f"perturbation at tau = {spec.tau} needs its noise")
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape != rows.shape:
+        raise InputError(f"noise has shape {noise.shape}, base_rows {rows.shape}")
+    noisy = rows + spec.tau * noise
     return noisy / math.sqrt(1.0 + spec.tau**2)

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, fit_model
-from .perturb import PerturbationSpec, perturb
+from .generators import GeneratorModel, PassConfig, fit_model, latent_draws, perturbed_latent
+from .perturb import PerturbationSpec
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
 N_FEATURES = 7
@@ -92,8 +92,9 @@ def conditional_sample(
         )
     if not np.all(np.isfinite(x)):
         raise InputError(f"conditioning point is not finite: {x.tolist()}")
-    rng = derive_rng(cfg.mc_seed, PATH_CONDITIONAL, stream_index)
-    z = perturb(rng.standard_normal(m)[:, None], cfg.perturbation, rng)[:, 0]
+    draws = latent_draws(1, m, 1, cfg.perturbation)[0]
+    derive_rng(cfg.mc_seed, PATH_CONDITIONAL, stream_index).standard_normal(out=draws)
+    z = perturbed_latent(draws, cfg.perturbation)[:, 0]
     return model.conditional_response(x, z)
 
 

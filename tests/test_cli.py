@@ -113,20 +113,20 @@ def test_mc_flag_validation(tmp_path, sim_csv):
 
 
 # Sizes whose arrays exceed any 47-bit address space, so no allocation
-# succeeds even where the kernel overcommits memory.
-IMPOSSIBLE = 10**15
+# succeeds even where the kernel overcommits memory; the second one's byte
+# count does not even fit a signed 64-bit integer.
+IMPOSSIBLE_SIZES = (10**15, 10**30)
 
 
 def _no_replicate_may_be_drawn(*args):
-    raise AssertionError("a replicate was drawn before the null's outputs were allocated")
+    raise AssertionError("a replicate was drawn before the outputs were allocated")
 
 
 @pytest.mark.parametrize("command", ["synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal"])
 def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command):
-    if command != "synthesize":
-        # Every engine consumer allocates its outputs before the first draw;
-        # a draw would mean an impossible D runs until memory is gone.
-        monkeypatch.setattr(generators, "_pass_latent", _no_replicate_may_be_drawn)
+    # Synthesis and every engine consumer allocate their outputs before the
+    # first draw; a draw would mean an impossible size runs until memory is gone.
+    monkeypatch.setattr(generators, "_draw_replicate", _no_replicate_may_be_drawn)
     rng = np.random.default_rng(4)
     sample, labeled, column = tmp_path / "x.csv", tmp_path / "labeled.csv", tmp_path / "col.csv"
     dataio.write_matrix(sample, rng.standard_normal((30, 2)))
@@ -136,20 +136,21 @@ def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command)
     save_model(gaussian_from_params(np.zeros(2), cov=np.eye(2)), model)
     out = tmp_path / "out"
     common = ["--seed", 1, "--out", out]
-    argv = {
-        "synthesize": ["--model", model, "--n", IMPOSSIBLE],
-        "test-fid": ["--input", sample, "--candidate", sample, "--model", model, "--mc", IMPOSSIBLE],
-        "test-feature": [
-            "--input", labeled, "--inference", labeled, "--model", model, "--mask", "0", "--mc", IMPOSSIBLE,
-        ],
-        "test-coherence": ["--input", sample, "--input2", sample, "--model", model, "--mc", IMPOSSIBLE],
-        "test-pivotal": ["--input", column, "--mc", IMPOSSIBLE],
-    }[command]
-    capsys.readouterr()
-    assert run(command, *argv, *common) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: out of memory:") and "Traceback" not in err
-    assert not out.exists()
+    for size in IMPOSSIBLE_SIZES:
+        argv = {
+            "synthesize": ["--model", model, "--n", size],
+            "test-fid": ["--input", sample, "--candidate", sample, "--model", model, "--mc", size],
+            "test-feature": [
+                "--input", labeled, "--inference", labeled, "--model", model, "--mask", "0", "--mc", size,
+            ],
+            "test-coherence": ["--input", sample, "--input2", sample, "--model", model, "--mc", size],
+            "test-pivotal": ["--input", column, "--mc", size],
+        }[command]
+        capsys.readouterr()
+        assert run(command, *argv, *common) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: out of memory:") and "Traceback" not in err, (size, err)
+        assert not out.exists()
 
 
 def test_pivotal_cli(tmp_path):

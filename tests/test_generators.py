@@ -13,6 +13,7 @@ from pai import (
     fit_copula,
     fit_gaussian,
     fit_location_scale,
+    derive_rng,
     gaussian_from_params,
     load_model,
     pass_synthesize,
@@ -21,6 +22,7 @@ from pai import (
 )
 from pai import fid, gaussian_summary, generators
 from pai.generators import KINDS, fit_model, null_replicates
+from pai.streams import PATH_PASS
 
 
 def test_fit_gaussian_degenerate_sample():
@@ -165,6 +167,19 @@ def test_null_distribution_minimal_and_errors():
         )
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_pass_stream_layout_is_base_then_noise(tau):
+    # independent oracle: two separate draws from the replicate's own stream
+    # and the textbook push-back, outside the package's layout helpers
+    model = gaussian_from_params(np.zeros(3), chol=np.eye(3))
+    n, mc_seed, replicate = 9, 23, 4
+    rng = derive_rng(mc_seed, PATH_PASS, replicate)
+    base = rng.standard_normal((n, 3))
+    expected = (base + tau * rng.standard_normal((n, 3))) / math.sqrt(1 + tau**2) if tau > 0 else base
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=mc_seed)
+    assert pass_synthesize(model, None, cfg, replicate=replicate, n=n).tobytes() == expected.tobytes()
+
+
 def test_null_replicates_stack_unmatched_pass_streams():
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), rank_match=True, mc_seed=5)
@@ -191,18 +206,20 @@ def _model_of_kind(kind: str) -> object:
 def test_null_chunks_are_the_pass_synthesize_samples(monkeypatch, kind, tau):
     # n = 13 rows is no multiple of a BLAS kernel's row block: mapped as one
     # (B*n)-row matrix, the location-scale kind's 10-term design products
-    # would round some rows of most replicates differently
+    # would round some rows of most replicates differently. Every chunk after
+    # the first, and with first = 6 the first too, starts past replicate 0.
     model = _model_of_kind(kind)
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=17)
-    n, D, first = 13, 11, 6
-    expected = [pass_synthesize(model, None, cfg, replicate=first + k, n=n) for k in range(D)]
-    for replicates, sizes in ((None, [D]), (4, [4, 4, 3])):
-        if replicates is not None:
-            monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
-        chunks = list(null_replicates(model, n, D, cfg, first_replicate=first))
-        assert [chunk.shape for chunk in chunks] == [(size, n, model.dim) for size in sizes]
-        samples = [sample for chunk in chunks for sample in chunk]
-        assert [s.tobytes() for s in samples] == [e.tobytes() for e in expected]
+    n, D = 13, 11
+    default_budget = generators._CHUNK_VALUES
+    for first in (0, 6):
+        expected = [pass_synthesize(model, None, cfg, replicate=first + k, n=n) for k in range(D)]
+        for budget, sizes in ((default_budget, [D]), (4 * n * model.dim, [4, 4, 3])):
+            monkeypatch.setattr(generators, "_CHUNK_VALUES", budget)
+            chunks = list(null_replicates(model, n, D, cfg, first_replicate=first))
+            assert [chunk.shape for chunk in chunks] == [(size, n, model.dim) for size in sizes]
+            samples = [sample for chunk in chunks for sample in chunk]
+            assert [s.tobytes() for s in samples] == [e.tobytes() for e in expected]
 
 
 def test_sample_statistic_null_does_not_depend_on_the_chunk_budget(monkeypatch):

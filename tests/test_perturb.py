@@ -16,7 +16,7 @@ def test_spec_validation():
 
 def test_identity_at_zero_tau(rng):
     rows = rng.standard_normal((50, 3))
-    out = perturb(rows, PerturbationSpec(tau=0.0), derive_rng(1))
+    out = perturb(rows, PerturbationSpec(tau=0.0), None)
     np.testing.assert_array_equal(out, rows)
     assert out is not rows
 
@@ -24,7 +24,7 @@ def test_identity_at_zero_tau(rng):
 def test_gaussian_unit_tau_variance():
     rng_local = derive_rng(7)
     rows = rng_local.standard_normal((200_000, 1))
-    out = perturb(rows, PerturbationSpec(tau=1.0), derive_rng(8))
+    out = perturb(rows, PerturbationSpec(tau=1.0), derive_rng(8).standard_normal(rows.shape))
     n = out.shape[0]
     assert abs(out.mean()) < 3.0 / math.sqrt(n)
     assert abs(out.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
@@ -40,7 +40,7 @@ def test_gaussian_distribution_preservation():
         for run in range(100):
             stream = derive_rng(900 + run)
             rows = stream.standard_normal((n, d))
-            out = perturb(rows, spec, stream)
+            out = perturb(rows, spec, stream.standard_normal((n, d)) if tau > 0 else None)
             ok = all(stats.kstest(out[:, j], "norm", method="asymp").pvalue > 0.001 for j in range(d))
             good += ok
         assert good >= 95, f"tau={tau}: only {good}/100 runs preserved the base law"
@@ -58,6 +58,26 @@ def test_pushback_maps_are_increasing():
 
 def test_perturb_errors(rng):
     with pytest.raises(InputError):
-        perturb(rng.standard_normal(5), PerturbationSpec(tau=0.1), derive_rng(1))
+        perturb(rng.standard_normal(5), PerturbationSpec(tau=0.1), derive_rng(1).standard_normal(5))
     with pytest.raises(InputError):
-        perturb(np.array([[np.inf]]), PerturbationSpec(tau=0.1), derive_rng(1))
+        perturb(np.array([[np.inf]]), PerturbationSpec(tau=0.1), derive_rng(1).standard_normal((1, 1)))
+
+
+def test_a_stack_is_perturbed_slice_by_slice(rng):
+    rows, noise = rng.standard_normal((2, 4, 9, 3))
+    for tau, eps in ((0.0, None), (0.3, noise)):
+        spec = PerturbationSpec(tau=tau)
+        stacked = perturb(rows, spec, eps)
+        slices = [perturb(rows[b], spec, None if eps is None else eps[b]) for b in range(rows.shape[0])]
+        assert stacked.tobytes() == np.stack(slices).tobytes()
+
+
+def test_noise_must_match_the_perturbation(rng):
+    rows = rng.standard_normal((6, 2))
+    with pytest.raises(InputError, match="needs its noise"):
+        perturb(rows, PerturbationSpec(tau=0.2), None)
+    for shape in ((6, 1), (5, 2), (1, 6, 2)):
+        with pytest.raises(InputError, match="noise has shape"):
+            perturb(rows, PerturbationSpec(tau=0.2), rng.standard_normal(shape))
+    with pytest.raises(InputError, match="tau = 0"):
+        perturb(rows, PerturbationSpec(tau=0.0), rng.standard_normal(rows.shape))
