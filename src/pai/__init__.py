@@ -6,6 +6,9 @@ distribution-preserving perturbation - and use them to estimate null
 distributions of arbitrary statistics, run hypothesis tests with
 finite-sample valid p-values, perform exact pivotal inference, and build
 conditional prediction intervals.
+
+Importing pai loads numpy only: each scipy subpackage is imported inside the
+functions that call it, so a process pays for it at its first such call.
 """
 
 from .assignment import Assignment, rank_cost_matrix, solve_lsap

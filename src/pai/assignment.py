@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 
@@ -54,6 +52,8 @@ def solve_lsap(costs: np.ndarray) -> Assignment:
     over all permutations. An empty matrix yields the empty assignment with
     cost 0.
     """
+    from scipy.optimize import linear_sum_assignment
+
     costs = _validate_costs(costs)
     n = costs.shape[0]
     if n == 0:
@@ -83,6 +83,8 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     targets; dividing by ``n`` makes the optimal total an average squared
     distance. The only ``n x n`` allocation is the result itself.
     """
+    from scipy.spatial.distance import cdist
+
     points = np.asarray(points, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if points.ndim != 2 or targets.ndim != 2:

@@ -76,9 +76,14 @@ def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
 
 
 def write_json(path: str | os.PathLike, payload: dict) -> None:
-    """Write a JSON document with sorted keys, so equal payloads give equal bytes."""
+    """Write a JSON document with sorted keys, so equal payloads give equal bytes.
+
+    The text is built before the file is opened, so a payload that cannot be
+    serialised raises ``TypeError`` and leaves no file behind.
+    """
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write(text)
         handle.write("\n")
 
 

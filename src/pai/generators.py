@@ -58,9 +58,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import ndtr, ndtri
-from scipy.stats import rankdata
 
 from .dataio import read_json_object, write_json
 from .empirical import EmpiricalDistribution
@@ -119,6 +116,8 @@ def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[float, 
     ``cov`` is the joint covariance, ``mean0`` the unconditional mean of
     coordinate 0 and ``rhs`` the centered values of the other coordinates.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     s_yx = cov[0, 1:]
     try:
         factor = cho_factor(cov[1:, 1:], lower=True)
@@ -155,6 +154,8 @@ class GaussianTransport:
         return self.mean + latent @ self.chol.T
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
+        from scipy.linalg import solve_triangular
+
         data = _validate_matrix(data, "data", self.dim)
         return solve_triangular(self.chol, (data - self.mean).T, lower=True).T
 
@@ -234,6 +235,8 @@ class CopulaTransport:
         return len(self.marginals)
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         latent = _validate_matrix(latent, "latent", self.dim, stack=True)
         scores = latent @ self.latent_chol.T
         u = ndtr(scores)
@@ -243,6 +246,9 @@ class CopulaTransport:
         return out
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
+        from scipy.linalg import solve_triangular
+        from scipy.special import ndtri
+
         data = _validate_matrix(data, "data", self.dim)
         u = np.empty_like(data)
         for j, marginal in enumerate(self.marginals):
@@ -256,6 +262,8 @@ class CopulaTransport:
         The conditioning is on the response's latent score; the conditional
         scores go back through the normal CDF and the response's quantile.
         """
+        from scipy.special import ndtr, ndtri
+
         u = np.array([m.cdf(v) for m, v in zip(self.marginals[1:], x)])
         rhs = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         cond_mean, cond_sd = _schur_conditional(self.latent_chol @ self.latent_chol.T, 0.0, rhs)
@@ -332,6 +340,8 @@ class LocationScaleTransport:
         return location, scale
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtr
+
         latent = _validate_matrix(latent, "latent", self.dim, stack=True)
         features = self.features.forward(latent[..., 1:])
         location, scale = self.location_scale(features)
@@ -339,6 +349,8 @@ class LocationScaleTransport:
         return np.concatenate((response[..., None], features), axis=-1)
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
+        from scipy.special import ndtri
+
         data = _validate_matrix(data, "data", self.dim)
         location, scale = self.location_scale(data[:, 1:])
         u = self.residual.cdf((data[:, 0] - location) / scale)
@@ -350,6 +362,8 @@ class LocationScaleTransport:
 
         The map is triangular, so this is the response map at ``x``.
         """
+        from scipy.special import ndtr
+
         location, scale = self.location_scale(x[None, :])
         if not (math.isfinite(location[0]) and math.isfinite(scale[0])):
             raise NumericError(f"location-scale model is not finite at {x.tolist()}")
@@ -451,8 +465,20 @@ def gaussian_from_params(
     )
 
 
+def _average_ranks(column: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``column``, tied values sharing the mean of their ranks.
+
+    A tie block fills sorted places ``left .. right - 1``, so its mean rank
+    ``(left + right + 1) / 2`` is an integer or a half, exact in float64.
+    """
+    order = np.sort(column)
+    return (np.searchsorted(order, column, "left") + np.searchsorted(order, column, "right") + 1) / 2.0
+
+
 def fit_copula(holdout: np.ndarray) -> CopulaTransport:
     """Fit empirical marginals and a normal-scores latent correlation."""
+    from scipy.special import ndtri
+
     holdout = _validate_matrix(holdout, "holdout")
     n, d = holdout.shape
     if n < 20:
@@ -460,7 +486,7 @@ def fit_copula(holdout: np.ndarray) -> CopulaTransport:
     marginals = tuple(_fit_marginal(holdout[:, j], j) for j in range(d))
     scores = np.empty_like(holdout)
     for j in range(d):
-        u = (rankdata(holdout[:, j], method="average") - 0.5) / n
+        u = (_average_ranks(holdout[:, j]) - 0.5) / n
         scores[:, j] = ndtri(u)
     if d == 1:
         corr = np.eye(1)

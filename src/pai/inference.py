@@ -36,7 +36,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataio import read_json_object, write_json
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
@@ -263,6 +262,8 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Full-batch gradient-descent logistic fit; broadcasts over leading axes."""
+    from scipy.special import expit
+
     n = X.shape[-2]
     w = np.zeros(X.shape[:-2] + (X.shape[-1],))
     for _ in range(_LOGISTIC_ITERATIONS):

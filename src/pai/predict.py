@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, fit_model, latent_draws, perturbed_latent
@@ -161,16 +160,17 @@ class ConformalModel:
     qhat: float
 
 
-def _knn_mean(queries: np.ndarray, table: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
-    dists = cdist(queries, table)
-    idx = np.argpartition(dists, kth=k - 1, axis=1)[:, :k]
-    return values[idx].mean(axis=1)
+def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """Row ``i`` holds the table indices of the ``k`` nearest rows to ``queries[i]``."""
+    from scipy.spatial.distance import cdist
+
+    return np.argpartition(cdist(queries, table), kth=k - 1, axis=1)[:, :k]
 
 
 def _conformal_predict(model: ConformalModel, X: np.ndarray):
-    X_std = (X - model.x_mean) / model.x_sd
-    point = _knn_mean(X_std, model.table_X, model.table_y, model.k)
-    spread = _knn_mean(X_std, model.table_X, model.table_abs_resid, model.k)
+    idx = _knn_indices((X - model.x_mean) / model.x_sd, model.table_X, model.k)
+    point = model.table_y[idx].mean(axis=1)
+    spread = model.table_abs_resid[idx].mean(axis=1)
     return point, np.maximum(spread, _SIGMA_FLOOR)
 
 
@@ -212,7 +212,7 @@ def conformal_fit(
     x_sd = X_model.std(axis=0)
     x_sd = np.where(x_sd == 0, 1.0, x_sd)
     table_X = (X_model - x_mean) / x_sd
-    point_in_sample = _knn_mean(table_X, table_X, y_model, k)
+    point_in_sample = y_model[_knn_indices(table_X, table_X, k)].mean(axis=1)
     abs_resid = np.abs(y_model - point_in_sample)
     uncalibrated = ConformalModel(
         x_mean=x_mean,

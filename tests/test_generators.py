@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from oracles import rank_discrepancy
 from scipy import stats
 
@@ -79,6 +81,28 @@ def test_copula_synthetic_marginals_match_holdout():
     for j in range(2):
         d = stats.ks_2samp(synth[:, j], holdout[:, j], method="asymp").statistic
         assert d < 0.05
+
+
+def _assert_average_ranks_match_scipy(column):
+    column = np.asarray(column, dtype=np.float64)
+    got = generators._average_ranks(column)
+    want = stats.rankdata(column, method="average")
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# One decimal place on a narrow range, so most columns hold ties.
+@given(st.lists(st.floats(-3.0, 3.0).map(lambda v: round(v, 1)), min_size=1, max_size=300))
+def test_average_ranks_match_scipy_rankdata(values):
+    _assert_average_ranks_match_scipy(values)
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[0.0, -0.0, 0.0, 1.0, -0.0], [2.5] * 7, [4.0], np.random.default_rng(8).standard_normal(3200)],
+    ids=["signed-zeros", "all-equal", "n1", "n3200"],
+)
+def test_average_ranks_edge_cases_match_scipy_rankdata(column):
+    _assert_average_ranks_match_scipy(column)
 
 
 def test_copula_constant_column_error():
