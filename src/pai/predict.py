@@ -6,11 +6,12 @@ quantiles. Each transport class in :mod:`pai.generators` maps
 standard-normal draws to its own conditional law (``conditional_response``:
 Schur-complement conditioning in the Gaussian latent space for the Gaussian
 and copula kinds, the response map at the given features for the triangular
-location-scale kind); this module checks the point and draws and perturbs
-the standard-normal stream. The baseline is split conformal prediction
-around a k-NN point predictor with a k-NN spread estimate, whose normalized
-deviations on a calibration split give the distribution-free half-width
-multiplier.
+location-scale kind); this module checks the point and takes the perturbed
+standard-normal draws from :func:`pai.generators.latent_block`, the path
+every indexed draw of the package goes through. The baseline is split
+conformal prediction around a k-NN point predictor with a k-NN spread
+estimate, whose normalized deviations on a calibration split give the
+distribution-free half-width multiplier.
 
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, fit_model, latent_draws, perturbed_latent
+from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
@@ -63,8 +64,9 @@ def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     """Draw ``n`` rows from the benchmark law; returns ``(X, y)``."""
     if n < 1:
         raise InputError("n must be >= 1")
+    X = allocate((n, N_FEATURES))
     rng = derive_rng(seed, PATH_SIMULATE)
-    X = rng.random((n, N_FEATURES))
+    rng.random(out=X)
     y = regression_mean(X) + regression_noise_sd(X) * rng.standard_normal(n)
     return X, y
 
@@ -78,9 +80,11 @@ def conditional_sample(
 ) -> np.ndarray:
     """Draw ``m`` responses from the model's conditional law at ``x``.
 
-    The standardized conditional draws pass through the same
-    distribution-preserving :func:`~pai.perturb.perturb` as unconditional
-    synthesis, so the perturbation size never changes the sampled law.
+    The standardized conditional draws come from stream ``(cfg.mc_seed,
+    PATH_CONDITIONAL, stream_index)`` through the same
+    :func:`~pai.generators.latent_block` and distribution-preserving
+    perturbation as unconditional synthesis, so the perturbation size never
+    changes the sampled law. ``stream_index`` must lie below ``2**64``.
     """
     if m < 1:
         raise InputError("draw count m must be >= 1")
@@ -91,9 +95,7 @@ def conditional_sample(
         )
     if not np.all(np.isfinite(x)):
         raise InputError(f"conditioning point is not finite: {x.tolist()}")
-    draws = latent_draws(1, m, 1, cfg.perturbation)[0]
-    derive_rng(cfg.mc_seed, PATH_CONDITIONAL, stream_index).standard_normal(out=draws)
-    z = perturbed_latent(draws, cfg.perturbation)[:, 0]
+    z = latent_block(cfg, PATH_CONDITIONAL, stream_index, 1, m, 1)[0, :, 0]
     return model.conditional_response(x, z)
 
 

@@ -8,15 +8,19 @@ many other replicates ran before it (or whether they ran at all). This is
 what makes Monte Carlo loops safe to reorder or parallelize without changing
 any output bit.
 
-:func:`derive_rng` builds one stream through ``SeedSequence`` itself.
+:func:`derive_rng` builds one stream through ``SeedSequence`` itself; it
+serves the unindexed streams and is the reference for the others.
 :func:`derive_rng_block` gives a contiguous block of replicate streams
 ``(tag, first)``, ..., ``(tag, first + count - 1)`` without building a
-``SeedSequence`` per stream: :func:`philox_keys` runs ``SeedSequence``'s
-documented entropy mix once over the whole block in numpy uint32
-arithmetic, and one ``Philox`` is reset to each key in turn. ``SeedSequence``
-stays the reference: the tests check every block key against
-``SeedSequence(seed, spawn_key=(tag, k)).generate_state(2, np.uint64)`` and
-every reset stream against :func:`derive_rng`, draw for draw.
+``SeedSequence`` per stream: :func:`philox_keys` takes the pool that
+``SeedSequence(seed, spawn_key=(tag,))`` has mixed from the seed and tag
+words, mixes each stream index into it in one pass of numpy uint32
+arithmetic over the whole block, and one ``Philox`` is reset to each key in
+turn. Every indexed draw of the package (synthesis replicates, Monte Carlo
+null chunks, conditional draws) takes its streams from here. The tests check
+every block key against ``SeedSequence(seed, spawn_key=(tag,
+k)).generate_state(2, np.uint64)`` and every reset stream against
+:func:`derive_rng`, draw for draw.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ PATH_SPLIT = 3        # data splits: (PATH_SPLIT,)
 PATH_TRUTH = 4        # oracle truth draws: (PATH_TRUTH, point index)
 
 # SeedSequence's pool size and hash constants (numpy.random.bit_generator,
-# after O'Neill's seed_seq_fe); philox_keys repeats its mix with them.
+# after O'Neill's seed_seq_fe); philox_keys repeats its mix of the index
+# words with them.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -68,29 +73,6 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _words(value: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence splits a non-negative int into."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    # The hash constant advances with every use, whatever the value.
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> _XSHIFT, hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
 def _hash_constants(hash_const: int, mult: int) -> list[int]:
     """The hash constant and its next four values."""
     consts = [hash_const]
@@ -117,31 +99,25 @@ def _mix_word(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]
     return pool ^ pool >> np.uint32(_XSHIFT), consts[-1]
 
 
+def _word_count(value: int) -> int:
+    """How many uint32 words SeedSequence splits a non-negative int into."""
+    return max(1, -(-value.bit_length() // 32))
+
+
 @functools.lru_cache(maxsize=16)
 def _prefix_pool(master_seed: int, tag: int) -> tuple[np.ndarray, int]:
     """SeedSequence's ``(4, 1)`` pool, and its hash constant, after the seed's and the tag's words.
 
+    The pool is that of ``SeedSequence(master_seed, spawn_key=(tag,))``.
     SeedSequence pads the seed's words to the pool size when a spawn key
-    follows, so the stream index always comes after these words. The result
-    is read-only.
+    follows, so the stream index always comes after these words; each of
+    those words (the padded seed's, then the tag's) advances the hash
+    constant four times. The pool is read-only.
     """
-    seed_words = _words(master_seed)
-    entropy = seed_words + [0] * (_POOL_SIZE - len(seed_words))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        word, hash_const = _hashmix(word, hash_const)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    for word in entropy[_POOL_SIZE:] + _words(tag):
-        pool, hash_const = _mix_word(pool, hash_const, word)
+    pool = np.random.SeedSequence(master_seed, spawn_key=(tag,)).pool[:, None]
     pool.setflags(write=False)
-    return pool, hash_const
+    words = max(_POOL_SIZE, _word_count(master_seed)) + _word_count(tag)
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 2**32) & _MASK32
 
 
 def _generate_keys(pool: np.ndarray) -> np.ndarray:

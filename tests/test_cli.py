@@ -122,10 +122,14 @@ def _no_replicate_may_be_drawn(*args):
     raise AssertionError("a replicate was drawn before the outputs were allocated")
 
 
-@pytest.mark.parametrize("command", ["synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal"])
+@pytest.mark.parametrize(
+    "command",
+    ["simulate", "synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal", "predict", "coverage"],
+)
 def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command):
-    # Synthesis and every engine consumer allocate their outputs before the
-    # first draw; a draw would mean an impossible size runs until memory is gone.
+    # Simulation, synthesis, conditional draws and every engine consumer
+    # allocate their outputs before the first draw; a draw would mean an
+    # impossible size runs until memory is gone.
     monkeypatch.setattr(generators, "_draw_replicate", _no_replicate_may_be_drawn)
     rng = np.random.default_rng(4)
     sample, labeled, column = tmp_path / "x.csv", tmp_path / "labeled.csv", tmp_path / "col.csv"
@@ -138,6 +142,7 @@ def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command)
     common = ["--seed", 1, "--out", out]
     for size in IMPOSSIBLE_SIZES:
         argv = {
+            "simulate": ["--n", size],
             "synthesize": ["--model", model, "--n", size],
             "test-fid": ["--input", sample, "--candidate", sample, "--model", model, "--mc", size],
             "test-feature": [
@@ -145,12 +150,26 @@ def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command)
             ],
             "test-coherence": ["--input", sample, "--input2", sample, "--model", model, "--mc", size],
             "test-pivotal": ["--input", column, "--mc", size],
+            "predict": ["--model", model, "--input", column, "--mc", size],
+            "coverage": ["--n", size],
         }[command]
         capsys.readouterr()
         assert run(command, *argv, *common) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: out of memory:") and "Traceback" not in err, (size, err)
         assert not out.exists()
+
+
+def test_replicate_index_must_lie_below_2_to_the_64(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(gaussian_from_params(np.zeros(2), cov=np.eye(2)), model)
+    out = tmp_path / "x.csv"
+    assert run("synthesize", "--model", model, "--n", 5, "--replicate", 2**64 - 1, "--seed", 1, "--out", out) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert run("synthesize", "--model", model, "--n", 5, "--replicate", 2**64, "--seed", 1, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("data error: block stream indices must lie below 2**64")
+    assert not out.exists()
 
 
 def test_pivotal_cli(tmp_path):

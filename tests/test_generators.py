@@ -23,14 +23,15 @@ from pai import (
     save_model,
 )
 from pai import fid, gaussian_summary, generators
-from pai.generators import KINDS, fit_model, null_replicates
+from pai.generators import KINDS, fit_model
 from pai.streams import PATH_PASS
 
 
 def test_fit_gaussian_degenerate_sample():
-    model = fit_gaussian(np.zeros((10, 2)), ridge=1e-4)
+    # a zero-trace sample gets the absolute fallback ridge * I
+    model = fit_gaussian(np.zeros((10, 2)))
     np.testing.assert_allclose(model.mean, 0.0)
-    np.testing.assert_allclose(model.cov, 1e-4 * np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(model.cov, generators._RIDGE * np.eye(2), rtol=1e-12, atol=0.0)
 
 
 def test_fit_gaussian_recovers_standard_normal():
@@ -204,18 +205,52 @@ def test_pass_stream_layout_is_base_then_noise(tau):
     assert pass_synthesize(model, None, cfg, replicate=replicate, n=n).tobytes() == expected.tobytes()
 
 
-def test_null_replicates_stack_unmatched_pass_streams():
+def _recording(chunks: list):
+    """A batched statistic that keeps a copy of every chunk it is given."""
+
+    def statistic(chunk):
+        chunks.append(chunk.copy())
+        return np.zeros(chunk.shape[0])
+
+    return statistic
+
+
+def _must_not_run(*args):
+    raise AssertionError("the arguments were not checked before the first allocation or draw")
+
+
+def test_replicate_indices_lie_below_2_to_the_64():
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    cfg = PassConfig(mc_seed=3)
+    last = 2**64 - 1
+    expected = derive_rng(3, PATH_PASS, last).standard_normal((5, 2))
+    assert pass_synthesize(model, None, cfg, replicate=last, n=5).tobytes() == expected.tobytes()
+    with pytest.raises(InputError, match=r"below 2\*\*64"):
+        pass_synthesize(model, None, cfg, replicate=2**64, n=5)
+
+
+def test_rank_alignment_takes_one_sample(monkeypatch):
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_run)
+    with pytest.raises(InputError, match="one sample, got 2"):
+        generators.latent_block(PassConfig(), PATH_PASS, 0, 2, 5, 2, align=lambda base: np.arange(5))
+
+
+def test_null_replicates_stack_unmatched_pass_streams(monkeypatch):
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), rank_match=True, mc_seed=5)
-    stack = np.concatenate(tuple(null_replicates(model, 7, 3, cfg, first_replicate=4)))
+    chunks = []
+    sample_statistic_null(model, 7, 3, _recording(chunks), cfg, first_replicate=4)
+    stack = np.concatenate(chunks)
     assert stack.shape == (3, 7, 2)
     unmatched = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=5)
     for k in range(3):
         np.testing.assert_array_equal(stack[k], pass_synthesize(model, None, unmatched, replicate=4 + k, n=7))
-    with pytest.raises(InputError):
-        null_replicates(model, 7, 1, cfg)  # rejected before any sample is drawn
-    with pytest.raises(InputError):
-        tuple(null_replicates(model, 0, 3, cfg))
+    monkeypatch.setattr(generators, "allocate", _must_not_run)
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_run)
+    for n, D, first in ((7, 1, 0), (0, 3, 0), (7, 3, -1)):
+        with pytest.raises(InputError):
+            sample_statistic_null(model, n, D, _recording(chunks), cfg, first_replicate=first)
+    assert len(chunks) == 1
 
 
 def _model_of_kind(kind: str) -> object:
@@ -240,7 +275,8 @@ def test_null_chunks_are_the_pass_synthesize_samples(monkeypatch, kind, tau):
         expected = [pass_synthesize(model, None, cfg, replicate=first + k, n=n) for k in range(D)]
         for budget, sizes in ((default_budget, [D]), (4 * n * model.dim, [4, 4, 3])):
             monkeypatch.setattr(generators, "_CHUNK_VALUES", budget)
-            chunks = list(null_replicates(model, n, D, cfg, first_replicate=first))
+            chunks = []
+            sample_statistic_null(model, n, D, _recording(chunks), cfg, first_replicate=first)
             assert [chunk.shape for chunk in chunks] == [(size, n, model.dim) for size in sizes]
             samples = [sample for chunk in chunks for sample in chunk]
             assert [s.tobytes() for s in samples] == [e.tobytes() for e in expected]

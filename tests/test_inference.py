@@ -13,6 +13,7 @@ from pai import (
     EmpiricalDistribution,
     InputError,
     PassConfig,
+    PerturbationSpec,
     PivotalReport,
     Sidedness,
     fit_gaussian,
@@ -22,6 +23,7 @@ from pai import (
     pivotal_inference,
 )
 from pai import TestReport as Report
+from pai import generators, inference
 from pai import test_conditional_coherence as coherence_test
 from pai import test_feature_significance as feature_test
 from pai import test_two_sample_fid as fid_test
@@ -105,6 +107,47 @@ def test_feature_degenerate_mask_gives_p_one(rng):
     )
     assert report.statistic == 0.0
     assert report.p_value == 1.0
+
+
+def test_feature_null_does_not_depend_on_the_chunk_budget(monkeypatch, rng):
+    # the null, fed chunk by chunk, has the bytes of the learner run once over
+    # the stack of all D pass_synthesize samples
+    X, y = _logistic_data(rng, 80, d=2)
+    model = fit_gaussian(np.column_stack((y, X)))
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=12)
+    n_train, n, D = 30, 80, 7
+    joints = np.stack([pass_synthesize(model, None, cfg, replicate=k, n=n) for k in range(D)])
+    labels = (joints[..., 0] >= 0.5).astype(np.float64)
+    features = joints[..., 1:]
+    expected, _ = inference._risk_difference_statistic(
+        features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], np.array([1])
+    )
+    learner = inference._risk_difference_statistic
+    for replicates, sizes in ((1, [1] * D), (3, [3, 3, 1]), (D, [D])):
+        monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
+        batches = []
+
+        def recording_learner(train_X, *args):
+            batches.append(train_X.shape[:-2])
+            return learner(train_X, *args)
+
+        monkeypatch.setattr(inference, "_risk_difference_statistic", recording_learner)
+        report = feature_test((X[:n_train], y[:n_train]), (X[n_train:], y[n_train:]), [1], model, D=D, cfg=cfg)
+        assert batches == [(size,) for size in sizes] + [()]
+        assert report.null_draws.values.tobytes() == np.sort(expected).tobytes()
+
+
+def test_feature_null_memory_does_not_grow_with_D(rng):
+    # one chunk of replicates and the learner's temporaries over it, never a D x n stack
+    X, y = _logistic_data(rng, 300)
+    model = gaussian_from_params(np.array([0.5, 0.0, 0.0, 0.0]), cov=np.eye(4))
+    tracemalloc.start()
+    try:
+        feature_test((X[:150], y[:150]), (X[150:], y[150:]), [2], model, D=2000, cfg=PassConfig(mc_seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 def test_feature_errors(rng):

@@ -13,6 +13,7 @@ from pai import (
     conformal_fit,
     conformal_interval,
     coverage_report,
+    derive_rng,
     fit_copula,
     fit_location_scale,
     gaussian_from_params,
@@ -23,6 +24,7 @@ from pai import (
 )
 from pai.generators import fit_model
 from pai.predict import PredictionInterval
+from pai.streams import PATH_CONDITIONAL
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
 # 8 + 1/3 + 1/4 + sin(1) + sum_k 1/((k+1)^2 k!) + 0.05 = 10.79271)
@@ -90,6 +92,23 @@ def test_conditional_sample_single_draw_and_perturbation_invariance():
     )
     assert plain.mean() == pytest.approx(noisy.mean(), abs=0.02)
     assert plain.std() == pytest.approx(noisy.std(), abs=0.02)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_conditional_stream_layout_is_base_then_noise(tau):
+    # independent response: the conditional law is N(0, 1) and the draws are
+    # the perturbed stream itself, base first and noise second
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=36)
+    m = 9
+    for index in (0, 7, 2**64 - 1):
+        rng = derive_rng(36, PATH_CONDITIONAL, index)
+        base = rng.standard_normal(m)
+        expected = (base + tau * rng.standard_normal(m)) / math.sqrt(1 + tau**2) if tau > 0 else base
+        draws = conditional_sample(model, [0.4], m, cfg, stream_index=index)
+        assert draws.tobytes() == expected.tobytes()
+    with pytest.raises(InputError, match=r"below 2\*\*64"):
+        conditional_sample(model, [0.4], m, cfg, stream_index=2**64)
 
 
 def test_pai_interval_matches_analytic_quantiles():

@@ -17,7 +17,8 @@ def _seed_sequence_keys(seed, tag, first, count):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("tag", range(5))
+# tag 2**33 + 1 is two words, so the prefix's hash constant advances further
+@pytest.mark.parametrize("tag", (*range(5), 2**33 + 1))
 def test_block_keys_are_the_seed_sequence_keys(seed, tag):
     for first, count in BLOCKS:
         keys = philox_keys(seed, tag, first, count)
