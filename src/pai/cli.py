@@ -200,24 +200,12 @@ def cmd_simulate(args) -> int:
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     points = dataio.read_matrix(args.input, args.header)
-    if points.shape[1] != model.dim - 1:
-        raise InputError(
-            f"prediction points have {points.shape[1]} columns, model expects {model.dim - 1}"
-        )
-    cfg = _cfg(args)
-    records = []
-    for i, x in enumerate(points):
-        interval = pai_interval(model, x, args.alpha, args.mc, cfg, stream_index=i)
-        records.append(
-            {
-                "x": x.tolist(),
-                "lower": interval.lower,
-                "upper": interval.upper,
-                "center": interval.center_estimate,
-                "alpha": args.alpha,
-                "mc_draws_used": interval.mc_draws_used,
-            }
-        )
+    iv = pai_interval(model, points, args.alpha, args.mc, _cfg(args))
+    columns = zip(points.tolist(), iv.lower.tolist(), iv.upper.tolist(), iv.center_estimate.tolist())
+    records = [
+        {"x": x, "lower": lower, "upper": upper, "center": center, "alpha": args.alpha, "mc_draws_used": args.mc}
+        for x, lower, upper, center in columns
+    ]
     payload = {
         "schema": INTERVALS_SCHEMA,
         "alpha": args.alpha,

@@ -27,8 +27,9 @@ the sizes of one sample, because BLAS rounding can depend on a row's place in
 a larger product);
 ``fit_model`` fits the family named by one of :data:`KINDS`. Each class also
 owns the two things that differ by kind elsewhere: ``conditional_response``
-maps standard-normal draws to the response's conditional law at a feature
-point (what :func:`pai.predict.conditional_sample` samples), and
+maps a ``(points, m)`` block of standard-normal draws to the response's
+conditional law at a ``(points, dim - 1)`` block of feature points, row by
+row (what :func:`pai.predict.conditional_sample` samples), and
 ``_fields`` / ``_from_fields`` write and validate its own fields of the model
 document, whose common envelope :func:`save_model` / :func:`load_model` own.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
@@ -111,11 +112,12 @@ def _validate_matrix(
     return data
 
 
-def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[float, float]:
-    """Mean and sd of coordinate 0 of a Gaussian given the others.
+def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Means and sd of coordinate 0 of a Gaussian given the others, at each row of ``rhs``.
 
     ``cov`` is the joint covariance, ``mean0`` the unconditional mean of
-    coordinate 0 and ``rhs`` the centered values of the other coordinates.
+    coordinate 0 and ``rhs`` the ``(points, dim - 1)`` centered values of the
+    other coordinates. The covariance is factored once for all points.
     """
     from scipy.linalg import cho_factor, cho_solve
 
@@ -125,7 +127,9 @@ def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[float, 
     except np.linalg.LinAlgError as exc:
         raise NumericError("conditioning covariance is not positive definite") from exc
     weights = cho_solve(factor, s_yx)
-    cond_mean = float(mean0 + weights @ rhs)
+    # One dot product per point: a block matrix-vector product rounds some
+    # points differently from the single-point product.
+    cond_mean = mean0 + np.array([weights @ row for row in rhs])
     cond_var = float(cov[0, 0] - weights @ s_yx)
     if cond_var < -1e-10:
         raise NumericError(f"conditional variance {cond_var} is negative")
@@ -160,10 +164,10 @@ class GaussianTransport:
         data = _validate_matrix(data, "data", self.dim)
         return solve_triangular(self.chol, (data - self.mean).T, lower=True).T
 
-    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Map standard-normal draws ``z`` to responses given features ``x``."""
-        cond_mean, cond_sd = _schur_conditional(self.cov, self.mean[0], x - self.mean[1:])
-        return cond_mean + cond_sd * z
+    def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``Z[i]`` to responses given features ``X[i]``."""
+        cond_mean, cond_sd = _schur_conditional(self.cov, self.mean[0], X - self.mean[1:])
+        return cond_mean[:, None] + cond_sd * Z
 
     def _fields(self) -> dict:
         return {"mean": self.mean.tolist(), "chol": self.chol.tolist()}
@@ -257,18 +261,18 @@ class CopulaTransport:
         scores = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         return solve_triangular(self.latent_chol, scores.T, lower=True).T
 
-    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Map standard-normal draws ``z`` to responses given features ``x``.
+    def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``Z[i]`` to responses given features ``X[i]``.
 
         The conditioning is on the response's latent score; the conditional
         scores go back through the normal CDF and the response's quantile.
         """
         from scipy.special import ndtr, ndtri
 
-        u = np.array([m.cdf(v) for m, v in zip(self.marginals[1:], x)])
+        u = np.column_stack([m.cdf(column) for m, column in zip(self.marginals[1:], X.T)])
         rhs = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         cond_mean, cond_sd = _schur_conditional(self.latent_chol @ self.latent_chol.T, 0.0, rhs)
-        return self.marginals[0].quantile(ndtr(cond_mean + cond_sd * z))
+        return self.marginals[0].quantile(ndtr(cond_mean[:, None] + cond_sd * Z))
 
     def _fields(self) -> dict:
         return {
@@ -358,17 +362,21 @@ class LocationScaleTransport:
         score = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
         return np.column_stack((score, self.features.inverse(data[:, 1:])))
 
-    def conditional_response(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Map standard-normal draws ``z`` to responses given features ``x``.
+    def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """Map standard-normal draws ``Z[i]`` to responses given features ``X[i]``.
 
-        The map is triangular, so this is the response map at ``x``.
+        The map is triangular, so this is the response map at each point.
         """
         from scipy.special import ndtr
 
-        location, scale = self.location_scale(x[None, :])
-        if not (math.isfinite(location[0]) and math.isfinite(scale[0])):
-            raise NumericError(f"location-scale model is not finite at {x.tolist()}")
-        return float(location[0]) + float(scale[0]) * self.residual.quantile(ndtr(z))
+        # One point per location_scale call: on a block, its matrix-vector
+        # products round some points differently from the single-point call.
+        pairs = np.reshape([np.concatenate(self.location_scale(x[None, :])) for x in X], (-1, 2))
+        bad = np.flatnonzero(~np.isfinite(pairs).all(axis=1))
+        if bad.size:
+            raise NumericError(f"location-scale model is not finite at {X[bad[0]].tolist()}")
+        location, scale = pairs.T
+        return location[:, None] + scale[:, None] * self.residual.quantile(ndtr(Z))
 
     def _fields(self) -> dict:
         return {

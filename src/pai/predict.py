@@ -6,12 +6,15 @@ quantiles. Each transport class in :mod:`pai.generators` maps
 standard-normal draws to its own conditional law (``conditional_response``:
 Schur-complement conditioning in the Gaussian latent space for the Gaussian
 and copula kinds, the response map at the given features for the triangular
-location-scale kind); this module checks the point and takes the perturbed
+location-scale kind); this module checks the points and takes the perturbed
 standard-normal draws from :func:`pai.generators.latent_block`, the path
 every indexed draw of the package goes through. The baseline is split
 conformal prediction around a k-NN point predictor with a k-NN spread
 estimate, whose normalized deviations on a calibration split give the
 distribution-free half-width multiplier.
+
+Every prediction function takes a ``(points, dim - 1)`` block of feature points
+(a 1-D point is one row) and holds at most ``2**17`` draws or distances at once.
 
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
@@ -28,9 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
+from .generators import _CHUNK_VALUES, GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
-from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
+from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng, derive_rng_block
 
 N_FEATURES = 7
 
@@ -71,80 +74,90 @@ def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
     return X, y
 
 
+def _point_block(model: GeneratorModel, X) -> np.ndarray:
+    """``X`` as a checked ``(points, dim - 1)`` block; a 1-D point is one row."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.ndim != 2 or X.shape[1] != model.dim - 1:
+        raise InputError(f"points have {X.shape[-1]} coordinates, the model expects {model.dim - 1}")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise InputError(f"conditioning point {bad[0]} is not finite: {X[bad[0]].tolist()}")
+    return X
+
+
 def conditional_sample(
     model: GeneratorModel,
-    x: np.ndarray,
+    X: np.ndarray,
     m: int,
     cfg: PassConfig,
     stream_index: int = 0,
 ) -> np.ndarray:
-    """Draw ``m`` responses from the model's conditional law at ``x``.
+    """Draw ``m`` responses from the model's conditional law at each point of ``X``.
 
-    The standardized conditional draws come from stream ``(cfg.mc_seed,
-    PATH_CONDITIONAL, stream_index)`` through the same
+    Returns a ``(points, m)`` array whose row ``i`` comes from stream
+    ``(cfg.mc_seed, PATH_CONDITIONAL, stream_index + i)`` through the same
     :func:`~pai.generators.latent_block` and distribution-preserving
     perturbation as unconditional synthesis, so the perturbation size never
-    changes the sampled law. ``stream_index`` must lie below ``2**64``.
+    changes the sampled law. Stream indices must lie below ``2**64``.
     """
     if m < 1:
         raise InputError("draw count m must be >= 1")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.dim - 1:
-        raise InputError(
-            f"conditioning point has {x.shape[0]} coordinates, expected {model.dim - 1}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise InputError(f"conditioning point is not finite: {x.tolist()}")
-    z = latent_block(cfg, PATH_CONDITIONAL, stream_index, 1, m, 1)[0, :, 0]
-    return model.conditional_response(x, z)
+    X = _point_block(model, X)
+    Z = latent_block(cfg, PATH_CONDITIONAL, stream_index, X.shape[0], m, 1)[..., 0]
+    return model.conditional_response(X, Z)
 
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """A two-sided prediction interval at coverage ``level``."""
+    """Two-sided prediction intervals at coverage ``level``; the arrays hold one entry per point."""
 
-    lower: float
-    upper: float
+    lower: np.ndarray
+    upper: np.ndarray
     level: float
-    center_estimate: float
+    center_estimate: np.ndarray
     mc_draws_used: int
 
     def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
-            raise InputError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
+        if not np.all(self.lower <= self.upper):
+            raise InputError(f"interval {np.argmin(self.lower <= self.upper)} has its bounds out of order")
         if not 0.0 < self.level < 1.0:
             raise InputError("level must be in (0, 1)")
 
     @property
-    def length(self) -> float:
+    def length(self) -> np.ndarray:
         return self.upper - self.lower
 
     def contains(self, values: np.ndarray) -> np.ndarray:
+        """Whether each entry of row ``i`` of ``values`` lies in interval ``i``."""
         values = np.asarray(values, dtype=np.float64)
-        return (values >= self.lower) & (values <= self.upper)
+        return (values >= self.lower[:, None]) & (values <= self.upper[:, None])
 
 
 def pai_interval(
     model: GeneratorModel,
-    x: np.ndarray,
+    X: np.ndarray,
     alpha: float,
     m: int,
     cfg: PassConfig,
     stream_index: int = 0,
 ) -> PredictionInterval:
-    """Monte Carlo prediction interval from conditional synthesis at ``x``."""
+    """Monte Carlo prediction intervals from conditional synthesis at each point of ``X``.
+
+    Point ``i`` takes its ``m`` draws from :func:`conditional_sample` stream
+    ``stream_index + i``, in chunks of ``max(1, 2**17 // m)`` points.
+    """
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
     if m < math.ceil(4.0 / alpha):
         raise InputError(f"need at least ceil(4/alpha) = {math.ceil(4.0 / alpha)} draws, got {m}")
-    draws = conditional_sample(model, x, m, cfg, stream_index)
-    lower, center, upper = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0])
+    X = _point_block(model, X)
+    bounds = allocate((3, X.shape[0]))
+    per_chunk = max(1, _CHUNK_VALUES // m)
+    for start in range(0, X.shape[0], per_chunk):
+        draws = conditional_sample(model, X[start : start + per_chunk], m, cfg, stream_index + start)
+        bounds[:, start : start + per_chunk] = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0], axis=1)
     return PredictionInterval(
-        lower=float(lower),
-        upper=float(upper),
-        level=1.0 - alpha,
-        center_estimate=float(center),
-        mc_draws_used=m,
+        lower=bounds[0], upper=bounds[2], level=1.0 - alpha, center_estimate=bounds[1], mc_draws_used=m
     )
 
 
@@ -163,10 +176,19 @@ class ConformalModel:
 
 
 def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
-    """Row ``i`` holds the table indices of the ``k`` nearest rows to ``queries[i]``."""
+    """Row ``i`` holds the table indices of the ``k`` nearest rows to ``queries[i]``.
+
+    Queries go in chunks of ``max(1, 2**17 // len(table))``; each chunk's ``k``
+    columns are copied out, as a slice would keep its whole ``argpartition``.
+    """
     from scipy.spatial.distance import cdist
 
-    return np.argpartition(cdist(queries, table), kth=k - 1, axis=1)[:, :k]
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    per_chunk = max(1, _CHUNK_VALUES // table.shape[0])
+    for start in range(0, queries.shape[0], per_chunk):
+        distances = cdist(queries[start : start + per_chunk], table)
+        idx[start : start + per_chunk] = np.argpartition(distances, kth=k - 1, axis=1)[:, :k]
+    return idx
 
 
 def _conformal_predict(model: ConformalModel, X: np.ndarray):
@@ -232,18 +254,12 @@ def conformal_fit(
     return replace(uncalibrated, qhat=float(scores[rank - 1]))
 
 
-def conformal_interval(model: ConformalModel, x: np.ndarray) -> PredictionInterval:
-    """Interval ``point(x) +- qhat * spread(x)`` at the calibrated level."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    point, spread = _conformal_predict(model, x[None, :])
-    half = model.qhat * float(spread[0])
-    center = float(point[0])
+def conformal_interval(model: ConformalModel, X: np.ndarray) -> PredictionInterval:
+    """Intervals ``point(x) +- qhat * spread(x)`` at the calibrated level at each row of ``X``."""
+    point, spread = _conformal_predict(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    half = model.qhat * spread
     return PredictionInterval(
-        lower=center - half,
-        upper=center + half,
-        level=1.0 - model.alpha,
-        center_estimate=center,
-        mc_draws_used=0,
+        lower=point - half, upper=point + half, level=1.0 - model.alpha, center_estimate=point, mc_draws_used=0
     )
 
 
@@ -256,12 +272,10 @@ class CoverageReport:
     baseline_per_point: np.ndarray | None = None
 
 
-def _coverage_summary(intervals: list[PredictionInterval], truths, prefix: str):
+def _coverage_summary(interval: PredictionInterval, truths: np.ndarray, prefix: str):
     """Per-point coverage, lengths, and their ``prefix``-keyed mean/median summary."""
-    per_point = np.array(
-        [iv.contains(np.asarray(draws, dtype=np.float64)).mean() for iv, (_, draws) in zip(intervals, truths)]
-    )
-    lengths = np.array([iv.length for iv in intervals])
+    per_point = interval.contains(truths).mean(axis=1)
+    lengths = interval.length
     summary = {
         f"{prefix}mean_coverage": float(per_point.mean()),
         f"{prefix}median_coverage": float(np.median(per_point)),
@@ -272,26 +286,28 @@ def _coverage_summary(intervals: list[PredictionInterval], truths, prefix: str):
 
 
 def coverage_report(
-    intervals: list[PredictionInterval],
-    truths: list[tuple[np.ndarray, np.ndarray]],
-    baseline_intervals: list[PredictionInterval] | None = None,
+    interval: PredictionInterval,
+    truths: np.ndarray,
+    baseline: PredictionInterval | None = None,
 ) -> CoverageReport:
     """Estimate per-point coverage against repeated true-response draws.
 
-    ``truths`` pairs each test point with fresh draws of its true response;
-    coverage at a point is the fraction of those draws inside the interval.
-    With a baseline, the summary also reports the fraction of points where
-    the primary interval is strictly shorter.
+    Row ``i`` of the ``(points, draws)`` array ``truths`` holds fresh draws of
+    the true response at point ``i``; coverage at a point is the fraction of
+    those draws inside its interval. With a baseline, the summary also
+    reports the fraction of points where the primary interval is strictly
+    shorter.
     """
-    if len(intervals) != len(truths):
-        raise InputError("one truth entry per interval is required")
-    if baseline_intervals is not None and len(baseline_intervals) != len(intervals):
+    points = interval.lower.shape[0]
+    if np.ndim(truths) != 2 or len(truths) != points:
+        raise InputError(f"truths must hold one row of draws per interval ({points})")
+    if baseline is not None and baseline.lower.shape[0] != points:
         raise InputError("baseline interval count must match")
-    per_point, lengths, summary = _coverage_summary(intervals, truths, "")
-    summary = {"points": len(intervals), **summary}
+    per_point, lengths, summary = _coverage_summary(interval, truths, "")
+    summary = {"points": points, **summary}
     baseline_cov = None
-    if baseline_intervals is not None:
-        baseline_cov, base_lengths, base_summary = _coverage_summary(baseline_intervals, truths, "baseline_")
+    if baseline is not None:
+        baseline_cov, base_lengths, base_summary = _coverage_summary(baseline, truths, "baseline_")
         summary.update(base_summary)
         summary["shorter_fraction"] = float((lengths < base_lengths).mean())
     return CoverageReport(per_point=per_point, summary=summary, baseline_per_point=baseline_cov)
@@ -316,44 +332,32 @@ def run_prediction_study(
     joint (response, features) sample, one of
     :data:`~pai.generators.KINDS`. Returns a JSON-ready dictionary.
     """
-    if n_train >= n_total:
-        raise InputError("n_total must exceed n_train")
+    if not 1 <= n_train < n_total:
+        raise InputError(f"need 1 <= n_train < n_total, got n_train={n_train}, n_total={n_total}")
     X, y = simulate_regression_data(n_total, seed)
     X_train, y_train = X[:n_train], y[:n_train]
     X_test = X[n_train:]
     model = fit_model(kind, np.column_stack((y_train, X_train)))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
-    pai_intervals = [
-        pai_interval(model, x, alpha, pai_draws, cfg, stream_index=i)
-        for i, x in enumerate(X_test)
-    ]
+    pai_iv = pai_interval(model, X_test, alpha, pai_draws, cfg)
     conf_model = conformal_fit(
         (X_train, y_train), _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed
     )
-    conf_intervals = [conformal_interval(conf_model, x) for x in X_test]
-    truths = []
-    for i, x in enumerate(X_test):
-        rng = derive_rng(seed, PATH_TRUTH, i)
-        draws = regression_mean(x) + regression_noise_sd(x) * rng.standard_normal(truth_draws)
-        truths.append((x, draws))
-    report = coverage_report(pai_intervals, truths, conf_intervals)
-    records = [
-        {
-            "x": x.tolist(),
-            "alpha": alpha,
-            "pai_lower": pai_iv.lower,
-            "pai_upper": pai_iv.upper,
-            "pai_center": pai_iv.center_estimate,
-            "conformal_lower": conf_iv.lower,
-            "conformal_upper": conf_iv.upper,
-            "conformal_center": conf_iv.center_estimate,
-            "pai_coverage": float(cov),
-            "conformal_coverage": float(bcov),
-        }
-        for x, pai_iv, conf_iv, cov, bcov in zip(
-            X_test, pai_intervals, conf_intervals, report.per_point, report.baseline_per_point
-        )
-    ]
+    conf_iv = conformal_interval(conf_model, X_test)
+    truths = allocate((X_test.shape[0], truth_draws))
+    for out, rng in zip(truths, derive_rng_block(seed, PATH_TRUTH, 0, X_test.shape[0])):
+        rng.standard_normal(out=out)
+    truths *= regression_noise_sd(X_test)[:, None]
+    truths += regression_mean(X_test)[:, None]
+    report = coverage_report(pai_iv, truths, conf_iv)
+    columns = {
+        "pai_lower": pai_iv.lower, "pai_upper": pai_iv.upper, "pai_center": pai_iv.center_estimate,
+        "conformal_lower": conf_iv.lower, "conformal_upper": conf_iv.upper,
+        "conformal_center": conf_iv.center_estimate,
+        "pai_coverage": report.per_point, "conformal_coverage": report.baseline_per_point,
+    }
+    rows = zip(X_test.tolist(), *(column.tolist() for column in columns.values()))
+    records = [{"x": x, "alpha": alpha, **dict(zip(columns, values))} for x, *values in rows]
     return {
         "schema": "pai-coverage/1",
         "config": {

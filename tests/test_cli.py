@@ -205,6 +205,10 @@ def test_predict_cli(tmp_path, sim_csv):
     for record in payload["intervals"]:
         assert record["lower"] <= record["center"] <= record["upper"]
         assert record["alpha"] == 0.05
+    narrow, rejected = tmp_path / "narrow.csv", tmp_path / "rejected.json"
+    dataio.write_matrix(narrow, np.random.default_rng(3).random((5, 6)))
+    assert run("predict", "--model", model, "--input", narrow, "--mc", 400, "--seed", 2, "--out", rejected) == 3
+    assert not rejected.exists()
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "copula", "location-scale"])
@@ -267,6 +271,14 @@ def test_coverage_accepts_location_scale(tmp_path):
         "--seed", 3, "--out", out,
     ) == 0
     assert json.loads(out.read_text())["config"]["kind"] == "location-scale"
+
+
+@pytest.mark.parametrize("train", [-5, 0])
+def test_coverage_rejects_a_train_size_below_one(tmp_path, capsys, train):
+    out = tmp_path / "study.json"
+    assert run("coverage", "--n", 400, "--train", train, "--mc", 200, "--seed", 1, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("data error: need 1 <= n_train < n_total")
+    assert not out.exists()
 
 
 def test_malformed_model_exit_code(tmp_path, sim_csv):

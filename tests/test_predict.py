@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from pai import (
     regression_noise_sd,
     simulate_regression_data,
 )
-from pai.generators import fit_model
-from pai.predict import PredictionInterval
+from pai import predict
+from pai.generators import KINDS, fit_model
+from pai.predict import PredictionInterval, _knn_indices
 from pai.streams import PATH_CONDITIONAL
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
@@ -65,7 +67,7 @@ def test_conditional_sample_matches_gaussian_oracle():
     model = _bivariate_model(rho)
     m = 100_000
     for xv in (-1.0, 0.0, 1.5):
-        draws = conditional_sample(model, [xv], m, PassConfig(mc_seed=31), stream_index=0)
+        (draws,) = conditional_sample(model, [xv], m, PassConfig(mc_seed=31), stream_index=0)
         mean_oracle = rho * xv
         sd_oracle = math.sqrt(1 - rho**2)
         assert draws.mean() == pytest.approx(mean_oracle, abs=4 * sd_oracle / math.sqrt(m))
@@ -74,7 +76,7 @@ def test_conditional_sample_matches_gaussian_oracle():
 
 def test_conditional_sample_independent_case():
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
-    draws = conditional_sample(model, [3.0], 10_000, PassConfig(mc_seed=32))
+    (draws,) = conditional_sample(model, [3.0], 10_000, PassConfig(mc_seed=32))
     # response independent of the feature: conditional equals the marginal
     grid = np.sort(draws)
     n = grid.shape[0]
@@ -85,9 +87,10 @@ def test_conditional_sample_independent_case():
 
 def test_conditional_sample_single_draw_and_perturbation_invariance():
     model = _bivariate_model(0.5)
-    assert conditional_sample(model, [0.3], 1, PassConfig(mc_seed=33)).shape == (1,)
-    plain = conditional_sample(model, [0.3], 50_000, PassConfig(mc_seed=34))
-    noisy = conditional_sample(
+    assert conditional_sample(model, [0.3], 1, PassConfig(mc_seed=33)).shape == (1, 1)
+    assert conditional_sample(model, [[0.3], [0.1]], 1, PassConfig(mc_seed=33)).shape == (2, 1)
+    (plain,) = conditional_sample(model, [0.3], 50_000, PassConfig(mc_seed=34))
+    (noisy,) = conditional_sample(
         model, [0.3], 50_000, PassConfig(perturbation=PerturbationSpec(tau=0.8), mc_seed=35)
     )
     assert plain.mean() == pytest.approx(noisy.mean(), abs=0.02)
@@ -96,19 +99,26 @@ def test_conditional_sample_single_draw_and_perturbation_invariance():
 
 @pytest.mark.parametrize("tau", [0.0, 0.3])
 def test_conditional_stream_layout_is_base_then_noise(tau):
-    # independent response: the conditional law is N(0, 1) and the draws are
-    # the perturbed stream itself, base first and noise second
+    # independent response: the conditional law is N(0, 1) and row i of a
+    # block is the perturbed stream stream_index + i itself, base first and
+    # noise second
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=36)
     m = 9
-    for index in (0, 7, 2**64 - 1):
+
+    def expected(index):
         rng = derive_rng(36, PATH_CONDITIONAL, index)
         base = rng.standard_normal(m)
-        expected = (base + tau * rng.standard_normal(m)) / math.sqrt(1 + tau**2) if tau > 0 else base
-        draws = conditional_sample(model, [0.4], m, cfg, stream_index=index)
-        assert draws.tobytes() == expected.tobytes()
+        return (base + tau * rng.standard_normal(m)) / math.sqrt(1 + tau**2) if tau > 0 else base
+
+    for index, points in ((0, 3), (7, 2), (2**64 - 1, 1)):
+        draws = conditional_sample(model, [[0.4]] * points, m, cfg, stream_index=index)
+        assert draws.shape == (points, m)
+        assert draws.tobytes() == np.concatenate([expected(index + i) for i in range(points)]).tobytes()
     with pytest.raises(InputError, match=r"below 2\*\*64"):
         conditional_sample(model, [0.4], m, cfg, stream_index=2**64)
+    with pytest.raises(InputError, match=r"below 2\*\*64"):
+        conditional_sample(model, [[0.4], [0.4]], m, cfg, stream_index=2**64 - 1)
 
 
 def test_pai_interval_matches_analytic_quantiles():
@@ -122,15 +132,16 @@ def test_pai_interval_matches_analytic_quantiles():
     hi_oracle = rho * x + stats.norm.ppf(0.975) * sd_c
     # 3 MC standard errors of an empirical 97.5% quantile from m draws
     se_q = math.sqrt(0.975 * 0.025 / m) / stats.norm.pdf(stats.norm.ppf(0.975)) * sd_c
-    assert interval.lower == pytest.approx(lo_oracle, abs=3 * se_q)
-    assert interval.upper == pytest.approx(hi_oracle, abs=3 * se_q)
+    assert interval.lower.shape == interval.upper.shape == (1,)
+    assert interval.lower[0] == pytest.approx(lo_oracle, abs=3 * se_q)
+    assert interval.upper[0] == pytest.approx(hi_oracle, abs=3 * se_q)
 
 
 def test_pai_interval_degenerate_conditional():
     model = gaussian_from_params(np.zeros(2), chol=np.array([[1.0, 0.0], [1.0, 1e-9]]))
     interval = pai_interval(model, [2.0], 0.05, 500, PassConfig(mc_seed=37))
-    assert interval.upper - interval.lower < 1e-6
-    assert interval.center_estimate == pytest.approx(2.0, abs=1e-6)
+    assert interval.upper[0] - interval.lower[0] < 1e-6
+    assert interval.center_estimate[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_conditional_sample_singular_conditioning_covariance():
@@ -146,7 +157,7 @@ def test_pai_interval_quantile_nesting():
     widths = []
     for alpha in (0.05, 0.2, 0.5):
         iv = pai_interval(model, [0.0], alpha, 5000, PassConfig(mc_seed=38))
-        widths.append(iv.length)
+        widths.append(iv.length[0])
     assert widths[0] > widths[1] > widths[2]
 
 
@@ -177,8 +188,8 @@ def test_conformal_collapses_on_noiseless_gridded_data():
     model = conformal_fit((X, y), calibration_fraction=0.2, alpha=0.1, k=1, seed=41)
     assert model.qhat == 0.0
     interval = conformal_interval(model, X[0])
-    assert interval.length == 0.0
-    assert interval.lower == interval.upper == interval.center_estimate
+    assert interval.length.tolist() == [0.0]
+    assert interval.lower[0] == interval.upper[0] == interval.center_estimate[0]
 
 
 def test_conformal_halfwidth_scales_with_spread():
@@ -192,8 +203,8 @@ def test_conformal_halfwidth_scales_with_spread():
     x = np.array([0.5, 0.5])
     base = conformal_interval(model, x)
     double = conformal_interval(doubled, x)
-    assert double.length == pytest.approx(2.0 * base.length, rel=1e-9)
-    assert base.lower <= base.center_estimate <= base.upper
+    assert double.length[0] == pytest.approx(2.0 * base.length[0], rel=1e-9)
+    assert base.lower[0] <= base.center_estimate[0] <= base.upper[0]
 
 
 def test_conformal_marginal_validity_over_seeds():
@@ -204,11 +215,8 @@ def test_conformal_marginal_validity_over_seeds():
     for seed in range(20):
         X, y = simulate_regression_data(800, seed=6000 + seed)
         model = conformal_fit((X[:600], y[:600]), 0.25, alpha, k=25, seed=seed)
-        covered = 0
-        for i in range(600, 800):
-            iv = conformal_interval(model, X[i])
-            covered += iv.lower <= y[i] <= iv.upper
-        coverages.append(covered / 200)
+        iv = conformal_interval(model, X[600:800])
+        coverages.append(iv.contains(y[600:800, None]).mean())
     assert np.mean(coverages) >= 1 - alpha - 0.03
 
 
@@ -225,27 +233,35 @@ def test_conformal_fit_validation(rng):
 
 def test_coverage_report_hand_cases(rng):
     draws = 1.5 + 0.5 * rng.standard_normal(10_000)
-    huge = PredictionInterval(lower=-100.0, upper=100.0, level=0.95, center_estimate=0.0, mc_draws_used=0)
-    point = PredictionInterval(lower=9.0, upper=9.0, level=0.95, center_estimate=9.0, mc_draws_used=0)
-    analytic = PredictionInterval(
-        lower=1.5 - 1.96 * 0.5, upper=1.5 + 1.96 * 0.5, level=0.95, center_estimate=1.5, mc_draws_used=0
+    # a huge interval, a point interval and the analytic 95% interval
+    intervals = PredictionInterval(
+        lower=np.array([-100.0, 9.0, 1.5 - 1.96 * 0.5]),
+        upper=np.array([100.0, 9.0, 1.5 + 1.96 * 0.5]),
+        level=0.95,
+        center_estimate=np.array([0.0, 9.0, 1.5]),
+        mc_draws_used=0,
     )
-    report = coverage_report(
-        [huge, point, analytic],
-        [(np.zeros(7), draws), (np.zeros(7), draws), (np.zeros(7), draws)],
-    )
+    report = coverage_report(intervals, np.stack([draws, draws, draws]))
     assert report.per_point[0] == 1.0
     assert report.per_point[1] == 0.0
     assert report.per_point[2] == pytest.approx(0.95, abs=0.02)
 
 
 def test_coverage_report_shorter_fraction():
-    short = PredictionInterval(lower=0.0, upper=1.0, level=0.9, center_estimate=0.5, mc_draws_used=0)
-    long = PredictionInterval(lower=0.0, upper=2.0, level=0.9, center_estimate=1.0, mc_draws_used=0)
-    truths = [(np.zeros(7), np.array([0.5])), (np.zeros(7), np.array([0.5]))]
-    report = coverage_report([short, short], truths, [long, long])
+    short = PredictionInterval(
+        lower=np.zeros(2), upper=np.ones(2), level=0.9, center_estimate=np.full(2, 0.5), mc_draws_used=0
+    )
+    long = PredictionInterval(
+        lower=np.zeros(2), upper=np.full(2, 2.0), level=0.9, center_estimate=np.ones(2), mc_draws_used=0
+    )
+    truths = np.array([[0.5], [0.5]])
+    report = coverage_report(short, truths, long)
     assert report.summary["shorter_fraction"] == 1.0
     assert report.baseline_per_point is not None
+    with pytest.raises(InputError, match="one row of draws per interval"):
+        coverage_report(short, np.array([0.5, 0.5]), long)
+    with pytest.raises(InputError, match="out of order"):
+        PredictionInterval(lower=np.ones(2), upper=np.zeros(2), level=0.9, center_estimate=np.ones(2), mc_draws_used=0)
 
 
 def test_copula_conditional_close_to_gaussian_oracle():
@@ -256,7 +272,7 @@ def test_copula_conditional_close_to_gaussian_oracle():
     y = z[:, 0]
     x = rho * z[:, 0] + math.sqrt(1 - rho**2) * z[:, 1]
     model = fit_copula(np.column_stack((y, x)))
-    draws = conditional_sample(model, [1.0], 50_000, PassConfig(mc_seed=45))
+    (draws,) = conditional_sample(model, [1.0], 50_000, PassConfig(mc_seed=45))
     assert draws.mean() == pytest.approx(rho * 1.0, abs=0.03)
     assert draws.std() == pytest.approx(math.sqrt(1 - rho**2), abs=0.03)
 
@@ -269,8 +285,10 @@ def test_location_scale_conditional_quantiles_match_oracle():
     X = rng.random((n, 2))
     y = 1.0 + X[:, 0] - X[:, 1] + np.exp(-1.0 + X[:, 0]) * rng.standard_normal(n)
     model = fit_location_scale(np.column_stack((y, X)))
-    for i, x in enumerate([(0.1, 0.9), (0.5, 0.5), (0.9, 0.2)]):
-        draws = conditional_sample(model, x, 100_000, PassConfig(mc_seed=47), stream_index=i)
+    points = [(0.1, 0.9), (0.5, 0.5), (0.9, 0.2)]
+    # one block: row i draws from stream i
+    block = conditional_sample(model, points, 100_000, PassConfig(mc_seed=47))
+    for x, draws in zip(points, block):
         scale = math.exp(-1.0 + x[0])
         for p in (0.025, 0.5, 0.975):
             oracle = 1.0 + x[0] - x[1] + scale * stats.norm.ppf(p)
@@ -279,3 +297,79 @@ def test_location_scale_conditional_quantiles_match_oracle():
     # far outside the data the fitted log-linear scale overflows
     with np.errstate(over="ignore"), pytest.raises(NumericError):
         conditional_sample(model, (1e6, 0.0), 10, PassConfig(mc_seed=47))
+
+
+def _interval_array(interval):
+    return np.stack((interval.lower, interval.upper, interval.center_estimate))
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+@pytest.mark.parametrize("kind", KINDS)
+def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
+    # a block of points equals its one-row calls at stream_index = first + i,
+    # whether its draws come in one chunk or split 3-3-1
+    X, y = simulate_regression_data(400, seed=49)
+    model = fit_model(kind, np.column_stack((y, X)))
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=50)
+    points, m, first = simulate_regression_data(7, seed=51)[0], 100, 5
+    rows = [pai_interval(model, x, 0.05, m, cfg, stream_index=first + i) for i, x in enumerate(points)]
+    expected = np.concatenate([_interval_array(row) for row in rows], axis=1).tobytes()
+    sample = predict.conditional_sample
+    for budget, sizes in ((predict._CHUNK_VALUES, [7]), (3 * m, [3, 3, 1])):
+        monkeypatch.setattr(predict, "_CHUNK_VALUES", budget)
+        chunks = []
+
+        def recording_sample(model, X, *args):
+            chunks.append(len(X))
+            return sample(model, X, *args)
+
+        monkeypatch.setattr(predict, "conditional_sample", recording_sample)
+        block = pai_interval(model, points, 0.05, m, cfg, stream_index=first)
+        assert chunks == sizes
+        assert block.lower.shape == (7,) and block.mc_draws_used == m
+        assert _interval_array(block).tobytes() == expected
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "copula"])
+def test_conditional_sample_factors_the_covariance_once(monkeypatch, kind):
+    import scipy.linalg
+
+    model = fit_model(kind, np.random.default_rng(52).random((200, 4)))
+    calls = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counting_cho_factor(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counting_cho_factor)
+    draws = conditional_sample(model, np.random.default_rng(53).random((25, 3)), 10, PassConfig(mc_seed=1))
+    assert draws.shape == (25, 10)
+    assert len(calls) == 1
+
+
+def test_knn_indices_do_not_depend_on_the_chunk_budget(monkeypatch):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(54)
+    queries, table, k = rng.random((23, 3)), rng.random((50, 3)), 5
+    expected = np.argpartition(cdist(queries, table), kth=k - 1, axis=1)[:, :k]
+    for budget in (1, 3 * 50, predict._CHUNK_VALUES):
+        monkeypatch.setattr(predict, "_CHUNK_VALUES", budget)
+        idx = _knn_indices(queries, table, k)
+        assert idx.dtype == np.intp and idx.flags.owndata
+        assert np.array_equal(idx, expected)
+
+
+def test_conformal_fit_memory_is_bounded():
+    # chunked k-NN distances, never an n x n distance or argpartition array
+    import scipy.spatial.distance  # noqa: F401  (its import is not the fit's memory)
+
+    X, y = simulate_regression_data(3000, seed=55)
+    tracemalloc.start()
+    try:
+        conformal_fit((X, y), 0.2, 0.05, k=25, seed=56)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
