@@ -8,6 +8,16 @@ the permutation orientation used throughout the package, and desk-scale size
 guards. Tie-breaking among equally optimal permutations follows the solver's
 deterministic scan order and is not part of the contract - only the total
 cost is.
+
+The solver starts from zero dual variables. A caller that knows a near-optimal
+dual warm-starts it through the costs alone: subtracting a constant from a
+row or a column moves the total of every permutation by the same amount, so
+the reduced matrix has the same optimal permutations, and augmenting paths
+from a near-optimal dual are short. The start can change which of several
+equally optimal permutations is returned, so a caller that needs the
+tie-break of the plain solve passes the unreduced costs. :mod:`pai.ranks`
+reduces its rank-map costs by the Gaussian-to-cube transport potential, and
+keeps the unreduced costs for samples with repeated rows.
 """
 
 from __future__ import annotations
@@ -96,4 +106,6 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    return cdist(points, targets, "sqeuclidean") / n
+    costs = cdist(points, targets, "sqeuclidean")
+    costs /= n
+    return costs

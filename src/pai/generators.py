@@ -61,6 +61,7 @@ import numpy as np
 from .dataio import read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
+from .halton import _check_shape
 from .perturb import PerturbationSpec, perturb
 from .ranks import match_ranks
 # derive_rng is not called here; the benchmark's tracer tests read it as
@@ -655,6 +656,9 @@ def pass_synthesize(
         raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
         raise InputError("sample size must be >= 1")
+    if cfg.rank_match:
+        # the rank targets' shape is known before anything is drawn
+        _check_shape(n_rows, model.dim)
     align = (lambda base: match_ranks(model.inverse(inference), base)) if cfg.rank_match else None
     return model.forward(latent_block(cfg, PATH_PASS, replicate, 1, n_rows, model.dim, align)[0])
 

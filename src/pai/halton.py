@@ -60,13 +60,8 @@ def _cached_block(n: int, d: int) -> np.ndarray:
     return out
 
 
-def halton_block(n: int, d: int) -> np.ndarray:
-    """First ``n`` points of the ``d``-dimensional Halton sequence.
-
-    Row ``i`` (0-based) holds the radical inverses of index ``i + 1`` in the
-    first ``d`` primes. Rows are pairwise distinct and the empirical measure
-    converges weakly to the uniform law on the unit cube as ``n`` grows.
-    """
+def _check_shape(n: int, d: int) -> None:
+    """Raise the ``InputError`` that ``halton_block(n, d)`` raises, if any."""
     if n < 1:
         raise InputError("Halton block needs n >= 1")
     if d < 1:
@@ -76,4 +71,14 @@ def halton_block(n: int, d: int) -> np.ndarray:
             f"unsupported dimension {d}: only the first {MAX_DIM} primes are "
             "tabulated and unscrambled Halton degrades beyond that"
         )
+
+
+def halton_block(n: int, d: int) -> np.ndarray:
+    """First ``n`` points of the ``d``-dimensional Halton sequence.
+
+    Row ``i`` (0-based) holds the radical inverses of index ``i + 1`` in the
+    first ``d`` primes. Rows are pairwise distinct and the empirical measure
+    converges weakly to the uniform law on the unit cube as ``n`` grows.
+    """
+    _check_shape(n, d)
     return _cached_block(int(n), int(d)).copy()

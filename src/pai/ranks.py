@@ -13,6 +13,22 @@ Tied values keep their row order; any resolution of a tie is optimal. In
 higher dimensions the map is the exact LSAP solution on the ``cdist`` cost
 matrix.
 
+That solve is warm-started. The samples being ranked are standard normal
+latents, and the optimal map from N(0, I) to the uniform cube is ``Phi``
+applied coordinate by coordinate, whose Kantorovich potential on the target
+side is ``v(h) = |h|^2 + 2 * sum_k pdf(ndtri(h_k))`` in closed form. The cost
+matrix is reduced in place: ``v / n`` is subtracted from every column, then
+the row minima, the column minima and the row minima again. Subtracting a
+constant from a row or a column moves the total of every permutation by the
+same amount, so the optimal permutations are those of the original costs,
+but the solver then starts next to the optimal dual and its augmenting paths
+stay short. Every reduced entry stays non-negative exactly, and the reported
+``total_cost`` is summed from the original costs of the matched pairs, so
+both the permutation and the cost are those of the plain solve. A sample
+with repeated rows (equal as floats) has several optimal permutations, and
+a different dual start can break the tie differently, so such a sample gets
+the plain solve on the unreduced costs.
+
 Solved maps are memoised by the bytes of the sample, so rank-matched
 synthesis solves the latent map of an inference sample once rather than
 once per replicate. Equal bytes give the same deterministic solve, so a
@@ -32,6 +48,9 @@ from .halton import halton_block
 # Enough for the latent and base maps of a few consecutive replicates.
 RANK_MAP_CACHE_SIZE = 8
 
+# Matched pairs per ``cdist`` call when summing the matched costs.
+_PAIR_BLOCK = 64
+
 
 def _validate_sample(sample: np.ndarray, name: str = "sample") -> np.ndarray:
     sample = np.asarray(sample, dtype=np.float64)
@@ -44,6 +63,61 @@ def _validate_sample(sample: np.ndarray, name: str = "sample") -> np.ndarray:
     return sample
 
 
+@lru_cache(maxsize=64)
+def _target_potential(n: int, d: int) -> np.ndarray:
+    """Read-only ``v / n`` over the rows ``h`` of ``halton_block(n, d)``.
+
+    ``v(h) = |h|^2 + 2 * sum_k pdf(ndtri(h_k))`` is the target-side potential
+    of the squared-cost transport from N(0, I) to the uniform cube. The block
+    starts at index 1, so every ``ndtri`` is finite.
+    """
+    from scipy.special import ndtri
+
+    targets = halton_block(n, d)
+    z = ndtri(targets)
+    potential = (targets**2).sum(axis=1) + 2 * np.exp(-0.5 * z * z).sum(axis=1) / np.sqrt(2 * np.pi)
+    potential /= n
+    potential.setflags(write=False)
+    return potential
+
+
+def _has_repeated_rows(sample: np.ndarray) -> bool:
+    """Whether two rows of ``sample`` are equal as floats (``-0.0 == 0.0``)."""
+    ordered = sample[np.lexsort(sample.T)]
+    return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
+
+
+def _reduce_costs(costs: np.ndarray, potential: np.ndarray) -> None:
+    """Shift the rows and columns of ``costs`` in place towards the optimal dual.
+
+    Each step subtracts a constant per row or per column, which moves every
+    permutation's total alike. Subtracting a row's or column's own minimum
+    leaves each entry exactly non-negative in floating point.
+    """
+    costs -= potential
+    costs -= costs.min(axis=1)[:, None]
+    costs -= costs.min(axis=0)
+    costs -= costs.min(axis=1)[:, None]
+
+
+def _matched_cost(sample: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> float:
+    """``sum_t ||sample[perm[t]] - targets[t]||^2 / n`` from the pairs' own ``cdist`` values.
+
+    Each entry is the value the full cost matrix holds for that pair, and they
+    are summed in target order, so the total is bit for bit the one a solve on
+    the unreduced matrix reports.
+    """
+    from scipy.spatial.distance import cdist
+
+    n = perm.shape[0]
+    pairs = np.empty(n)
+    for start in range(0, n, _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        pairs[block] = np.diagonal(cdist(sample[perm[block]], targets[block], "sqeuclidean"))
+    pairs /= n
+    return float(pairs.sum())
+
+
 @lru_cache(maxsize=RANK_MAP_CACHE_SIZE)
 def _solve_rank_map(key: bytes, n: int, d: int) -> tuple[np.ndarray, float]:
     """``(perm, total_cost)`` of the sample whose float64 bytes are ``key``."""
@@ -54,8 +128,11 @@ def _solve_rank_map(key: bytes, n: int, d: int) -> tuple[np.ndarray, float]:
         perm[np.argsort(targets[:, 0])] = np.argsort(sample[:, 0], kind="stable")
         total = float(((sample[perm, 0] - targets[:, 0]) ** 2 / n).sum())
     else:
-        assignment = solve_lsap(rank_cost_matrix(sample, targets))
-        perm, total = assignment.perm, assignment.total_cost
+        costs = rank_cost_matrix(sample, targets)
+        if not _has_repeated_rows(sample):
+            _reduce_costs(costs, _target_potential(n, d))
+        perm = solve_lsap(costs).perm
+        total = _matched_cost(sample, targets, perm)
     perm.setflags(write=False)
     return perm, total
 

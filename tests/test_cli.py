@@ -172,6 +172,19 @@ def test_replicate_index_must_lie_below_2_to_the_64(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rank_match_beyond_the_halton_dimensions_exits_3_before_drawing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(generators, "_draw_replicate", _no_replicate_may_be_drawn)
+    dim = 21
+    model, sample, out = tmp_path / "model.json", tmp_path / "x.csv", tmp_path / "s.csv"
+    save_model(gaussian_from_params(np.zeros(dim), cov=np.eye(dim)), model)
+    dataio.write_matrix(sample, np.random.default_rng(4).standard_normal((8, dim)))
+    capsys.readouterr()
+    argv = ("synthesize", "--model", model, "--rank-match", "--input", sample, "--seed", 1, "--out", out)
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith(f"data error: unsupported dimension {dim}")
+    assert not out.exists()
+
+
 def test_pivotal_cli(tmp_path):
     data = tmp_path / "x.csv"
     dataio.write_matrix(data, 3.0 + np.random.default_rng(2).standard_normal((40, 1)))

@@ -17,6 +17,7 @@ from pai import (
     fit_location_scale,
     derive_rng,
     gaussian_from_params,
+    halton_block,
     load_model,
     pass_synthesize,
     sample_statistic_null,
@@ -24,6 +25,7 @@ from pai import (
 )
 from pai import fid, gaussian_summary, generators
 from pai.generators import KINDS, fit_model
+from pai.halton import MAX_DIM
 from pai.streams import PATH_PASS
 
 
@@ -233,6 +235,17 @@ def test_rank_alignment_takes_one_sample(monkeypatch):
     monkeypatch.setattr(generators, "_draw_replicate", _must_not_run)
     with pytest.raises(InputError, match="one sample, got 2"):
         generators.latent_block(PassConfig(), PATH_PASS, 0, 2, 5, 2, align=lambda base: np.arange(5))
+
+
+def test_rank_matching_rejects_a_dimension_without_halton_targets_before_drawing(monkeypatch):
+    dim = MAX_DIM + 1
+    model = gaussian_from_params(np.zeros(dim), cov=np.eye(dim))
+    inference = np.random.default_rng(4).standard_normal((6, dim))
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_run)
+    with pytest.raises(InputError, match=f"unsupported dimension {dim}"):
+        pass_synthesize(model, inference, PassConfig(rank_match=True), replicate=0)
+    with pytest.raises(InputError, match=f"unsupported dimension {dim}"):
+        halton_block(6, dim)
 
 
 def test_null_replicates_stack_unmatched_pass_streams(monkeypatch):

@@ -58,6 +58,11 @@ COMMANDS = [
     (("fit", "--input", "data.csv", "--kind", "gaussian", "--seed", "1", "--out", "g.json"), set()),
     (("synthesize", "--model", "g.json", "--n", "20", "--tau", "0.2", "--seed", "1", "--out", "s.csv"), set()),
     (
+        ("synthesize", "--model", "g.json", "--rank-match", "--input", "data.csv", "--tau", "0.2", "--seed", "1",
+         "--out", "m.csv"),
+        {"scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.special"},
+    ),
+    (
         ("test-fid", "--input", "data.csv", "--candidate", "s.csv", "--model", "g.json", "--mc", "9",
          "--seed", "1", "--out", "fid.json"),
         set(),

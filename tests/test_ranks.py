@@ -22,6 +22,29 @@ def lsap_rank_map(sample):
     return solve_lsap(rank_cost_matrix(sample, halton_block(n, d)))
 
 
+def fresh_rank_map(sample):
+    """The rank map ``empirical_ranks`` solves for ``sample``, never a cached one."""
+    pai.ranks._solve_rank_map.cache_clear()
+    return empirical_ranks(sample)
+
+
+def distinct_lattice(rng, n, d):
+    """``n`` distinct rows of the centred integer lattice of side ``g``, ``g**d >= 4 * n``."""
+    g = 2
+    while g**d < 4 * n:
+        g += 1
+    cells = rng.choice(g**d, size=n, replace=False)
+    return np.stack(np.unravel_index(cells, (g,) * d), axis=1).astype(np.float64) - g // 2
+
+
+CONTINUOUS_SAMPLES = {
+    "normal": lambda rng, n, d: rng.standard_normal((n, d)),
+    "uniform": lambda rng, n, d: rng.uniform(-1.0, 2.0, size=(n, d)),
+    "student-t": lambda rng, n, d: rng.standard_t(3, size=(n, d)),
+    "lattice": distinct_lattice,
+}
+
+
 def test_univariate_three_point_example():
     # targets for n=3, d=1 are (1/2, 1/4, 3/4); optimal matching is monotone
     ranks = row_ranks(np.array([[3.0], [1.0], [2.0]]))
@@ -47,12 +70,18 @@ def test_univariate_order_consistency(rng):
 
 
 def test_monge_cost_matches_brute_force(rng):
-    for _ in range(30):
-        n = int(rng.integers(1, 7))
-        sample = rng.standard_normal((n, 2))
-        cost = empirical_ranks(sample).total_cost
-        oracle = brute_force_lsap_cost(rank_cost_matrix(sample, halton_block(n, 2)))
-        assert cost == pytest.approx(oracle, abs=1e-12)
+    for _ in range(60):
+        n = int(rng.integers(1, 8))
+        d = int(rng.integers(2, 6))
+        sample = rng.standard_normal((n, d))
+        if rng.uniform() < 0.3:
+            sample = np.round(sample)
+        rank_map = empirical_ranks(sample)
+        costs = rank_cost_matrix(sample, halton_block(n, d))
+        oracle = brute_force_lsap_cost(costs)
+        np.testing.assert_array_equal(np.sort(rank_map.perm), np.arange(n))
+        assert costs[rank_map.perm, np.arange(n)].sum() == pytest.approx(oracle, abs=1e-12)
+        assert rank_map.total_cost == pytest.approx(oracle, abs=1e-12)
 
 
 def test_match_ranks_univariate_example():
@@ -153,3 +182,46 @@ def test_size_guard_fires_before_any_allocation():
         tracemalloc.stop()
     # a Halton block of this shape alone is 1 MB and its cost matrix 2 GB
     assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64, 300, 1024])
+@pytest.mark.parametrize("kind", sorted(CONTINUOUS_SAMPLES))
+def test_warm_started_solve_returns_the_plain_solve(rng, kind, n):
+    for d in range(2, 9):
+        sample = CONTINUOUS_SAMPLES[kind](rng, n, d)
+        assert not pai.ranks._has_repeated_rows(sample)
+        rank_map = fresh_rank_map(sample)
+        oracle = lsap_rank_map(sample)
+        np.testing.assert_array_equal(rank_map.perm, oracle.perm, err_msg=f"d={d}")
+        assert rank_map.total_cost == oracle.total_cost, d
+
+
+def test_repeated_rows_take_the_plain_solve(rng):
+    samples = [rng.integers(0, 3, size=(n, d)).astype(np.float64) for n, d in ((9, 2), (40, 3), (200, 2))]
+    signed_zero = rng.standard_normal((50, 3))
+    signed_zero[[7, 30]] = signed_zero[4]
+    signed_zero[7, 1], signed_zero[30, 1] = 0.0, -0.0
+    samples.append(signed_zero)
+    for sample in samples:
+        assert pai.ranks._has_repeated_rows(sample)
+        rank_map = fresh_rank_map(sample)
+        oracle = lsap_rank_map(sample)
+        np.testing.assert_array_equal(rank_map.perm, oracle.perm)
+        assert rank_map.total_cost == oracle.total_cost
+    distinct = signed_zero.copy()
+    distinct[30, 1] = np.nextafter(0.0, 1.0)
+    assert not pai.ranks._has_repeated_rows(distinct)
+
+
+def test_a_rank_map_solve_holds_one_cost_matrix(rng):
+    n, d = 2000, 8
+    key = rng.standard_normal((n, d)).tobytes()
+    pai.ranks._solve_rank_map.cache_clear()
+    tracemalloc.start()
+    try:
+        pai.ranks._solve_rank_map(key, n, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one n x n float64 cost matrix is 32 MB; the reduction and the matched cost add no second one
+    assert peak < 1.25 * n * n * 8
