@@ -47,10 +47,14 @@ def _validate_costs(costs: np.ndarray) -> np.ndarray:
     costs = np.asarray(costs, dtype=np.float64)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
         raise InputError(f"cost matrix must be square 2-D, got shape {costs.shape}")
-    if costs.size and not np.all(np.isfinite(costs)):
-        raise InputError("cost matrix contains NaN or infinite entries")
-    if costs.size and costs.min() < 0:
-        raise InputError("cost matrix entries must be non-negative")
+    if costs.size:
+        # Two reductions and no n x n temporary: NaN propagates through both,
+        # and an infinite entry shows in one of them.
+        low, high = costs.min(), costs.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise InputError("cost matrix contains NaN or infinite entries")
+        if low < 0:
+            raise InputError("cost matrix entries must be non-negative")
     return costs
 
 

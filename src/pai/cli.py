@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ from .perturb import PerturbationSpec
 from .predict import pai_interval, run_prediction_study, simulate_regression_data
 
 INTERVALS_SCHEMA = "pai-intervals/1"
+# verify-report states the null CDF's DKW band at confidence 1 - DKW_DELTA.
+DKW_DELTA = 0.05
 
 
 class UsageError(Exception):
@@ -244,7 +247,17 @@ def cmd_verify_report(args) -> int:
     report = TestReport.load(args.input)
     if not report.is_consistent():
         raise InputError(f"{args.input}: stored results do not reproduce from the stored draws")
-    print(f"verify: ok ({report.test_name} report reproduces from {report.null_draws.size} draws)")
+    D, p = report.null_draws.size, report.p_value
+    print(f"verify: ok ({report.test_name} report reproduces from {D} draws)")
+    # Precision of the stored result: the Monte Carlo standard error of the
+    # p-value (none without a tested null value), and the DKW/Massart
+    # half-width of the null CDF's uniform band.
+    se_text = "n/a" if p is None else f"{math.sqrt(p * (1.0 - p) / D):.6g}"
+    print(
+        f"precision: Monte Carlo SE of p = {se_text}, "
+        f"DKW half-width of the null CDF = {math.sqrt(math.log(2.0 / DKW_DELTA) / (2.0 * D)):.6g} "
+        f"(delta = {DKW_DELTA}, D = {D})"
+    )
     return 0
 
 

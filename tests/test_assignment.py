@@ -47,14 +47,18 @@ def test_constant_shift_invariance(rng):
 
 
 def test_input_errors():
-    with pytest.raises(InputError):
-        solve_lsap(np.array([[np.nan, 1.0], [1.0, 0.0]]))
-    with pytest.raises(InputError):
-        solve_lsap(np.array([[np.inf, 1.0], [1.0, 0.0]]))
-    with pytest.raises(InputError):
-        solve_lsap(np.array([[-1.0, 1.0], [1.0, 0.0]]))
+    non_finite, negative = "NaN or infinite", "non-negative"
+    for bad, message in ((np.nan, non_finite), (np.inf, non_finite), (-np.inf, non_finite), (-1.0, negative)):
+        with pytest.raises(InputError, match=message):
+            solve_lsap(np.array([[bad, 1.0], [1.0, 0.0]]))
+    # a non-finite entry is reported before a negative one, wherever each sits
+    for costs in ([[np.nan, 1.0], [-1.0, 0.0]], [[-1.0, 1.0], [1.0, np.nan]], [[-1.0, np.inf], [1.0, 0.0]]):
+        with pytest.raises(InputError, match=non_finite):
+            solve_lsap(np.array(costs))
     with pytest.raises(InputError):
         solve_lsap(np.zeros((2, 3)))
+    # -0.0 is not negative
+    assert solve_lsap(np.array([[-0.0, 1.0], [1.0, -0.0]])).total_cost == 0.0
 
 
 def test_rank_cost_matrix_examples():

@@ -360,6 +360,42 @@ def test_valid_report_documents_verify(tmp_path, schema):
     assert run("verify-report", "--input", path) == 0
 
 
+@pytest.mark.parametrize(
+    "schema, edit, expected",
+    [
+        # upper tail, plus-one: p = (1 + #{draws >= 3.5}) / (4 + 1) = 0.4;
+        # sqrt(0.4 * 0.6 / 4) = 0.244949, sqrt(log(2 / 0.05) / 8) = 0.679051
+        (
+            "pai-report/1",
+            {"null_draws": [1.0, 2.0, 3.0, 4.0], "statistic": 3.5, "sidedness": "upper", "p_value": 0.4},
+            "precision: Monte Carlo SE of p = 0.244949, "
+            "DKW half-width of the null CDF = 0.679051 (delta = 0.05, D = 4)",
+        ),
+        # stored p = 0.4 from D = 9 draws: sqrt(0.4 * 0.6 / 9) = 0.163299,
+        # sqrt(log(2 / 0.05) / 18) = 0.452701
+        (
+            "pai-pivotal/1",
+            {},
+            "precision: Monte Carlo SE of p = 0.163299, "
+            "DKW half-width of the null CDF = 0.452701 (delta = 0.05, D = 9)",
+        ),
+        # an interval with no tested null value has no p-value
+        (
+            "pai-pivotal/1",
+            {"statistic": None, "p_value": None},
+            "precision: Monte Carlo SE of p = n/a, "
+            "DKW half-width of the null CDF = 0.452701 (delta = 0.05, D = 9)",
+        ),
+    ],
+)
+def test_verify_report_prints_precision(tmp_path, capsys, schema, edit, expected):
+    doc = {**REPORT_DOCUMENTS[schema], **edit}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify-report", "--input", path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == expected
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
 def test_malformed_report_exit_code(tmp_path, capsys, case):
     schema, mutate = MALFORMED_REPORTS[case]

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,105 @@ def test_feature_null_memory_does_not_grow_with_D(rng):
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2**20
+
+
+def _statistic_inputs(rng, batch, n=40, p=3):
+    train_X, inf_X = rng.standard_normal((2,) + batch + (n, p))
+    train_y = (rng.random(batch + (n,)) < 1.0 / (1.0 + np.exp(-train_X[..., 0]))).astype(float)
+    inf_y = (rng.random(batch + (n,)) < 1.0 / (1.0 + np.exp(-inf_X[..., 0]))).astype(float)
+    return train_X, train_y, inf_X, inf_y
+
+
+def _record_fit_threads(monkeypatch):
+    """Patch the learner to record ``(X, y, w, on the main thread)`` per fit."""
+    fits = []
+    fit = inference._fit_logistic
+
+    def recording_fit(X, y):
+        w = fit(X, y)
+        fits.append((X, y, w, threading.current_thread() is threading.main_thread()))
+        return w
+
+    monkeypatch.setattr(inference, "_fit_logistic", recording_fit)
+    return fits
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (5,)])
+@pytest.mark.parametrize("mask", [[1], [0, 2]])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_threaded_fits_match_serial_fits(monkeypatch, rng, batch, mask, degenerate):
+    mask = np.array(mask)
+    train_X, train_y, inf_X, inf_y = _statistic_inputs(rng, batch)
+    if degenerate:  # all-zero masked columns: both fits coincide, every loss difference is 0
+        train_X[..., mask] = 0.0
+        inf_X[..., mask] = 0.0
+    fit = inference._fit_logistic
+    fits = _record_fit_threads(monkeypatch)
+    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
+    T, flags = inference._risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
+    assert sorted(on_main for *_, on_main in fits) == [False, True]
+    for X, y, w, _ in fits:
+        assert w.shape == batch + (X.shape[-1],)
+        assert np.array_equal(fit(X, y), w)
+
+    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", math.inf)
+    T_serial, flags_serial = inference._risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
+    assert [on_main for *_, on_main in fits[2:]] == [True, True]
+    assert T.shape == batch
+    assert np.all(T == T_serial)
+    assert np.array_equal(flags, flags_serial)
+    assert np.all(flags) == degenerate
+    if degenerate:
+        assert np.all(T == 0.0)
+
+
+@pytest.mark.parametrize("batch, threaded", [((), False), ((16,), True)])
+def test_only_large_fits_use_a_second_thread(monkeypatch, rng, batch, threaded):
+    # one observed (150, 3) sample is fitted on the calling thread; a chunk
+    # of 16 such replicates is large enough to gain from a second thread
+    fits = _record_fit_threads(monkeypatch)
+    inference._risk_difference_statistic(*_statistic_inputs(rng, batch, n=150), np.array([1]))
+    assert sorted(on_main for *_, on_main in fits) == [not threaded, True]
+
+
+def test_masked_fit_failure_propagates_and_leaves_no_thread(monkeypatch, rng):
+    X, y = _logistic_data(rng, 120)
+    model = fit_gaussian(np.column_stack((y, X)))
+    fit = inference._fit_logistic
+
+    def failing_fit(X, y):
+        if np.all(X[..., 1] == 0.0):  # the masked fit: feature 1 zeroed
+            raise FloatingPointError("masked fit failed")
+        return fit(X, y)
+
+    monkeypatch.setattr(inference, "_fit_logistic", failing_fit)
+    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="masked fit failed"):
+        feature_test((X[:60], y[:60]), (X[60:], y[60:]), [1], model, D=5, cfg=PassConfig(mc_seed=3))
+    assert threading.active_count() == before
+
+
+def test_only_the_logistic_fit_leaves_the_calling_thread(monkeypatch, rng):
+    # The benchmark tracer keeps one span stack for the whole process, so its
+    # spans must nest on one thread: a traced pai function entered on a worker
+    # thread would interleave with the caller's spans. Only the untraced
+    # learner may run off the calling thread.
+    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
+    X, y = _logistic_data(rng, 120)
+    model = fit_gaussian(np.column_stack((y, X)))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("pai"):
+            entered.add(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        feature_test((X[:60], y[:60]), (X[60:], y[60:]), [1], model, D=5, cfg=PassConfig(mc_seed=3))
+    finally:
+        threading.setprofile(None)
+    assert entered == {"_fit_logistic"}
 
 
 def test_feature_errors(rng):
