@@ -28,14 +28,13 @@ document (``pai-report/1`` or ``pai-pivotal/1``) and ``TestReport.load``
 reads either, turning any malformed document into :class:`InputError`.
 
 The feature statistic fits two classifiers per chunk, one on all features and
-one with the masked features zeroed. They do not depend on each other, so on
-a large enough chunk the masked fit runs on a worker thread while the calling
-thread runs the full fit; numpy's ``einsum`` and scipy's ``expit`` release the
-GIL at those sizes, so on two cores the fits overlap. A small chunk, such as
-the observed data, is fitted on the calling thread alone. Each fit runs the
-same numpy calls on the same read-only arrays whichever thread runs it, so
-weights and statistics have the same bits either way. Nothing else leaves the
-calling thread, and the worker is joined before the statistic returns.
+one with the masked features zeroed. They do not depend on each other, so the
+masked fit runs on a worker thread while the calling thread runs the full fit;
+numpy's ``einsum`` and scipy's ``expit`` release the GIL, so on two cores the
+fits overlap. Each fit runs the same numpy calls on the same read-only arrays
+whichever thread runs it, so weights and statistics have the same bits as two
+fits in a row. Nothing else leaves the calling thread, and the worker is
+joined before the statistic returns.
 """
 
 from __future__ import annotations
@@ -62,11 +61,6 @@ _LOGISTIC_ITERATIONS = 500
 _LOGISTIC_STEP = 0.1
 # Synthesized label columns are continuous; they are binarized here.
 _LABEL_THRESHOLD = 0.5
-# Design matrices (intercept included) below this many values are fitted on
-# the calling thread alone: there the two threads' hand-offs of the GIL cost
-# more than the overlap saves (on a 2-core VM the threaded pair loses up to
-# (8, 150, 4), breaks even near (12, 150, 4) and wins from (16, 150, 4) on).
-_THREADED_FIT_VALUES = 2**13
 
 
 def _number(value) -> float:
@@ -298,11 +292,10 @@ def _risk_difference_statistic(
     paired loss differences (then ``T = 0`` by convention). Broadcasts over
     leading batch axes.
 
-    From ``_THREADED_FIT_VALUES`` design-matrix values on, the masked fit
-    runs on one worker thread while this thread runs the full fit, and both
-    are joined before the losses; the result has the same bits as two fits
-    in a row (see the module docstring). An exception in either fit
-    propagates from here once the worker has finished.
+    The masked fit runs on one worker thread while this thread runs the
+    full fit, and both are joined before the losses; the result has the same
+    bits as two fits in a row (see the module docstring). An exception in
+    either fit propagates from here once the worker has finished.
     """
     mu, sd = _standardize(train_X)
     Xt = (train_X - mu) / sd
@@ -311,16 +304,12 @@ def _risk_difference_statistic(
     Xt_masked[..., mask] = 0.0
     Xi_masked = Xi.copy()
     Xi_masked[..., mask] = 0.0
-    design, design_masked = _with_intercept(Xt), _with_intercept(Xt_masked)
-    if design.size < _THREADED_FIT_VALUES:
-        w_full, w_masked = _fit_logistic(design, train_y), _fit_logistic(design_masked, train_y)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            masked_fit = pool.submit(_fit_logistic, design_masked, train_y)
-            w_full = _fit_logistic(design, train_y)
-            w_masked = masked_fit.result()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        masked_fit = pool.submit(_fit_logistic, _with_intercept(Xt_masked), train_y)
+        w_full = _fit_logistic(_with_intercept(Xt), train_y)
+        w_masked = masked_fit.result()
     loss_full = _log_loss(_with_intercept(Xi), inf_y, w_full)
     loss_masked = _log_loss(_with_intercept(Xi_masked), inf_y, w_masked)
     diffs = loss_full - loss_masked

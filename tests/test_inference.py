@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import threading
@@ -151,10 +152,10 @@ def test_feature_null_memory_does_not_grow_with_D(rng):
     assert peak < 30 * 2**20
 
 
-def _statistic_inputs(rng, batch, n=40, p=3):
-    train_X, inf_X = rng.standard_normal((2,) + batch + (n, p))
-    train_y = (rng.random(batch + (n,)) < 1.0 / (1.0 + np.exp(-train_X[..., 0]))).astype(float)
-    inf_y = (rng.random(batch + (n,)) < 1.0 / (1.0 + np.exp(-inf_X[..., 0]))).astype(float)
+def _statistic_inputs(rng, batch):
+    train_X, inf_X = rng.standard_normal((2,) + batch + (40, 3))
+    train_y = (rng.random(batch + (40,)) < 1.0 / (1.0 + np.exp(-train_X[..., 0]))).astype(float)
+    inf_y = (rng.random(batch + (40,)) < 1.0 / (1.0 + np.exp(-inf_X[..., 0]))).astype(float)
     return train_X, train_y, inf_X, inf_y
 
 
@@ -172,6 +173,24 @@ def _record_fit_threads(monkeypatch):
     return fits
 
 
+class _SerialExecutor:
+    """Stand-in for ``ThreadPoolExecutor`` that runs each task at submission."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
 @pytest.mark.parametrize("batch", [(), (1,), (5,)])
 @pytest.mark.parametrize("mask", [[1], [0, 2]])
 @pytest.mark.parametrize("degenerate", [False, True])
@@ -183,14 +202,13 @@ def test_threaded_fits_match_serial_fits(monkeypatch, rng, batch, mask, degenera
         inf_X[..., mask] = 0.0
     fit = inference._fit_logistic
     fits = _record_fit_threads(monkeypatch)
-    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
     T, flags = inference._risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     assert sorted(on_main for *_, on_main in fits) == [False, True]
     for X, y, w, _ in fits:
         assert w.shape == batch + (X.shape[-1],)
         assert np.array_equal(fit(X, y), w)
 
-    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", math.inf)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SerialExecutor)
     T_serial, flags_serial = inference._risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
     assert [on_main for *_, on_main in fits[2:]] == [True, True]
     assert T.shape == batch
@@ -199,15 +217,6 @@ def test_threaded_fits_match_serial_fits(monkeypatch, rng, batch, mask, degenera
     assert np.all(flags) == degenerate
     if degenerate:
         assert np.all(T == 0.0)
-
-
-@pytest.mark.parametrize("batch, threaded", [((), False), ((16,), True)])
-def test_only_large_fits_use_a_second_thread(monkeypatch, rng, batch, threaded):
-    # one observed (150, 3) sample is fitted on the calling thread; a chunk
-    # of 16 such replicates is large enough to gain from a second thread
-    fits = _record_fit_threads(monkeypatch)
-    inference._risk_difference_statistic(*_statistic_inputs(rng, batch, n=150), np.array([1]))
-    assert sorted(on_main for *_, on_main in fits) == [not threaded, True]
 
 
 def test_masked_fit_failure_propagates_and_leaves_no_thread(monkeypatch, rng):
@@ -221,7 +230,6 @@ def test_masked_fit_failure_propagates_and_leaves_no_thread(monkeypatch, rng):
         return fit(X, y)
 
     monkeypatch.setattr(inference, "_fit_logistic", failing_fit)
-    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="masked fit failed"):
         feature_test((X[:60], y[:60]), (X[60:], y[60:]), [1], model, D=5, cfg=PassConfig(mc_seed=3))
@@ -233,7 +241,6 @@ def test_only_the_logistic_fit_leaves_the_calling_thread(monkeypatch, rng):
     # spans must nest on one thread: a traced pai function entered on a worker
     # thread would interleave with the caller's spans. Only the untraced
     # learner may run off the calling thread.
-    monkeypatch.setattr(inference, "_THREADED_FIT_VALUES", 0)
     X, y = _logistic_data(rng, 120)
     model = fit_gaussian(np.column_stack((y, X)))
     entered = set()
