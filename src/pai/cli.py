@@ -11,6 +11,9 @@ CSV conventions: headerless by default (``--header`` skips one line); in
 labeled/joint files column 0 is the response or binary label and the
 remaining columns are features.
 
+The argument parser is built once per process and reused by every
+:func:`main` call.
+
 Exit codes: 0 success, 2 usage error, 3 data error (including an input file
 that cannot be read, an output file that cannot be written and a size that
 cannot be allocated), 4 numeric error.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -282,7 +286,13 @@ def _add_test_flags(sub, sided=True):
         sub.add_argument("--sided", choices=sorted(s.value for s in Sidedness), default="two")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it).
+
+    Each subcommand ``name`` runs the module's ``cmd_<name>`` handler (dashes
+    become underscores), looked up when :func:`main` calls it.
+    """
     parser = argparse.ArgumentParser(
         prog="pai",
         description="Synthetic-sample Monte Carlo inference over CSV files.",
@@ -293,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--input", required=True)
     sub.add_argument("--kind", choices=KINDS, default="gaussian")
     _add_common(sub)
-    sub.set_defaults(func=cmd_fit)
 
     sub = commands.add_parser("synthesize", help="draw one synthetic sample from a model")
     sub.add_argument("--model", required=True)
@@ -302,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rank-match", action="store_true")
     sub.add_argument("--replicate", type=int, default=0, help="replicate stream index (default 0)")
     _add_common(sub, tau=True)
-    sub.set_defaults(func=cmd_synthesize)
 
     sub = commands.add_parser("test-fid", help="distribution test of candidate vs reference")
     sub.add_argument("--input", required=True, help="reference sample CSV")
@@ -310,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True)
     _add_common(sub, tau=True, mc=True)
     _add_test_flags(sub)
-    sub.set_defaults(func=cmd_test_fid)
 
     sub = commands.add_parser("test-feature", help="feature-significance test (label column 0)")
     sub.add_argument("--input", required=True, help="train CSV: label, features...")
@@ -319,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mask", required=True, help="comma-separated feature indices to mask")
     _add_common(sub, tau=True, mc=True)
     _add_test_flags(sub, sided=False)
-    sub.set_defaults(func=cmd_test_feature)
 
     sub = commands.add_parser("test-coherence", help="two-condition coherence test")
     sub.add_argument("--input", required=True, help="group 1 CSV")
@@ -328,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model2", help="condition 2 generator (default: same as --model)")
     _add_common(sub, tau=True, mc=True)
     _add_test_flags(sub, sided=False)
-    sub.set_defaults(func=cmd_test_coherence)
 
     sub = commands.add_parser("test-pivotal", help="pivotal mean inference on a 1-column CSV")
     sub.add_argument("--input", required=True)
@@ -336,18 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--sigma", type=float, help="known scale (switches to the known-scale pivot)")
     _add_common(sub, tau=True, mc=True, alpha=True)
     _add_test_flags(sub)
-    sub.set_defaults(func=cmd_test_pivotal)
 
     sub = commands.add_parser("simulate", help="simulate the benchmark regression dataset")
     sub.add_argument("--n", type=int, required=True)
     _add_common(sub, header=False)
-    sub.set_defaults(func=cmd_simulate)
 
     sub = commands.add_parser("predict", help="Monte Carlo prediction intervals at given points")
     sub.add_argument("--model", required=True, help="joint model over (response, features)")
     sub.add_argument("--input", required=True, help="CSV of feature rows")
     _add_common(sub, tau=True, mc=True, alpha=True)
-    sub.set_defaults(func=cmd_predict)
 
     sub = commands.add_parser("coverage", help="end-to-end interval coverage study")
     sub.add_argument("--n", type=int, default=3200, help="total simulated rows (default 3200)")
@@ -357,24 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tau", type=float, default=0.0)
     sub.add_argument("--alpha", type=float, default=0.05)
     _add_common(sub, header=False)
-    sub.set_defaults(func=cmd_coverage)
 
     sub = commands.add_parser("verify-report", help="recompute a stored report's p-value/interval")
     sub.add_argument("--input", required=True)
-    sub.set_defaults(func=cmd_verify_report)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else int(code)
     try:
-        return int(args.func(args) or 0)
+        # Looked up per call, so a handler replaced on this module is the one that runs.
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return int(handler(args) or 0)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

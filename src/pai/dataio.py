@@ -1,11 +1,19 @@
 """The file boundary: reading and writing CSV matrices and JSON documents.
 
 CSV files are headerless by default (``header=True`` skips one line), one
-row of comma-separated finite decimal numbers per sample. Parse failures
-and non-finite fields (``nan``, ``inf``) name the line and column. Output
-uses ``%.17g`` so round-tripping is exact and repeated runs are
-byte-identical. Every read turns a missing, unreadable or non-UTF-8 file
-into :class:`InputError`.
+row of comma-separated finite decimal numbers per sample; blank lines are
+skipped. The non-blank lines are parsed by numpy's C reader
+(``np.loadtxt``), which converts each field with the same correctly rounded
+conversion as ``float()``. When it refuses a line or returns a non-finite
+entry, a per-field loop of ``float()`` calls parses the file again: it
+raises the :class:`InputError` that names the line and column of a field
+that cannot be parsed or is not finite (``nan``, ``inf``), and it accepts
+the few spellings that only ``float()`` reads (``1_0``, non-ASCII digits).
+Output uses ``%.17g`` so round-tripping is exact and repeated runs are
+byte-identical; rows are formatted and written in blocks of at most
+``2**17`` values, so the text held at once does not grow with the matrix.
+Every read turns a missing, unreadable or non-UTF-8 file into
+:class:`InputError`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ import os
 import numpy as np
 
 from .errors import InputError
+
+# Values formatted per write of write_matrix. This equals the package's
+# chunk bound (generators._CHUNK_VALUES) but is its own constant, because
+# generators imports this module.
+_WRITE_BLOCK_VALUES = 2**17
 
 
 def read_text(path: str | os.PathLike) -> str:
@@ -44,6 +57,21 @@ def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:
     """Read an ``n x d`` matrix of reals from a CSV file."""
     lines = read_text(path).splitlines()
     start = 1 if header else 0
+    rows = [line for line in lines[start:] if line.strip()]
+    if rows:
+        try:
+            # comments=None: the default "#" would cut "1,2#x" short instead of refusing it
+            matrix = np.loadtxt(rows, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(matrix).all():
+                return matrix
+    return _parse_fields(path, lines, start)
+
+
+def _parse_fields(path: str | os.PathLike, lines: list[str], start: int) -> np.ndarray:
+    """The matrix of ``lines[start:]``, one ``float()`` per field; errors name the line and column."""
     rows: list[list[float]] = []
     width = None
     for line_no, line in enumerate(lines[start:], start=start + 1):
@@ -88,11 +116,16 @@ def write_json(path: str | os.PathLike, payload: dict) -> None:
 
 
 def write_matrix(path: str | os.PathLike, matrix: np.ndarray) -> None:
-    """Write a matrix as headerless CSV with exact float formatting."""
+    """Write a matrix as headerless CSV with exact float formatting.
+
+    One ``%.17g`` row format is applied to the rows of each block of at most
+    ``_WRITE_BLOCK_VALUES`` values, and each block is one ``write``.
+    """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
+    row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    per_block = max(1, _WRITE_BLOCK_VALUES // max(1, matrix.shape[1]))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for row in matrix:
-            handle.write(",".join(f"{v:.17g}" for v in row))
-            handle.write("\n")
+        for start in range(0, matrix.shape[0], per_block):
+            handle.write("".join([row_format % tuple(row) for row in matrix[start : start + per_block].tolist()]))

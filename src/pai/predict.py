@@ -14,7 +14,9 @@ estimate, whose normalized deviations on a calibration split give the
 distribution-free half-width multiplier.
 
 Every prediction function takes a ``(points, dim - 1)`` block of feature points
-(a 1-D point is one row) and holds at most ``2**17`` draws or distances at once.
+(a 1-D point is one row) and holds at most ``2**17`` draws or distances per
+chunk. The k-NN search of the baseline runs two chunks of distances at
+once, one on a worker thread.
 
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
@@ -175,19 +177,39 @@ class ConformalModel:
     qhat: float
 
 
+def _knn_chunks(queries: np.ndarray, table: np.ndarray, k: int, idx: np.ndarray, chunks: list[slice]) -> None:
+    """Fill ``idx[chunk]`` with the ``k`` nearest table rows to ``queries[chunk]``, chunk by chunk."""
+    from scipy.spatial.distance import cdist
+
+    for chunk in chunks:
+        # Bound to a name, the previous chunk's distances live until the next
+        # ones exist, so the allocator reuses their pages instead of returning
+        # them to the system and faulting them back in.
+        distances = cdist(queries[chunk], table)
+        idx[chunk] = np.argpartition(distances, kth=k - 1, axis=1)[:, :k]
+
+
 def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     """Row ``i`` holds the table indices of the ``k`` nearest rows to ``queries[i]``.
 
     Queries go in chunks of ``max(1, 2**17 // len(table))``; each chunk's ``k``
     columns are copied out, as a slice would keep its whole ``argpartition``.
+    The odd chunks run on one worker thread while this thread runs the even
+    ones, so two chunks of distances are in flight at once; ``cdist`` and
+    ``argpartition`` release the GIL. A row's indices do not depend on the
+    chunk that holds it, so the result is that of the chunks in a row. An
+    exception in either thread propagates from here once the worker has
+    finished.
     """
-    from scipy.spatial.distance import cdist
+    from concurrent.futures import ThreadPoolExecutor
 
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
     per_chunk = max(1, _CHUNK_VALUES // table.shape[0])
-    for start in range(0, queries.shape[0], per_chunk):
-        distances = cdist(queries[start : start + per_chunk], table)
-        idx[start : start + per_chunk] = np.argpartition(distances, kth=k - 1, axis=1)[:, :k]
+    chunks = [slice(start, start + per_chunk) for start in range(0, queries.shape[0], per_chunk)]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        odd = pool.submit(_knn_chunks, queries, table, k, idx, chunks[1::2])
+        _knn_chunks(queries, table, k, idx, chunks[::2])
+        odd.result()
     return idx
 
 

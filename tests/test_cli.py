@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from pai import PassConfig, dataio, gaussian_from_params, generators, pivotal_inference, save_model
+from pai import PassConfig, cli, dataio, gaussian_from_params, generators, pivotal_inference, save_model
 from pai import test_two_sample_fid as fid_test
-from pai.cli import main
+from pai.cli import build_parser, main
 
 
 def run(*argv):
@@ -312,6 +312,28 @@ def test_usage_errors_exit_2():
     assert run("synthesize") == 2  # missing required flags
     assert run("unknown-command") == 2
     assert run() == 2
+
+
+def test_the_parser_is_built_once_per_process(tmp_path):
+    build_parser.cache_clear()
+    assert run("simulate", "--n", 5, "--seed", 1, "--out", tmp_path / "a.csv") == 0
+    assert run("simulate", "--n", 5, "--seed", 2, "--out", tmp_path / "b.csv") == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_a_handler_replaced_after_the_first_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    assert run("simulate", "--n", 5, "--seed", 1, "--out", tmp_path / "a.csv") == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.n) or 0)
+    assert run("simulate", "--n", 6, "--seed", 1, "--out", tmp_path / "b.csv") == 0
+    assert seen == [6] and not (tmp_path / "b.csv").exists()
+
+
+def test_a_usage_error_leaves_the_shared_parser_usable(tmp_path):
+    assert run("simulate", "--seed", 1, "--out", tmp_path / "a.csv") == 2  # --n missing
+    assert run("simulate", "--n", 5, "--seed", 1, "--out", tmp_path / "a.csv") == 0
+    assert dataio.read_matrix(tmp_path / "a.csv").shape == (5, 8)
 
 
 def _report_documents():

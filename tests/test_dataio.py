@@ -1,6 +1,14 @@
-import pytest
+import tempfile
+import tracemalloc
+from pathlib import Path
 
-from pai import dataio
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from pai import InputError, dataio
 
 
 def test_write_json_bytes_are_sorted_and_newline_terminated(tmp_path):
@@ -14,3 +22,97 @@ def test_write_json_of_an_unserialisable_payload_creates_no_file(tmp_path):
     with pytest.raises(TypeError):
         dataio.write_json(path, {"schema": "pai-report/1", "value": object()})
     assert not path.exists()
+
+
+# Finite float64 values from their bit patterns, plus the edge values named
+# outright: signed zeros, the smallest subnormal and the largest finite values.
+FINITE_BITS = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+    FINITE_BITS.filter(np.isfinite),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(matrix=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6), elements=FINITE))
+def test_written_matrices_read_back_bit_for_bit(matrix):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "m.csv"
+        dataio.write_matrix(path, matrix)
+        back = dataio.read_matrix(path)
+    assert back.dtype == np.float64 and back.shape == matrix.shape
+    assert back.view(np.uint64).tolist() == matrix.view(np.uint64).tolist()
+
+
+# (file text, header, the matrix or the InputError message after "<path>: ")
+READ_CASES = [
+    ("x,y\n1,2\n", True, [[1.0, 2.0]]),
+    ("1,2\n\n3,4\n\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\n \t \n3,4\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    ("1,2\r\n3,4\r\n", False, [[1.0, 2.0], [3.0, 4.0]]),
+    (" 1.5 ,2\n", False, [[1.5, 2.0]]),
+    ("1_0,2\n", False, [[10.0, 2.0]]),
+    ("١,2\n", False, [[1.0, 2.0]]),
+    ("-0,5e-324\n", False, [[-0.0, 5e-324]]),
+    ("1,2\nnan,4\n", False, "line 2, column 1: non-finite value 'nan'"),
+    ("1,inf\n", False, "line 1, column 2: non-finite value 'inf'"),
+    ("1,-inf\n", False, "line 1, column 2: non-finite value '-inf'"),
+    ("1e400,2\n", False, "line 1, column 1: non-finite value '1e400'"),
+    ("1,,2\n", False, "line 1, column 2: cannot parse ''"),
+    ("1,2,\n", False, "line 1, column 3: cannot parse ''"),
+    ("1,2\n3\n", False, "line 2 has 1 fields, expected 2"),
+    ("1,2#x\n", False, "line 1, column 2: cannot parse '2#x'"),
+    ("#,2\n", False, "line 1, column 1: cannot parse '#'"),
+    ('"1",2\n', False, "line 1, column 1: cannot parse '\"1\"'"),
+    ("x,y\n1,2\n3,zzz\n", True, "line 3, column 2: cannot parse 'zzz'"),
+    ("", False, "no data rows"),
+    ("x,y\n\n", True, "no data rows"),
+]
+
+
+@pytest.mark.parametrize("text, header, expected", READ_CASES)
+def test_read_matrix_agrees_with_the_per_field_loop(tmp_path, text, header, expected):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines = text.splitlines()
+    if isinstance(expected, str):
+        with pytest.raises(InputError) as caught:
+            dataio.read_matrix(path, header)
+        assert str(caught.value) == f"{path}: {expected}"
+        with pytest.raises(InputError) as loop:
+            dataio._parse_fields(path, lines, int(header))
+        assert str(loop.value) == str(caught.value)
+    else:
+        matrix = dataio.read_matrix(path, header)
+        loop = dataio._parse_fields(path, lines, int(header))
+        assert matrix.dtype == np.float64 and matrix.shape == loop.shape
+        assert matrix.view(np.uint64).tolist() == loop.view(np.uint64).tolist()
+        assert matrix.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+def _reference_csv(matrix):
+    return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in matrix.reshape(len(matrix), -1))
+
+
+@pytest.mark.parametrize(
+    "shape", [(dataio._WRITE_BLOCK_VALUES // 8 + 1, 8), (dataio._WRITE_BLOCK_VALUES + 1,)], ids=["matrix", "vector"]
+)
+def test_write_matrix_bytes_match_per_value_formatting(tmp_path, shape):
+    matrix = np.random.default_rng(3).standard_normal(shape) * 10.0 ** np.random.default_rng(4).integers(-320, 307, shape)
+    matrix.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    path = tmp_path / "m.csv"
+    dataio.write_matrix(path, matrix)
+    assert path.read_bytes() == _reference_csv(matrix).encode("ascii")
+
+
+def test_write_matrix_memory_does_not_grow_with_the_matrix(tmp_path):
+    # formatting the whole (200000, 8) matrix at once would hold about 50 MB
+    # of Python floats; one block of 2**17 values holds a few MB
+    matrix = np.random.default_rng(5).standard_normal((200_000, 8))
+    tracemalloc.start()
+    try:
+        dataio.write_matrix(tmp_path / "big.csv", matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

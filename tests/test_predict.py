@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -359,6 +360,58 @@ def test_knn_indices_do_not_depend_on_the_chunk_budget(monkeypatch):
         idx = _knn_indices(queries, table, k)
         assert idx.dtype == np.intp and idx.flags.owndata
         assert np.array_equal(idx, expected)
+
+
+@pytest.mark.parametrize("n_queries", [0, 1, 3, 9, 12])  # none, one, one chunk, 3 and 4 chunks
+def test_threaded_knn_indices_equal_the_serial_chunk_loop(monkeypatch, n_queries):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(57)
+    queries, table, k = rng.random((n_queries, 3)), rng.random((50, 3)), 4
+    monkeypatch.setattr(predict, "_CHUNK_VALUES", 3 * 50)
+    expected = np.empty((n_queries, k), dtype=np.intp)
+    for start in range(0, n_queries, 3):
+        chunk = cdist(queries[start : start + 3], table)
+        expected[start : start + 3] = np.argpartition(chunk, kth=k - 1, axis=1)[:, :k]
+    assert np.array_equal(_knn_indices(queries, table, k), expected)
+
+
+def test_an_error_in_the_knn_worker_propagates_and_the_worker_ends(monkeypatch):
+    import scipy.spatial.distance
+
+    cdist = scipy.spatial.distance.cdist
+
+    def failing_cdist(a, b):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker cdist failed")
+        return cdist(a, b)
+
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", failing_cdist)
+    monkeypatch.setattr(predict, "_CHUNK_VALUES", 3 * 50)
+    rng = np.random.default_rng(58)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker cdist failed"):
+        _knn_indices(rng.random((9, 3)), rng.random((50, 3)), 4)
+    assert threading.active_count() == before
+
+
+def test_only_the_knn_chunk_helper_leaves_the_calling_thread():
+    # The benchmark tracer keeps one span stack for the whole process, so a
+    # traced pai function entered on a worker thread would interleave with
+    # the caller's spans. Only the untraced chunk helper may run off it.
+    X, y = simulate_regression_data(600, seed=59)
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("pai"):
+            entered.add(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        conformal_fit((X, y), 0.2, 0.05, k=25, seed=60)
+    finally:
+        threading.setprofile(None)
+    assert entered == {"_knn_chunks"}
 
 
 def test_conformal_fit_memory_is_bounded():
