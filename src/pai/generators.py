@@ -113,6 +113,18 @@ def _validate_matrix(
     return data
 
 
+def _require_finite(fit: str, **fitted: np.ndarray) -> None:
+    """Raise ``NumericError`` for a fitted parameter that overflowed float64.
+
+    Finite data can still overflow a fit (squares of entries near 1e155 and
+    beyond, spans near 1e308); a model written with such a parameter could
+    not be loaded.
+    """
+    for name, value in fitted.items():
+        if not np.isfinite(value).all():
+            raise NumericError(f"{fit} is not finite: its {name} overflows float64")
+
+
 def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """Means and sd of coordinate 0 of a Gaussian given the others, at each row of ``rhs``.
 
@@ -190,16 +202,70 @@ class Marginal:
     ``ps[-1] = 1``; the end knots sit one interquartile range beyond the
     observed extremes, so the quantile function maps [0, 1] onto a bounded
     interval.
+
+    ``quantile`` is ``np.interp(p, ps, xs)``, bit for bit. A sample without
+    ties has the plotting-position grid ``ps = 0, (k - 0.5) / n for
+    k = 1..n, 1`` (Hazen, type 5), and on that grid the segment of each
+    ``p`` in [0, 1] is ``floor(p * n + 0.5)``, off by at most one and
+    corrected by one comparison each way, in place of ``np.interp``'s binary
+    search per value. The value is then numpy's own formula
+    ``slope[j] * (p - ps[j]) + xs[j]`` with numpy's slopes
+    ``diff(xs) / diff(ps)``; at a knot it is ``xs[j]``, as ``np.interp``
+    returns there, and the slope appended for ``p = 1`` is 0. The grid is
+    recognized at construction, so fitted and loaded marginals both use it;
+    a tied grid, non-finite slopes, a ``-0.0`` knot (where ``0 + xs[j]``
+    would lose the sign) and any ``p`` outside [0, 1] or NaN take
+    ``np.interp``. ``cdf`` always does: its knots ``xs`` are not uniform.
     """
 
     xs: np.ndarray
     ps: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Not a dataclass field: equality, repr and the model file see only xs and ps.
+        object.__setattr__(self, "_slopes", _plotting_slopes(self.xs, self.ps))
+
     def cdf(self, x: np.ndarray) -> np.ndarray:
         return np.interp(x, self.xs, self.ps)
 
     def quantile(self, p: np.ndarray) -> np.ndarray:
-        return np.interp(p, self.ps, self.xs)
+        p = np.asarray(p, dtype=np.float64)
+        slopes, ps, xs = self._slopes, self.ps, self.xs
+        if slopes is None or p.size == 0 or not (0.0 <= p.min() and p.max() <= 1.0):
+            return np.interp(p, ps, xs)
+        # In place: one float and one index array of p's size, plus one gather at a time.
+        out = np.multiply(p, ps.shape[0] - 2, out=np.empty_like(p))
+        out += 0.5
+        j = out.astype(np.intp)
+        j -= ps[j] > p
+        j += ps[1:][j] <= p
+        np.subtract(p, ps[j], out=out)
+        out *= slopes[j]
+        out += xs[j]
+        return out
+
+
+def _plotting_slopes(xs: np.ndarray, ps: np.ndarray) -> np.ndarray | None:
+    """``np.interp``'s segment slopes plus a 0 for ``p = 1``, on a plotting-position grid.
+
+    ``None`` unless ``ps`` is exactly ``0, (k - 0.5) / n for k = 1..n, 1``
+    (the expression :func:`_fit_marginal` uses, which a JSON round trip
+    keeps), every slope is finite and no knot of ``xs`` is ``-0.0``.
+    """
+    n = ps.shape[0] - 2
+    if (
+        n < 1
+        or ps[0] != 0.0
+        or ps[-1] != 1.0
+        or not np.array_equal(ps[1:-1], (np.arange(1, n + 1) - 0.5) / n)
+        or np.signbit(xs[xs == 0.0]).any()
+    ):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.diff(xs) / np.diff(ps)
+    if not np.isfinite(slopes).all():
+        return None
+    return np.append(slopes, 0.0)
 
 
 def _fit_marginal(column: np.ndarray, col_index: int) -> Marginal:
@@ -217,6 +283,7 @@ def _fit_marginal(column: np.ndarray, col_index: int) -> Marginal:
     if span <= 0:
         span = float(order[-1] - order[0])
     xs = np.concatenate(([unique_x[0] - span], unique_x, [unique_x[-1] + span]))
+    _require_finite(f"marginal of column {col_index}", grid=xs)
     p_full = np.concatenate(([0.0], unique_p, [1.0]))
     xs.setflags(write=False)
     p_full.setflags(write=False)
@@ -429,6 +496,7 @@ def fit_gaussian(holdout: np.ndarray) -> GaussianTransport:
     mean = holdout.mean(axis=0)
     centered = holdout - mean
     cov = centered.T @ centered / (n - 1)
+    _require_finite("gaussian fit", covariance=cov)
     trace = float(np.trace(cov))
     bump = _RIDGE * (trace / d) if trace > 0 else _RIDGE
     cov = cov + bump * np.eye(d)
@@ -538,6 +606,7 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
     y, X = holdout[:, 0], holdout[:, 1:]
     x_mean = X.mean(axis=0)
     x_sd = X.std(axis=0)
+    _require_finite("location-scale fit", x_mean=x_mean, x_sd=x_sd)
     constant = np.flatnonzero(np.concatenate(([np.ptp(y)], x_sd)) == 0)
     if constant.size:
         raise InputError(f"column {int(constant[0])} is constant; cannot fit a location-scale model")

@@ -574,6 +574,8 @@ def pivotal_inference(
         obs_scale = gen_scale / math.sqrt(n)
     else:
         raise InputError(f"unknown pivot {pivot!r}")
+    if obs_scale == 0.0:
+        raise InputError(f"the pivot's scale / sqrt(n) underflows to 0 (scale {gen_scale})")
     model = gaussian_from_params([theta_tilde], chol=[[gen_scale]])
 
     def pivot_values(chunk: np.ndarray) -> np.ndarray:

@@ -38,6 +38,9 @@ class PerturbationSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.tau) or self.tau < 0:
             raise InputError(f"perturbation size tau must be finite and >= 0, got {self.tau}")
+        # perturb divides by sqrt(1 + tau**2), which a huge finite tau overflows.
+        if not math.isfinite(self.tau * self.tau):
+            raise InputError(f"perturbation size tau is too large: tau**2 overflows at {self.tau}")
 
 
 def perturb(

@@ -150,6 +150,8 @@ def pai_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
+    if not math.isfinite(4.0 / alpha):
+        raise InputError(f"alpha {alpha} is too small: 4/alpha draws overflows")
     if m < math.ceil(4.0 / alpha):
         raise InputError(f"need at least ceil(4/alpha) = {math.ceil(4.0 / alpha)} draws, got {m}")
     X = _point_block(model, X)

@@ -122,6 +122,17 @@ def _no_replicate_may_be_drawn(*args):
     raise AssertionError("a replicate was drawn before the outputs were allocated")
 
 
+def _labeled_inputs(tmp_path):
+    rng = np.random.default_rng(4)
+    sample, labeled, column = tmp_path / "x.csv", tmp_path / "labeled.csv", tmp_path / "col.csv"
+    dataio.write_matrix(sample, rng.standard_normal((30, 2)))
+    dataio.write_matrix(labeled, np.column_stack((np.arange(30) % 2, rng.standard_normal(30))))
+    dataio.write_matrix(column, 1.0 + rng.standard_normal((30, 1)))
+    model = tmp_path / "model.json"
+    save_model(gaussian_from_params(np.zeros(2), cov=np.eye(2)), model)
+    return sample, labeled, column, model
+
+
 @pytest.mark.parametrize(
     "command",
     ["simulate", "synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal", "predict", "coverage"],
@@ -131,13 +142,7 @@ def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command)
     # allocate their outputs before the first draw; a draw would mean an
     # impossible size runs until memory is gone.
     monkeypatch.setattr(generators, "_draw_replicate", _no_replicate_may_be_drawn)
-    rng = np.random.default_rng(4)
-    sample, labeled, column = tmp_path / "x.csv", tmp_path / "labeled.csv", tmp_path / "col.csv"
-    dataio.write_matrix(sample, rng.standard_normal((30, 2)))
-    dataio.write_matrix(labeled, np.column_stack((np.arange(30) % 2, rng.standard_normal(30))))
-    dataio.write_matrix(column, rng.standard_normal((30, 1)))
-    model = tmp_path / "model.json"
-    save_model(gaussian_from_params(np.zeros(2), cov=np.eye(2)), model)
+    sample, labeled, column, model = _labeled_inputs(tmp_path)
     out = tmp_path / "out"
     common = ["--seed", 1, "--out", out]
     for size in IMPOSSIBLE_SIZES:
@@ -158,6 +163,79 @@ def test_impossible_size_is_a_data_error(tmp_path, capsys, monkeypatch, command)
         err = capsys.readouterr().err
         assert err.startswith("data error: out of memory:") and "Traceback" not in err, (size, err)
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["synthesize", "test-fid", "test-feature", "test-coherence", "test-pivotal", "predict", "coverage"]
+)
+def test_a_tau_whose_square_overflows_is_a_data_error_before_drawing(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(generators, "_draw_replicate", _no_replicate_may_be_drawn)
+    sample, labeled, column, model = _labeled_inputs(tmp_path)
+    out = tmp_path / "out"
+    argv = {
+        "synthesize": ["--model", model, "--n", 5],
+        "test-fid": ["--input", sample, "--candidate", sample, "--model", model, "--mc", 5],
+        "test-feature": ["--input", labeled, "--inference", labeled, "--model", model, "--mask", "0", "--mc", 5],
+        "test-coherence": ["--input", sample, "--input2", sample, "--model", model, "--mc", 5],
+        "test-pivotal": ["--input", column, "--mc", 19],
+        "predict": ["--model", model, "--input", column, "--mc", 100],
+        "coverage": ["--n", 260, "--train", 200, "--mc", 100],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--tau", "1e200", "--seed", 1, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: perturbation size tau is too large") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "coverage"])
+def test_an_alpha_whose_draw_count_overflows_is_a_data_error(tmp_path, capsys, command):
+    _, _, column, model = _labeled_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    argv = {
+        "predict": ["--model", model, "--input", column, "--mc", 100],
+        "coverage": ["--n", 260, "--train", 200, "--mc", 100],
+    }[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--alpha", "5e-324", "--seed", 1, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("data error: alpha 5e-324 is too small")
+    assert not out.exists()
+
+
+def test_a_sigma_whose_standard_error_underflows_is_a_data_error(tmp_path, capsys):
+    _, _, column, _ = _labeled_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = ["--input", column, "--theta0", 1, "--sigma", "5e-324", "--mc", 19, "--seed", 1, "--out", out]
+    assert run("test-pivotal", *argv) == 3
+    assert capsys.readouterr().err.startswith("data error: the pivot's scale / sqrt(n) underflows to 0")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, scale, message",
+    [
+        ("gaussian", 1e200, "gaussian fit is not finite: its covariance overflows"),
+        ("location-scale", 1e200, "location-scale fit is not finite: its x_sd overflows"),
+        ("copula", 1.5e308, "marginal of column 0 is not finite: its grid overflows"),
+    ],
+)
+def test_fit_writes_no_model_whose_parameters_overflow(tmp_path, capsys, kind, scale, message):
+    data = tmp_path / "huge.csv"
+    dataio.write_matrix(data, scale * np.tanh(np.random.default_rng(5).standard_normal((40, 3))))
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run("fit", "--input", data, "--kind", kind, "--seed", 1, "--out", out) == 4
+    assert capsys.readouterr().err.startswith(f"numeric error: {message}")
+    assert not out.exists()
+
+
+def test_copula_fits_data_whose_squares_overflow(tmp_path):
+    data, out = tmp_path / "huge.csv", tmp_path / "model.json"
+    dataio.write_matrix(data, 1e200 * np.random.default_rng(5).standard_normal((40, 3)))
+    assert run("fit", "--input", data, "--kind", "copula", "--seed", 1, "--out", out) == 0
+    assert generators.load_model(out).kind == "copula"
 
 
 def test_replicate_index_must_lie_below_2_to_the_64(tmp_path, capsys):

@@ -49,12 +49,13 @@ FLAGS = (
 )
 FILES = (
     "data.csv", "labeled.csv", "onecol.csv", "points.csv", "gaussian.json", "copula.json",
-    "location-scale.json", "report.json", "pivotal.json", "absent.csv", "out.csv", ".",
+    "location-scale.json", "report.json", "pivotal.json", "absent.csv", "out.csv", ".", "huge.csv",
 )
 # Sizes stay small so every example is cheap, whichever flag a value lands on.
 VALUES = (
     "0", "1", "2", "3", "5", "19", "40", "-1", "0.1", "0.5", "1.5", "-0.3", "nan", "inf",
-    "1e400", "", "x", "0,1", "1,9", "gaussian", "copula", "location-scale", "raw", "plus-one",
+    "1e400", "1e200", "-1e200", "5e-324", "", "x", "0,1", "1,9", "gaussian", "copula", "location-scale",
+    "raw", "plus-one",
     "upper", "two",
 )
 
@@ -79,6 +80,8 @@ def pristine(tmp_path_factory):
     dataio.write_matrix(root / "labeled.csv", labeled)
     dataio.write_matrix(root / "onecol.csv", 1.0 + rng.standard_normal((12, 1)))
     dataio.write_matrix(root / "points.csv", rng.random((2, 2)))
+    # Finite, but its squares overflow float64.
+    dataio.write_matrix(root / "huge.csv", 1e200 * rng.standard_normal((30, 3)))
     for kind in ("gaussian", "copula", "location-scale"):
         assert run_in(root, ["fit", "--input", "data.csv", "--kind", kind, "--seed", "1",
                              "--out", f"{kind}.json"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -527,3 +528,84 @@ def test_load_model_rejects_bad_files(tmp_path):
             load_model(path)
     with pytest.raises(InputError):
         load_model(tmp_path / "absent.json")
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _interp_quantile(self, p):
+    return np.interp(p, self.ps, self.xs)
+
+
+def test_plotting_grid_quantile_has_the_bits_of_np_interp(rng):
+    from scipy.special import ndtr
+
+    # Many small grids of uneven spacing: at a knot, the neighbouring
+    # segment's formula differs from xs[j] in the last bit only now and then.
+    sizes = [3000] + rng.integers(2, 400, 400).tolist()
+    for n in sizes:
+        column = np.cumsum(rng.standard_exponential(n) * 10.0 ** rng.uniform(-3.0, 3.0, n))
+        column[0] = 0.0  # a +0.0 knot keeps the direct index
+        marginal = generators._fit_marginal(rng.permutation(column), 0)
+        assert marginal._slopes is not None
+        knots = marginal.ps
+        p = np.concatenate((
+            ndtr(rng.standard_normal(n)),
+            knots, np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+            [0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324],
+        ))
+        p = p[(p >= 0.0) & (p <= 1.0)]
+        np.testing.assert_array_equal(_bits(marginal.quantile(p)), _bits(np.interp(p, knots, marginal.xs)))
+    # A stack maps as its flattened values do.
+    stack = ndtr(rng.standard_normal((3, 40, 2)))[..., 1]
+    np.testing.assert_array_equal(_bits(marginal.quantile(stack)), _bits(np.interp(stack, knots, marginal.xs)))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.1, -5e-324, np.nan])
+def test_plotting_grid_quantile_outside_the_unit_interval_takes_np_interp(rng, bad):
+    marginal = generators._fit_marginal(rng.standard_normal(200), 0)
+    p = np.append(rng.random(50), bad)
+    np.testing.assert_array_equal(_bits(marginal.quantile(p)), _bits(np.interp(p, marginal.ps, marginal.xs)))
+    assert marginal.quantile(np.empty(0)).shape == (0,)
+
+
+def test_only_an_untied_finite_grid_without_negative_zero_takes_the_direct_index(tmp_path, rng):
+    model = fit_location_scale(_heteroscedastic_sample(500, 21))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    loaded = load_model(path)
+    pairs = zip((model.residual, *model.features.marginals), (loaded.residual, *loaded.features.marginals))
+    for fitted, reloaded in pairs:
+        assert fitted._slopes is not None
+        np.testing.assert_array_equal(reloaded._slopes, fitted._slopes)
+    assert [f.name for f in dataclasses.fields(generators.Marginal)] == ["xs", "ps"]
+
+    tied = generators._fit_marginal(np.array([1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 0)
+    assert tied._slopes is None
+    # At the knot of a -0.0 sample value np.interp keeps the sign that 0 + xs[j] would lose.
+    signed = generators._fit_marginal(np.array([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0]), 0)
+    assert signed._slopes is None
+    assert math.copysign(1.0, signed.quantile(signed.ps[1:2])[0]) == -1.0
+
+
+def test_transports_and_intervals_match_the_np_interp_quantile(monkeypatch):
+    from pai import pai_interval
+
+    data = _heteroscedastic_sample(600, 22)
+    copula, location_scale = fit_copula(data), fit_location_scale(data)
+    latent = np.random.default_rng(23).standard_normal((4, 50, 3))
+    points = data[:7, 1:]
+
+    def outputs():
+        result = [copula.forward(latent), location_scale.forward(latent)]
+        for model in (copula, location_scale):
+            for tau in (0.0, 0.3):
+                cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=24)
+                iv = pai_interval(model, points, 0.1, 300, cfg)
+                result += [iv.lower, iv.upper, iv.center_estimate]
+        return [_bits(values).tobytes() for values in result]
+
+    fast = outputs()
+    monkeypatch.setattr(generators.Marginal, "quantile", _interp_quantile)
+    assert outputs() == fast

@@ -12,6 +12,13 @@ def test_spec_validation():
         PerturbationSpec(tau=-0.1)
     with pytest.raises(InputError):
         PerturbationSpec(tau=float("nan"))
+    # tau**2 overflows float64 just above 1.34e154; perturb needs it finite.
+    for tau in (1.35e154, 1e200, 1.7e308):
+        with pytest.raises(InputError, match="tau is too large"):
+            PerturbationSpec(tau=tau)
+    rows = derive_rng(9).standard_normal((4, 2))
+    out = perturb(rows, PerturbationSpec(tau=1.3e154), derive_rng(10).standard_normal(rows.shape))
+    assert np.isfinite(out).all()
 
 
 def test_identity_at_zero_tau(rng):
