@@ -2,12 +2,14 @@
 
 Cost matrices are plain square ``numpy`` arrays of non-negative finite reals;
 ``solve_lsap`` returns the minimum-cost perfect matching as a column-to-row
-permutation. The solver is scipy's shortest-augmenting-path implementation
-(Jonker-Volgenant family, worst case O(n^3)); this module owns validation,
-the permutation orientation used throughout the package, and desk-scale size
-guards. Tie-breaking among equally optimal permutations follows the solver's
-deterministic scan order and is not part of the contract - only the total
-cost is.
+permutation with its total cost. The solver is scipy's shortest-augmenting-path
+implementation (Jonker-Volgenant family, worst case O(n^3)); this module owns
+the cost-matrix check, the permutation orientation used throughout the
+package, and desk-scale size guards. ``rank_cost_matrix`` takes its points and
+targets through :func:`pai.dataio.as_matrix`, the package's one matrix rule,
+and adds only its own: equal shapes. Tie-breaking among equally optimal
+permutations follows the solver's deterministic scan order and is not part of
+the contract - only the total cost is.
 
 The solver starts from zero dual variables. A caller that knows a near-optimal
 dual warm-starts it through the costs alone: subtracting a constant from a
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import as_matrix
 from .errors import InputError
 
 # Above the soft limit an n^3 solve is minutes of work; above the hard limit
@@ -99,10 +102,8 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """
     from scipy.spatial.distance import cdist
 
-    points = np.asarray(points, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if points.ndim != 2 or targets.ndim != 2:
-        raise InputError("points and targets must be 2-D matrices")
+    points = as_matrix(points, "points")
+    targets = as_matrix(targets, "targets")
     if points.shape != targets.shape:
         raise InputError(
             f"points shape {points.shape} != targets shape {targets.shape}"

@@ -1,4 +1,10 @@
-"""The file boundary: reading and writing CSV matrices and JSON documents.
+"""The data boundary: the one matrix check, CSV matrices and JSON documents.
+
+:func:`as_matrix` is the package's one rule for an in-memory data matrix,
+and every function that takes data applies it: float64, a 1-D array as one
+column, two dimensions (or a stack of matrices where the caller maps
+stacks), every entry finite, and a given column count where the caller
+needs one. A caller adds only its own rule, such as a minimum row count.
 
 CSV files are headerless by default (``header=True`` skips one line), one
 row of comma-separated finite decimal numbers per sample; blank lines are
@@ -30,6 +36,26 @@ from .errors import InputError
 # chunk bound (generators._CHUNK_VALUES) but is its own constant, because
 # generators imports this module.
 _WRITE_BLOCK_VALUES = 2**17
+
+
+def as_matrix(data, name: str, dim: int | None = None, stack: bool = False) -> np.ndarray:
+    """``data`` as a finite float64 matrix with ``dim`` columns when ``dim`` is given.
+
+    A 1-D array is one column. With ``stack``, a ``(..., n, columns)`` stack
+    of such matrices passes too. The error names ``name`` and, for a
+    non-finite entry, the index of the first one.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim == 1:
+        data = data[:, None]
+    if data.ndim != 2 and not (stack and data.ndim > 2):
+        raise InputError(f"{name} must be a 2-D matrix" + (" or a stack of them" if stack else ""))
+    if not np.isfinite(data).all():
+        first = tuple(np.argwhere(~np.isfinite(data))[0].tolist())
+        raise InputError(f"{name} entry {first} is not finite: {data[first]}")
+    if dim is not None and data.shape[-1] != dim:
+        raise InputError(f"{name} has {data.shape[-1]} columns, expected {dim}")
+    return data
 
 
 def read_text(path: str | os.PathLike) -> str:

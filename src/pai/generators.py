@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_json_object, write_json
+from .dataio import as_matrix, read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -92,25 +92,6 @@ class FitInfo:
 
     n_rows: int
     data_hash: str
-
-
-def _validate_matrix(
-    data: np.ndarray, name: str, dim: int | None = None, stack: bool = False
-) -> np.ndarray:
-    """A finite 2-D float matrix, with ``dim`` columns when ``dim`` is given.
-
-    With ``stack``, a ``(..., n, columns)`` stack of such matrices passes too.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim == 1:
-        data = data[:, None]
-    if data.ndim != 2 and not (stack and data.ndim > 2):
-        raise InputError(f"{name} must be a 2-D matrix")
-    if not np.all(np.isfinite(data)):
-        raise InputError(f"{name} contains non-finite entries")
-    if dim is not None and data.shape[-1] != dim:
-        raise InputError(f"{name} has {data.shape[-1]} columns, model dim is {dim}")
-    return data
 
 
 def _require_finite(fit: str, **fitted: np.ndarray) -> None:
@@ -168,13 +149,13 @@ class GaussianTransport:
         return self.chol @ self.chol.T
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
-        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
+        latent = as_matrix(latent, "latent", self.dim, stack=True)
         return self.mean + latent @ self.chol.T
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
         from scipy.linalg import solve_triangular
 
-        data = _validate_matrix(data, "data", self.dim)
+        data = as_matrix(data, "data", self.dim)
         return solve_triangular(self.chol, (data - self.mean).T, lower=True).T
 
     def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -310,7 +291,7 @@ class CopulaTransport:
     def forward(self, latent: np.ndarray) -> np.ndarray:
         from scipy.special import ndtr
 
-        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
+        latent = as_matrix(latent, "latent", self.dim, stack=True)
         scores = latent @ self.latent_chol.T
         u = ndtr(scores)
         out = np.empty_like(u)
@@ -322,7 +303,7 @@ class CopulaTransport:
         from scipy.linalg import solve_triangular
         from scipy.special import ndtri
 
-        data = _validate_matrix(data, "data", self.dim)
+        data = as_matrix(data, "data", self.dim)
         u = np.empty_like(data)
         for j, marginal in enumerate(self.marginals):
             u[:, j] = marginal.cdf(data[:, j])
@@ -415,7 +396,7 @@ class LocationScaleTransport:
     def forward(self, latent: np.ndarray) -> np.ndarray:
         from scipy.special import ndtr
 
-        latent = _validate_matrix(latent, "latent", self.dim, stack=True)
+        latent = as_matrix(latent, "latent", self.dim, stack=True)
         features = self.features.forward(latent[..., 1:])
         location, scale = self.location_scale(features)
         response = location + scale * self.residual.quantile(ndtr(latent[..., 0]))
@@ -424,7 +405,7 @@ class LocationScaleTransport:
     def inverse(self, data: np.ndarray) -> np.ndarray:
         from scipy.special import ndtri
 
-        data = _validate_matrix(data, "data", self.dim)
+        data = as_matrix(data, "data", self.dim)
         location, scale = self.location_scale(data[:, 1:])
         u = self.residual.cdf((data[:, 0] - location) / scale)
         score = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
@@ -489,7 +470,7 @@ def fit_gaussian(holdout: np.ndarray) -> GaussianTransport:
     sample (zero trace) the absolute fallback ``_RIDGE * I`` keeps the factor
     positive definite.
     """
-    holdout = _validate_matrix(holdout, "holdout")
+    holdout = as_matrix(holdout, "holdout")
     n, d = holdout.shape
     if n < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} holdout rows, got {n}")
@@ -517,11 +498,11 @@ def gaussian_from_params(
     Useful when the data-generating law is known exactly, e.g. in calibration
     experiments where estimation error must be ruled out.
     """
-    mean = np.asarray(mean, dtype=np.float64).ravel()
+    mean = as_matrix(np.ravel(mean), "mean")[:, 0]
     if (cov is None) == (chol is None):
         raise InputError("provide exactly one of cov or chol")
     if chol is None:
-        cov = np.asarray(cov, dtype=np.float64)
+        cov = as_matrix(cov, "cov")
         if cov.shape != (mean.shape[0], mean.shape[0]):
             raise InputError("cov shape does not match mean")
         try:
@@ -529,7 +510,7 @@ def gaussian_from_params(
         except np.linalg.LinAlgError as exc:
             raise NumericError("cov is not positive definite") from exc
     else:
-        chol = np.asarray(chol, dtype=np.float64)
+        chol = as_matrix(chol, "chol")
         if chol.shape != (mean.shape[0], mean.shape[0]):
             raise InputError("chol shape does not match mean")
         if np.any(np.diag(chol) <= 0):
@@ -553,7 +534,7 @@ def fit_copula(holdout: np.ndarray) -> CopulaTransport:
     """Fit empirical marginals and a normal-scores latent correlation."""
     from scipy.special import ndtri
 
-    holdout = _validate_matrix(holdout, "holdout")
+    holdout = as_matrix(holdout, "holdout")
     n, d = holdout.shape
     if n < 20:
         raise InputError(f"copula fit needs at least 20 holdout rows, got {n}")
@@ -594,7 +575,7 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
     by the fitted scale, which absorbs both the log bias of the scale fit and
     any non-Gaussian noise shape.
     """
-    holdout = _validate_matrix(holdout, "holdout")
+    holdout = as_matrix(holdout, "holdout")
     n, d = holdout.shape
     if d < 2:
         raise InputError("location-scale fit needs a response column and at least one feature")
@@ -615,8 +596,10 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
     mean_coef = np.linalg.lstsq(quadratic, y, rcond=None)[0]
     resid = y - quadratic @ mean_coef
     mean_abs = float(np.abs(resid).mean())
+    spread = float(np.abs(y - y.mean()).mean())
+    _require_finite("location-scale fit", mean_abs_residual=mean_abs, response_spread=spread)
     # Residuals below this share of the response's own spread are rounding noise.
-    if not mean_abs > 1e-9 * float(np.abs(y - y.mean()).mean()):
+    if not mean_abs > 1e-9 * spread:
         raise InputError("response is an exact quadratic of the features; no residual spread to fit")
     log_abs = np.log(np.abs(resid) + _SCALE_OFFSET * mean_abs)
     scale_coef = np.linalg.lstsq(linear, log_abs, rcond=None)[0]
@@ -717,7 +700,7 @@ def pass_synthesize(
     if cfg.rank_match and inference is None:
         raise InputError("rank matching requires an inference sample")
     if inference is not None:
-        inference = _validate_matrix(inference, "inference", model.dim)
+        inference = as_matrix(inference, "inference", model.dim)
         n_rows = inference.shape[0]
     elif n is not None:
         n_rows = int(n)

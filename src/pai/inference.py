@@ -33,19 +33,22 @@ masked fit runs on a worker thread while the calling thread runs the full fit;
 numpy's ``einsum`` and scipy's ``expit`` release the GIL, so on two cores the
 fits overlap. Each fit runs the same numpy calls on the same read-only arrays
 whichever thread runs it, so weights and statistics have the same bits as two
-fits in a row. Nothing else leaves the calling thread, and the worker is
-joined before the statistic returns.
+fits in a row. The worker runs in a copy of the caller's context, so numpy's
+floating-point error state (set by the CLI) holds there too. Nothing else
+leaves the calling thread, and the worker is joined before the statistic
+returns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import read_json_object, write_json
+from .dataio import as_matrix, read_json_object, write_json
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
@@ -219,13 +222,9 @@ def test_two_sample_fid(
     reference (caller's contract; the model's fit descriptor is echoed into
     the report so the provenance is auditable).
     """
-    reference = np.asarray(reference, dtype=np.float64)
-    candidate = np.asarray(candidate, dtype=np.float64)
-    if reference.ndim != 2 or candidate.ndim != 2:
-        raise InputError("reference and candidate must be 2-D matrices")
-    if reference.shape[1] != candidate.shape[1]:
-        raise InputError("reference and candidate must share their dimension")
+    reference = as_matrix(reference, "reference")
     d = reference.shape[1]
+    candidate = as_matrix(candidate, "candidate", d)
     if min(reference.shape[0], candidate.shape[0]) < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} rows per sample")
     if d != model.dim:
@@ -307,7 +306,9 @@ def _risk_difference_statistic(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        masked_fit = pool.submit(_fit_logistic, _with_intercept(Xt_masked), train_y)
+        # In a copy of this thread's context, so the worker keeps numpy's error state.
+        run = contextvars.copy_context().run
+        masked_fit = pool.submit(run, _fit_logistic, _with_intercept(Xt_masked), train_y)
         w_full = _fit_logistic(_with_intercept(Xt), train_y)
         w_masked = masked_fit.result()
     loss_full = _log_loss(_with_intercept(Xi), inf_y, w_full)
@@ -348,11 +349,11 @@ def test_feature_significance(
     independent noise). A model fitted on raw signal-bearing data would
     reproduce the alternative in the null draws and destroy power.
     """
-    train_X, train_y = (np.asarray(a, dtype=np.float64) for a in train)
-    inf_X, inf_y = (np.asarray(a, dtype=np.float64) for a in inference)
-    if train_X.ndim != 2 or inf_X.ndim != 2 or train_X.shape[1] != inf_X.shape[1]:
-        raise InputError("train and inference features must be 2-D with equal dimension")
+    (train_X, train_y), (inf_X, inf_y) = train, inference
+    train_X = as_matrix(train_X, "train features")
     p = train_X.shape[1]
+    inf_X = as_matrix(inf_X, "inference features", p)
+    train_y, inf_y = np.asarray(train_y, dtype=np.float64), np.asarray(inf_y, dtype=np.float64)
     for name, y, X in (("train", train_y, train_X), ("inference", inf_y, inf_X)):
         if y.shape != (X.shape[0],):
             raise InputError(f"{name} labels must be one per row")
@@ -417,11 +418,9 @@ def test_conditional_coherence(
     mixing the two sets of draws keeps the null symmetric in the conditions.
     Groups may have different sizes; every null split mirrors them.
     """
-    group1 = np.asarray(group1, dtype=np.float64)
-    group2 = np.asarray(group2, dtype=np.float64)
-    if group1.ndim != 2 or group2.ndim != 2 or group1.shape[1] != group2.shape[1]:
-        raise InputError("groups must be 2-D matrices with equal dimension")
+    group1 = as_matrix(group1, "group1")
     d = group1.shape[1]
+    group2 = as_matrix(group2, "group2", d)
     n1, n2 = group1.shape[0], group2.shape[0]
     if min(n1, n2) < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} rows per group")
@@ -551,12 +550,10 @@ def pivotal_inference(
     Returns the inverted ``1 - alpha`` confidence interval, plus a p-value
     for ``H0: theta = theta0`` when ``theta0`` is given.
     """
-    data = np.asarray(inference, dtype=np.float64).ravel()
+    data = as_matrix(np.ravel(inference), "inference")[:, 0]
     n = data.shape[0]
     if n < 3:
         raise InputError(f"pivotal inference needs n >= 3, got {n}")
-    if not np.all(np.isfinite(data)):
-        raise InputError("inference sample contains non-finite entries")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
     theta_hat = float(data.mean())

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import as_matrix
 from .errors import InputError, NumericError
 
 # Eigenvalue clamp threshold: more negative mass than this in a covariance
@@ -47,16 +48,10 @@ def gaussian_summary(sample: np.ndarray) -> GaussianSummary:
     ``(..., n, d)`` stack of them; each slice of a stacked summary equals the
     summary of that slice alone, bit for bit.
     """
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim == 1:
-        sample = sample[:, None]
-    if sample.ndim < 2:
-        raise InputError("sample must be a 2-D matrix or a stack of them")
+    sample = as_matrix(sample, "sample", stack=True)
     n = sample.shape[-2]
     if n < 2:
         raise InputError(f"need at least 2 rows for a Gaussian summary, got {n}")
-    if not np.all(np.isfinite(sample)):
-        raise InputError("sample contains non-finite entries")
     mean = sample.mean(axis=-2)
     centered = sample - mean[..., None, :]
     cov = np.swapaxes(centered, -1, -2) @ centered / (n - 1)

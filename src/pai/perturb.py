@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import as_matrix
 from .errors import InputError
 
 
@@ -58,11 +59,7 @@ def perturb(
     returned unchanged (as a copy). A stack maps each slice bit for bit as a
     call on that slice alone.
     """
-    rows = np.asarray(base_rows, dtype=np.float64)
-    if rows.ndim < 2:
-        raise InputError("base_rows must be a 2-D matrix or a stack of them")
-    if not np.all(np.isfinite(rows)):
-        raise InputError("base_rows contain non-finite entries")
+    rows = as_matrix(base_rows, "base_rows", stack=True)
     if spec.tau == 0.0:
         if noise is not None:
             raise InputError("perturbation noise given at tau = 0, where none is drawn")

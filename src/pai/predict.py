@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import as_matrix
 from .errors import InputError
 from .generators import _CHUNK_VALUES, GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
@@ -78,13 +79,7 @@ def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]
 
 def _point_block(model: GeneratorModel, X) -> np.ndarray:
     """``X`` as a checked ``(points, dim - 1)`` block; a 1-D point is one row."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2 or X.shape[1] != model.dim - 1:
-        raise InputError(f"points have {X.shape[-1]} coordinates, the model expects {model.dim - 1}")
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise InputError(f"conditioning point {bad[0]} is not finite: {X[bad[0]].tolist()}")
-    return X
+    return as_matrix(np.atleast_2d(X), "points", model.dim - 1)
 
 
 def conditional_sample(
@@ -111,19 +106,15 @@ def conditional_sample(
 
 @dataclass(frozen=True)
 class PredictionInterval:
-    """Two-sided prediction intervals at coverage ``level``; the arrays hold one entry per point."""
+    """Two-sided prediction intervals; the arrays hold one entry per point."""
 
     lower: np.ndarray
     upper: np.ndarray
-    level: float
     center_estimate: np.ndarray
-    mc_draws_used: int
 
     def __post_init__(self) -> None:
         if not np.all(self.lower <= self.upper):
             raise InputError(f"interval {np.argmin(self.lower <= self.upper)} has its bounds out of order")
-        if not 0.0 < self.level < 1.0:
-            raise InputError("level must be in (0, 1)")
 
     @property
     def length(self) -> np.ndarray:
@@ -160,9 +151,7 @@ def pai_interval(
     for start in range(0, X.shape[0], per_chunk):
         draws = conditional_sample(model, X[start : start + per_chunk], m, cfg, stream_index + start)
         bounds[:, start : start + per_chunk] = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0], axis=1)
-    return PredictionInterval(
-        lower=bounds[0], upper=bounds[2], level=1.0 - alpha, center_estimate=bounds[1], mc_draws_used=m
-    )
+    return PredictionInterval(lower=bounds[0], upper=bounds[2], center_estimate=bounds[1])
 
 
 @dataclass(frozen=True)
@@ -175,7 +164,6 @@ class ConformalModel:
     table_y: np.ndarray
     table_abs_resid: np.ndarray
     k: int
-    alpha: float
     qhat: float
 
 
@@ -237,8 +225,10 @@ def conformal_fit(
     ``ceil((n_cal + 1)(1 - alpha))``-th order statistic as the half-width
     multiplier.
     """
-    X, y = (np.asarray(a, dtype=np.float64) for a in train)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
+    X, y = train
+    X = as_matrix(X, "train features")
+    y = as_matrix(y, "train responses", 1)[:, 0]
+    if y.shape != (X.shape[0],):
         raise InputError("train must be (X, y) with one label per row")
     if not 0.0 < calibration_fraction < 1.0:
         raise InputError("calibration_fraction must be in (0, 1)")
@@ -269,7 +259,6 @@ def conformal_fit(
         table_y=y_model,
         table_abs_resid=abs_resid,
         k=k,
-        alpha=alpha,
         qhat=0.0,
     )
     point_cal, spread_cal = _conformal_predict(uncalibrated, X_cal)
@@ -280,11 +269,10 @@ def conformal_fit(
 
 def conformal_interval(model: ConformalModel, X: np.ndarray) -> PredictionInterval:
     """Intervals ``point(x) +- qhat * spread(x)`` at the calibrated level at each row of ``X``."""
-    point, spread = _conformal_predict(model, np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    X = as_matrix(np.atleast_2d(X), "points", model.x_mean.shape[0])
+    point, spread = _conformal_predict(model, X)
     half = model.qhat * spread
-    return PredictionInterval(
-        lower=point - half, upper=point + half, level=1.0 - model.alpha, center_estimate=point, mc_draws_used=0
-    )
+    return PredictionInterval(lower=point - half, upper=point + half, center_estimate=point)
 
 
 @dataclass(frozen=True)

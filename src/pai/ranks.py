@@ -2,9 +2,12 @@
 
 The empirical rank of a sample row is the Halton point it is matched to by
 the minimum-cost assignment between the sample and the first ``n`` Halton
-points - the discrete Monge solution. ``match_ranks`` composes two such
-matchings into the permutation ``r`` that aligns the ranks of a base sample
-with those of a latent sample.
+points - the discrete Monge solution. ``empirical_ranks`` returns that
+matching as a permutation only (no caller reads its cost, so none is
+summed), and ``match_ranks`` composes two such permutations into the
+permutation ``r`` that aligns the ranks of a base sample with those of a
+latent sample. Both take their samples through
+:func:`pai.dataio.as_matrix`.
 
 In one dimension squared cost on a line is solved exactly by the monotone
 (Monge) pairing, so the map pairs the stable sort order of the sample with
@@ -22,11 +25,10 @@ the row minima, the column minima and the row minima again. Subtracting a
 constant from a row or a column moves the total of every permutation by the
 same amount, so the optimal permutations are those of the original costs,
 but the solver then starts next to the optimal dual and its augmenting paths
-stay short. Every reduced entry stays non-negative exactly, and the reported
-``total_cost`` is summed from the original costs of the matched pairs, so
-both the permutation and the cost are those of the plain solve. A sample
-with repeated rows (equal as floats) has several optimal permutations, and
-a different dual start can break the tie differently, so such a sample gets
+stay short. Every reduced entry stays non-negative exactly, as the solver
+requires, and the permutation is that of the plain solve. A sample with
+repeated rows (equal as floats) has several optimal permutations, and a
+different dual start can break the tie differently, so such a sample gets
 the plain solve on the unreduced costs.
 
 Solved maps are memoised by the bytes of the sample, so rank-matched
@@ -41,26 +43,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assignment import HARD_SIZE_LIMIT, Assignment, rank_cost_matrix, solve_lsap
+from .assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
+from .dataio import as_matrix
 from .errors import InputError
 from .halton import halton_block
 
 # Enough for the latent and base maps of a few consecutive replicates.
 RANK_MAP_CACHE_SIZE = 8
-
-# Matched pairs per ``cdist`` call when summing the matched costs.
-_PAIR_BLOCK = 64
-
-
-def _validate_sample(sample: np.ndarray, name: str = "sample") -> np.ndarray:
-    sample = np.asarray(sample, dtype=np.float64)
-    if sample.ndim == 1:
-        sample = sample[:, None]
-    if sample.ndim != 2 or sample.shape[0] < 1:
-        raise InputError(f"{name} must be a non-empty 2-D matrix")
-    if not np.all(np.isfinite(sample)):
-        raise InputError(f"{name} contains non-finite entries")
-    return sample
 
 
 @lru_cache(maxsize=64)
@@ -100,59 +89,38 @@ def _reduce_costs(costs: np.ndarray, potential: np.ndarray) -> None:
     costs -= costs.min(axis=1)[:, None]
 
 
-def _matched_cost(sample: np.ndarray, targets: np.ndarray, perm: np.ndarray) -> float:
-    """``sum_t ||sample[perm[t]] - targets[t]||^2 / n`` from the pairs' own ``cdist`` values.
-
-    Each entry is the value the full cost matrix holds for that pair, and they
-    are summed in target order, so the total is bit for bit the one a solve on
-    the unreduced matrix reports.
-    """
-    from scipy.spatial.distance import cdist
-
-    n = perm.shape[0]
-    pairs = np.empty(n)
-    for start in range(0, n, _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        pairs[block] = np.diagonal(cdist(sample[perm[block]], targets[block], "sqeuclidean"))
-    pairs /= n
-    return float(pairs.sum())
-
-
 @lru_cache(maxsize=RANK_MAP_CACHE_SIZE)
-def _solve_rank_map(key: bytes, n: int, d: int) -> tuple[np.ndarray, float]:
-    """``(perm, total_cost)`` of the sample whose float64 bytes are ``key``."""
+def _solve_rank_map(key: bytes, n: int, d: int) -> np.ndarray:
+    """Read-only rank-map permutation of the sample whose float64 bytes are ``key``."""
     sample = np.frombuffer(key, dtype=np.float64).reshape(n, d)
     targets = halton_block(n, d)
     if d == 1:
         perm = np.empty(n, dtype=np.intp)
         perm[np.argsort(targets[:, 0])] = np.argsort(sample[:, 0], kind="stable")
-        total = float(((sample[perm, 0] - targets[:, 0]) ** 2 / n).sum())
     else:
         costs = rank_cost_matrix(sample, targets)
         if not _has_repeated_rows(sample):
             _reduce_costs(costs, _target_potential(n, d))
         perm = solve_lsap(costs).perm
-        total = _matched_cost(sample, targets, perm)
     perm.setflags(write=False)
-    return perm, total
+    return perm
 
 
-def empirical_ranks(sample: np.ndarray) -> Assignment:
+def empirical_ranks(sample: np.ndarray) -> np.ndarray:
     """Solve the discrete Monge problem from ``sample`` to Halton targets.
 
-    ``perm[t]`` is the sample row assigned to target ``t``, the ``t``-th row
-    of ``halton_block(n, d)``, so that row's empirical rank is that target;
-    ``total_cost`` is the achieved average squared distance.
+    Returns the permutation ``perm``, a copy the caller owns: ``perm[t]`` is
+    the sample row assigned to target ``t``, the ``t``-th row of
+    ``halton_block(n, d)``, so that row's empirical rank is that target.
     """
-    sample = _validate_sample(sample)
+    sample = as_matrix(sample, "sample")
     n, d = sample.shape
     if n > HARD_SIZE_LIMIT:
         raise InputError(
             f"rank map size {n} exceeds the hard limit {HARD_SIZE_LIMIT}"
         )
     key = np.ascontiguousarray(sample).tobytes()
-    perm, total = _solve_rank_map(key, n, d)
-    return Assignment(perm=perm.copy(), total_cost=total)
+    return _solve_rank_map(key, n, d).copy()
 
 
 def match_ranks(latent: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -161,14 +129,14 @@ def match_ranks(latent: np.ndarray, base: np.ndarray) -> np.ndarray:
     After reindexing, ``base[r[i]]`` is matched to the same Halton target as
     ``latent[i]``, so the two share ranks exactly.
     """
-    latent = _validate_sample(latent, "latent")
-    base = _validate_sample(base, "base")
+    latent = as_matrix(latent, "latent")
+    base = as_matrix(base, "base")
     if latent.shape != base.shape:
         raise InputError(
             f"latent shape {latent.shape} != base shape {base.shape}"
         )
-    perm_latent = empirical_ranks(latent).perm
-    perm_base = empirical_ranks(base).perm
+    perm_latent = empirical_ranks(latent)
+    perm_base = empirical_ranks(base)
     inv_latent = np.empty_like(perm_latent)
     inv_latent[perm_latent] = np.arange(perm_latent.shape[0])
     return perm_base[inv_latent]

@@ -68,7 +68,7 @@ def halton_point(index: int, base: int) -> float:
 
 def row_ranks(sample: np.ndarray) -> np.ndarray:
     """Halton rank of each row of the 2-D ``sample``, in row order."""
-    perm = empirical_ranks(sample).perm
+    perm = empirical_ranks(sample)
     ranks = np.empty(np.shape(sample))
     ranks[perm] = halton_block(*ranks.shape)
     return ranks

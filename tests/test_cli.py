@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pai
 from pai import PassConfig, cli, dataio, gaussian_from_params, generators, pivotal_inference, save_model
 from pai import test_two_sample_fid as fid_test
 from pai.cli import build_parser, main
@@ -218,17 +222,39 @@ def test_a_sigma_whose_standard_error_underflows_is_a_data_error(tmp_path, capsy
         ("gaussian", 1e200, "gaussian fit is not finite: its covariance overflows"),
         ("location-scale", 1e200, "location-scale fit is not finite: its x_sd overflows"),
         ("copula", 1.5e308, "marginal of column 0 is not finite: its grid overflows"),
+        # finite residuals whose mean absolute value overflows
+        ("location-scale", [1.5e308, 1.0, 1.0], "location-scale fit is not finite: its mean_abs_residual overflows"),
     ],
 )
 def test_fit_writes_no_model_whose_parameters_overflow(tmp_path, capsys, kind, scale, message):
     data = tmp_path / "huge.csv"
-    dataio.write_matrix(data, scale * np.tanh(np.random.default_rng(5).standard_normal((40, 3))))
+    dataio.write_matrix(data, np.multiply(scale, np.tanh(np.random.default_rng(5).standard_normal((40, 3)))))
     out = tmp_path / "model.json"
     capsys.readouterr()
     with np.errstate(over="ignore", invalid="ignore"):
         assert run("fit", "--input", data, "--kind", kind, "--seed", 1, "--out", out) == 4
     assert capsys.readouterr().err.startswith(f"numeric error: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "test-pivotal"])
+def test_an_overflow_prints_one_stderr_line(tmp_path, command):
+    # numpy's floating-point warnings would print before the error line.
+    data, out = tmp_path / "x.csv", tmp_path / "out.json"
+    rng = np.random.default_rng(5)
+    if command == "fit":
+        dataio.write_matrix(data, 1e200 * rng.standard_normal((40, 3)))
+        argv, code = ["--kind", "gaussian"], 4
+    else:
+        dataio.write_matrix(data, rng.standard_normal((40, 1)))
+        argv, code = ["--sigma", "1e308", "--mc", "19"], 3
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pai.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-m", "pai.cli", command, "--input", str(data), *argv, "--seed", "1", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code
+    assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 def test_copula_fits_data_whose_squares_overflow(tmp_path):

@@ -116,3 +116,16 @@ def test_write_matrix_memory_does_not_grow_with_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_as_matrix_is_the_one_matrix_rule():
+    assert dataio.as_matrix([1, 2], "x").tolist() == [[1.0], [2.0]]
+    assert dataio.as_matrix(np.zeros((2, 3, 4)), "x", 4, stack=True).shape == (2, 3, 4)
+    with pytest.raises(InputError, match="x must be a 2-D matrix$"):
+        dataio.as_matrix(np.zeros((2, 3, 4)), "x")
+    with pytest.raises(InputError, match="x must be a 2-D matrix or a stack of them"):
+        dataio.as_matrix(1.0, "x", stack=True)
+    with pytest.raises(InputError, match=r"x entry \(1, 0\) is not finite: nan"):
+        dataio.as_matrix([[1.0, 2.0], [np.nan, -np.inf]], "x")
+    with pytest.raises(InputError, match="x has 2 columns, expected 3"):
+        dataio.as_matrix(np.zeros((5, 2)), "x", 3)

@@ -59,6 +59,19 @@ def test_fit_gaussian_errors():
         fit_gaussian(np.array([[1.0], [np.nan], [2.0]]))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"mean": [0.0, np.nan], "cov": np.eye(2)},
+        {"mean": np.zeros(2), "cov": [[1.0, np.inf], [np.inf, 1.0]]},
+        {"mean": np.zeros(2), "chol": [[1.0, 0.0], [np.nan, 1.0]]},
+    ],
+)
+def test_gaussian_from_params_rejects_non_finite_parameters(params):
+    with pytest.raises(InputError, match="not finite"):
+        gaussian_from_params(**params)
+
+
 def test_fit_copula_independent_uniforms():
     data = np.random.default_rng(5).random((5000, 3))
     model = fit_copula(data)

@@ -268,6 +268,24 @@ def test_feature_errors(rng):
         feature_test((X, y), (X, y), [7], model, 10, PassConfig())
     with pytest.raises(InputError):
         feature_test((X, y + 1.0), (X, y), [0], model, 10, PassConfig())
+    with pytest.raises(InputError, match="inference features has 2 columns, expected 3"):
+        feature_test((X, y), (X[:, :2], y), [0], model, 10, PassConfig())
+
+
+def _must_not_draw(*args):
+    raise AssertionError("a replicate was drawn")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("split", ["train", "inference"])
+def test_feature_test_rejects_non_finite_features_before_drawing(rng, monkeypatch, split, bad):
+    X, y = _logistic_data(rng, 120)
+    model = fit_gaussian(np.column_stack((y, X)))
+    parts = {"train": (X[:60].copy(), y[:60]), "inference": (X[60:].copy(), y[60:])}
+    parts[split][0][7, 2] = bad
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_draw)
+    with pytest.raises(InputError, match=rf"{split} features entry \(7, 2\) is not finite"):
+        feature_test(parts["train"], parts["inference"], [1], model, D=50, cfg=PassConfig(mc_seed=3))
 
 
 def test_coherence_unequal_groups(rng):

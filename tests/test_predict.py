@@ -232,15 +232,29 @@ def test_conformal_fit_validation(rng):
         conformal_fit((X, y[:50]), 0.3, 0.1, k=5, seed=1)
 
 
+def test_conformal_rejects_non_finite_and_misshapen_features(rng):
+    X = rng.random((200, 7))
+    y = X.sum(axis=1) + rng.standard_normal(200)
+    bad_X, bad_y = X.copy(), y.copy()
+    bad_X[3, 1], bad_y[5] = np.nan, np.inf
+    with pytest.raises(InputError, match=r"train features entry \(3, 1\) is not finite"):
+        conformal_fit((bad_X, y), 0.25, 0.1, k=5, seed=1)
+    with pytest.raises(InputError, match=r"train responses entry \(5, 0\) is not finite"):
+        conformal_fit((X, bad_y), 0.25, 0.1, k=5, seed=1)
+    model = conformal_fit((X, y), 0.25, 0.1, k=5, seed=1)
+    with pytest.raises(InputError, match=r"points entry \(0, 1\) is not finite"):
+        conformal_interval(model, bad_X[3])
+    with pytest.raises(InputError, match="points has 3 columns, expected 7"):
+        conformal_interval(model, np.zeros(3))
+
+
 def test_coverage_report_hand_cases(rng):
     draws = 1.5 + 0.5 * rng.standard_normal(10_000)
     # a huge interval, a point interval and the analytic 95% interval
     intervals = PredictionInterval(
         lower=np.array([-100.0, 9.0, 1.5 - 1.96 * 0.5]),
         upper=np.array([100.0, 9.0, 1.5 + 1.96 * 0.5]),
-        level=0.95,
         center_estimate=np.array([0.0, 9.0, 1.5]),
-        mc_draws_used=0,
     )
     report = coverage_report(intervals, np.stack([draws, draws, draws]))
     assert report.per_point[0] == 1.0
@@ -249,12 +263,8 @@ def test_coverage_report_hand_cases(rng):
 
 
 def test_coverage_report_shorter_fraction():
-    short = PredictionInterval(
-        lower=np.zeros(2), upper=np.ones(2), level=0.9, center_estimate=np.full(2, 0.5), mc_draws_used=0
-    )
-    long = PredictionInterval(
-        lower=np.zeros(2), upper=np.full(2, 2.0), level=0.9, center_estimate=np.ones(2), mc_draws_used=0
-    )
+    short = PredictionInterval(lower=np.zeros(2), upper=np.ones(2), center_estimate=np.full(2, 0.5))
+    long = PredictionInterval(lower=np.zeros(2), upper=np.full(2, 2.0), center_estimate=np.ones(2))
     truths = np.array([[0.5], [0.5]])
     report = coverage_report(short, truths, long)
     assert report.summary["shorter_fraction"] == 1.0
@@ -262,7 +272,7 @@ def test_coverage_report_shorter_fraction():
     with pytest.raises(InputError, match="one row of draws per interval"):
         coverage_report(short, np.array([0.5, 0.5]), long)
     with pytest.raises(InputError, match="out of order"):
-        PredictionInterval(lower=np.ones(2), upper=np.zeros(2), level=0.9, center_estimate=np.ones(2), mc_draws_used=0)
+        PredictionInterval(lower=np.ones(2), upper=np.zeros(2), center_estimate=np.ones(2))
 
 
 def test_copula_conditional_close_to_gaussian_oracle():
@@ -327,7 +337,7 @@ def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
         monkeypatch.setattr(predict, "conditional_sample", recording_sample)
         block = pai_interval(model, points, 0.05, m, cfg, stream_index=first)
         assert chunks == sizes
-        assert block.lower.shape == (7,) and block.mc_draws_used == m
+        assert block.lower.shape == (7,)
         assert _interval_array(block).tobytes() == expected
 
 
