@@ -31,8 +31,6 @@ from .generators import (
 )
 from .halton import halton_block
 from .inference import (
-    PIVOT_MEAN_KNOWN_SCALE,
-    PIVOT_STUDENTIZED_MEAN,
     PivotalReport,
     TestReport,
     pivotal_inference,
@@ -78,8 +76,6 @@ __all__ = [
     "PassConfig",
     "PerturbationSpec",
     "PivotalReport",
-    "PIVOT_MEAN_KNOWN_SCALE",
-    "PIVOT_STUDENTIZED_MEAN",
     "PredictionInterval",
     "TestReport",
     "conditional_sample",

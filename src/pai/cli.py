@@ -34,8 +34,6 @@ from .empirical import Correction, Sidedness
 from .errors import InputError, NumericError
 from .generators import KINDS, PassConfig, fit_model, load_model, pass_synthesize, save_model
 from .inference import (
-    PIVOT_MEAN_KNOWN_SCALE,
-    PIVOT_STUDENTIZED_MEAN,
     TestReport,
     pivotal_inference,
     test_conditional_coherence,
@@ -181,13 +179,11 @@ def cmd_test_pivotal(args) -> int:
     data = dataio.read_matrix(args.input, args.header)
     if data.shape[1] != 1:
         raise InputError(f"pivotal inference expects a single-column file, got {data.shape[1]} columns")
-    pivot = PIVOT_MEAN_KNOWN_SCALE if args.sigma is not None else PIVOT_STUDENTIZED_MEAN
     report = pivotal_inference(
         data[:, 0],
         D=args.mc,
         cfg=_cfg(args),
         alpha=args.alpha,
-        pivot=pivot,
         theta0=args.theta0,
         sigma=args.sigma,
         sidedness=Sidedness(args.sided),

@@ -16,8 +16,8 @@ raises the :class:`InputError` that names the line and column of a field
 that cannot be parsed or is not finite (``nan``, ``inf``), and it accepts
 the few spellings that only ``float()`` reads (``1_0``, non-ASCII digits).
 Output uses ``%.17g`` so round-tripping is exact and repeated runs are
-byte-identical; rows are formatted and written in blocks of at most
-``2**17`` values, so the text held at once does not grow with the matrix.
+byte-identical; rows are formatted and written in the chunks of
+:func:`chunk_starts`, so the text held at once does not grow with the matrix.
 Every read turns a missing, unreadable or non-UTF-8 file into
 :class:`InputError`.
 """
@@ -32,10 +32,19 @@ import numpy as np
 
 from .errors import InputError
 
-# Values formatted per write of write_matrix. This equals the package's
-# chunk bound (generators._CHUNK_VALUES) but is its own constant, because
-# generators imports this module.
-_WRITE_BLOCK_VALUES = 2**17
+# The package's one chunk budget, in values (1 MiB of float64): the Monte Carlo
+# engine, the prediction intervals, the k-NN search and the CSV writer all
+# take their chunks from chunk_starts.
+_CHUNK_VALUES = 2**17
+
+
+def chunk_starts(count: int, item_values: int) -> range:
+    """The starts of the chunks of ``count`` items of ``item_values`` values each.
+
+    Its ``step`` is the chunk length, ``max(1, _CHUNK_VALUES // item_values)``
+    items (an item of no values counts as one); the last chunk holds the rest.
+    """
+    return range(0, count, max(1, _CHUNK_VALUES // max(1, item_values)))
 
 
 def as_matrix(data, name: str, dim: int | None = None, stack: bool = False) -> np.ndarray:
@@ -144,14 +153,14 @@ def write_json(path: str | os.PathLike, payload: dict) -> None:
 def write_matrix(path: str | os.PathLike, matrix: np.ndarray) -> None:
     """Write a matrix as headerless CSV with exact float formatting.
 
-    One ``%.17g`` row format is applied to the rows of each block of at most
-    ``_WRITE_BLOCK_VALUES`` values, and each block is one ``write``.
+    One ``%.17g`` row format is applied to the rows of each chunk of
+    :func:`chunk_starts`, and each chunk is one ``write``.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     row_format = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    per_block = max(1, _WRITE_BLOCK_VALUES // max(1, matrix.shape[1]))
+    starts = chunk_starts(matrix.shape[0], matrix.shape[1])
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for start in range(0, matrix.shape[0], per_block):
-            handle.write("".join([row_format % tuple(row) for row in matrix[start : start + per_block].tolist()]))
+        for start in starts:
+            handle.write("".join([row_format % tuple(row) for row in matrix[start : start + starts.step].tolist()]))

@@ -38,11 +38,13 @@ perturbs it without changing its law, and maps it through the transport.
 ``sample_statistic_null`` is the one Monte Carlo engine of the package: it
 draws the ``D`` such samples, without rank matching, of every null
 distribution the inference procedures build, in stacked chunks of at most
-``2**17`` values that each go through one ``forward`` call, and applies a
-batched statistic (a chunk of ``B`` samples to ``B`` values) to each chunk.
-Every indexed draw of the package - a synthesis replicate, a chunk of null
-replicates, the conditional draws of :func:`pai.predict.conditional_sample` -
-comes from :func:`latent_block`, which takes stream ``(mc_seed, tag, k)``
+the package's one budget ``pai.dataio._CHUNK_VALUES`` of values, each
+through one ``forward`` call, and applies a batched statistic (a chunk of
+``B`` samples to ``B`` values) to each chunk. Every indexed draw of the
+package - a synthesis replicate, a chunk of null replicates, the
+conditional draws of :func:`pai.predict.conditional_sample`, the truth
+draws of :func:`pai.predict.run_prediction_study` - comes from
+:func:`latent_block`, which takes stream ``(mc_seed, tag, k)``
 from ``derive_rng_block`` and fills it in the one layout, base rows first
 and perturbation noise second. So a null replicate equals the
 :func:`pass_synthesize` sample of the same index bit for bit.
@@ -58,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import as_matrix, read_json_object, write_json
+from .dataio import as_matrix, chunk_starts, read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -289,9 +291,12 @@ class CopulaTransport:
         return len(self.marginals)
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
+        return self._map(as_matrix(latent, "latent", self.dim, stack=True))
+
+    def _map(self, latent: np.ndarray) -> np.ndarray:
+        """``forward`` on a latent that is already checked."""
         from scipy.special import ndtr
 
-        latent = as_matrix(latent, "latent", self.dim, stack=True)
         scores = latent @ self.latent_chol.T
         u = ndtr(scores)
         out = np.empty_like(u)
@@ -397,7 +402,7 @@ class LocationScaleTransport:
         from scipy.special import ndtr
 
         latent = as_matrix(latent, "latent", self.dim, stack=True)
-        features = self.features.forward(latent[..., 1:])
+        features = self.features._map(latent[..., 1:])
         location, scale = self.location_scale(features)
         response = location + scale * self.residual.quantile(ndtr(latent[..., 0]))
         return np.concatenate((response[..., None], features), axis=-1)
@@ -715,11 +720,6 @@ def pass_synthesize(
     return model.forward(latent_block(cfg, PATH_PASS, replicate, 1, n_rows, model.dim, align)[0])
 
 
-# Values (replicates x rows x columns) in one chunk of ``sample_statistic_null``:
-# a memory budget of 1 MiB of float64, not a replicate count.
-_CHUNK_VALUES = 2**17
-
-
 def sample_statistic_null(
     model: GeneratorModel,
     n: int,
@@ -734,7 +734,8 @@ def sample_statistic_null(
     bit for bit what :func:`pass_synthesize` returns for that replicate; rank
     matching is always disabled here (the identity permutation is a valid
     choice and needs no inference sample). The samples come in stacked chunks
-    of shape ``(B, n, model.dim)``, ``B = max(1, 2**17 // (n * model.dim))``
+    of shape ``(B, n, model.dim)``, ``B`` the step of
+    :func:`~pai.dataio.chunk_starts` for ``n * model.dim`` values a replicate
     (the last chunk holds the rest), each one :func:`latent_block` and one
     ``model.forward`` call, so memory stays bounded whatever ``D`` is.
     ``statistic`` is batched: it maps a chunk to ``B`` finite values, one per
@@ -749,9 +750,9 @@ def sample_statistic_null(
         raise InputError("replicate index must be non-negative")
     n, dim = int(n), model.dim
     values = allocate((D,))
-    per_chunk = max(1, _CHUNK_VALUES // (n * dim))
-    for start in range(0, D, per_chunk):
-        size = min(per_chunk, D - start)
+    starts = chunk_starts(D, n * dim)
+    for start in starts:
+        size = min(starts.step, D - start)
         chunk = model.forward(latent_block(cfg, PATH_PASS, first_replicate + start, size, n, dim))
         chunk_values = np.asarray(statistic(chunk), dtype=np.float64)
         if chunk_values.shape != (size,):

@@ -453,10 +453,6 @@ def test_conditional_coherence(
     )
 
 
-PIVOT_STUDENTIZED_MEAN = "studentized_mean"
-PIVOT_MEAN_KNOWN_SCALE = "mean_known_scale"
-
-
 def _pivot_interval(
     draws: EmpiricalDistribution, estimate: float, scale: float, alpha: float
 ) -> tuple[float, float]:
@@ -529,7 +525,6 @@ def pivotal_inference(
     D: int,
     cfg: PassConfig,
     alpha: float = 0.05,
-    pivot: str = PIVOT_STUDENTIZED_MEAN,
     theta0: float | None = None,
     sigma: float | None = None,
     center: float | None = None,
@@ -544,9 +539,10 @@ def pivotal_inference(
     the pivot's distribution. ``center`` optionally replaces the fitted mean
     used for generation - the pivot cancels it, which is the point.
 
-    Pivots: ``studentized_mean`` uses ``sqrt(n) (mean - theta) / sd``;
-    ``mean_known_scale`` uses a caller-supplied ``sigma`` in place of the
-    sample standard deviation (and generates with that known scale).
+    The pivot follows ``sigma``: without it, ``studentized_mean`` uses
+    ``sqrt(n) (mean - theta) / sd``; with it, ``mean_known_scale`` uses the
+    known ``sigma`` in place of the sample standard deviation (and generates
+    with that known scale).
     Returns the inverted ``1 - alpha`` confidence interval, plus a p-value
     for ``H0: theta = theta0`` when ``theta0`` is given.
     """
@@ -559,25 +555,22 @@ def pivotal_inference(
     theta_hat = float(data.mean())
     sd_hat = float(data.std(ddof=1))
     theta_tilde = theta_hat if center is None else float(center)
-    if pivot == PIVOT_STUDENTIZED_MEAN:
+    if sigma is None:
         if sd_hat <= 0:
             raise InputError("studentized pivot needs a non-degenerate sample")
-        gen_scale = sd_hat
-        obs_scale = sd_hat / math.sqrt(n)
-    elif pivot == PIVOT_MEAN_KNOWN_SCALE:
-        if sigma is None or not math.isfinite(sigma) or sigma <= 0:
-            raise InputError("mean_known_scale pivot needs sigma > 0")
-        gen_scale = float(sigma)
-        obs_scale = gen_scale / math.sqrt(n)
+        pivot, gen_scale = "studentized_mean", sd_hat
     else:
-        raise InputError(f"unknown pivot {pivot!r}")
+        if not math.isfinite(sigma) or sigma <= 0:
+            raise InputError("mean_known_scale pivot needs sigma > 0")
+        pivot, gen_scale = "mean_known_scale", float(sigma)
+    obs_scale = gen_scale / math.sqrt(n)
     if obs_scale == 0.0:
         raise InputError(f"the pivot's scale / sqrt(n) underflows to 0 (scale {gen_scale})")
     model = gaussian_from_params([theta_tilde], chol=[[gen_scale]])
 
     def pivot_values(chunk: np.ndarray) -> np.ndarray:
         synthetic = chunk[..., 0]
-        spread = synthetic.std(axis=-1, ddof=1) if pivot == PIVOT_STUDENTIZED_MEAN else gen_scale
+        spread = synthetic.std(axis=-1, ddof=1) if sigma is None else gen_scale
         return math.sqrt(n) * (synthetic.mean(axis=-1) - theta_tilde) / spread
 
     draws = sample_statistic_null(model, n, D, pivot_values, cfg)

@@ -14,9 +14,10 @@ estimate, whose normalized deviations on a calibration split give the
 distribution-free half-width multiplier.
 
 Every prediction function takes a ``(points, dim - 1)`` block of feature points
-(a 1-D point is one row) and holds at most ``2**17`` draws or distances per
-chunk. The k-NN search of the baseline runs two chunks of distances at
-once, one on a worker thread.
+(a 1-D point is one row) and holds at most the package's one chunk budget,
+``pai.dataio._CHUNK_VALUES``, of draws or distances per chunk. The k-NN
+search of the baseline runs two chunks of distances at once, one on a
+worker thread.
 
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
@@ -32,11 +33,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import as_matrix
+from .dataio import as_matrix, chunk_starts
 from .errors import InputError
-from .generators import _CHUNK_VALUES, GeneratorModel, PassConfig, allocate, fit_model, latent_block
+from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
-from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng, derive_rng_block
+from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
 N_FEATURES = 7
 
@@ -137,7 +138,8 @@ def pai_interval(
     """Monte Carlo prediction intervals from conditional synthesis at each point of ``X``.
 
     Point ``i`` takes its ``m`` draws from :func:`conditional_sample` stream
-    ``stream_index + i``, in chunks of ``max(1, 2**17 // m)`` points.
+    ``stream_index + i``, in the :func:`~pai.dataio.chunk_starts` chunks of
+    points of ``m`` values each.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
@@ -147,10 +149,10 @@ def pai_interval(
         raise InputError(f"need at least ceil(4/alpha) = {math.ceil(4.0 / alpha)} draws, got {m}")
     X = _point_block(model, X)
     bounds = allocate((3, X.shape[0]))
-    per_chunk = max(1, _CHUNK_VALUES // m)
-    for start in range(0, X.shape[0], per_chunk):
-        draws = conditional_sample(model, X[start : start + per_chunk], m, cfg, stream_index + start)
-        bounds[:, start : start + per_chunk] = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0], axis=1)
+    starts = chunk_starts(X.shape[0], m)
+    for start in starts:
+        draws = conditional_sample(model, X[start : start + starts.step], m, cfg, stream_index + start)
+        bounds[:, start : start + starts.step] = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0], axis=1)
     return PredictionInterval(lower=bounds[0], upper=bounds[2], center_estimate=bounds[1])
 
 
@@ -182,7 +184,8 @@ def _knn_chunks(queries: np.ndarray, table: np.ndarray, k: int, idx: np.ndarray,
 def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     """Row ``i`` holds the table indices of the ``k`` nearest rows to ``queries[i]``.
 
-    Queries go in chunks of ``max(1, 2**17 // len(table))``; each chunk's ``k``
+    Queries go in the :func:`~pai.dataio.chunk_starts` chunks of
+    ``len(table)`` distances each; each chunk's ``k``
     columns are copied out, as a slice would keep its whole ``argpartition``.
     The odd chunks run on one worker thread while this thread runs the even
     ones, so two chunks of distances are in flight at once; ``cdist`` and
@@ -194,8 +197,8 @@ def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     from concurrent.futures import ThreadPoolExecutor
 
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
-    per_chunk = max(1, _CHUNK_VALUES // table.shape[0])
-    chunks = [slice(start, start + per_chunk) for start in range(0, queries.shape[0], per_chunk)]
+    starts = chunk_starts(queries.shape[0], table.shape[0])
+    chunks = [slice(start, start + starts.step) for start in starts]
     with ThreadPoolExecutor(max_workers=1) as pool:
         odd = pool.submit(_knn_chunks, queries, table, k, idx, chunks[1::2])
         _knn_chunks(queries, table, k, idx, chunks[::2])
@@ -214,8 +217,8 @@ def conformal_fit(
     train: tuple[np.ndarray, np.ndarray],
     calibration_fraction: float,
     alpha: float,
-    k: int = 25,
-    seed: int = 0,
+    k: int,
+    seed: int,
 ) -> ConformalModel:
     """Fit the point/spread models and calibrate the conformal quantile.
 
@@ -277,11 +280,11 @@ def conformal_interval(model: ConformalModel, X: np.ndarray) -> PredictionInterv
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Per-point coverage of one interval method, optionally versus a baseline."""
+    """Per-point coverage of one interval method and of a baseline."""
 
     per_point: np.ndarray
     summary: dict
-    baseline_per_point: np.ndarray | None = None
+    baseline_per_point: np.ndarray
 
 
 def _coverage_summary(interval: PredictionInterval, truths: np.ndarray, prefix: str):
@@ -300,39 +303,37 @@ def _coverage_summary(interval: PredictionInterval, truths: np.ndarray, prefix: 
 def coverage_report(
     interval: PredictionInterval,
     truths: np.ndarray,
-    baseline: PredictionInterval | None = None,
+    baseline: PredictionInterval,
 ) -> CoverageReport:
     """Estimate per-point coverage against repeated true-response draws.
 
     Row ``i`` of the ``(points, draws)`` array ``truths`` holds fresh draws of
     the true response at point ``i``; coverage at a point is the fraction of
-    those draws inside its interval. With a baseline, the summary also
-    reports the fraction of points where the primary interval is strictly
-    shorter.
+    those draws inside its interval, for the primary and the baseline
+    intervals alike; the summary also reports the fraction of points where
+    the primary interval is strictly shorter.
     """
     points = interval.lower.shape[0]
     if np.ndim(truths) != 2 or len(truths) != points:
         raise InputError(f"truths must hold one row of draws per interval ({points})")
-    if baseline is not None and baseline.lower.shape[0] != points:
+    if baseline.lower.shape[0] != points:
         raise InputError("baseline interval count must match")
     per_point, lengths, summary = _coverage_summary(interval, truths, "")
-    summary = {"points": points, **summary}
-    baseline_cov = None
-    if baseline is not None:
-        baseline_cov, base_lengths, base_summary = _coverage_summary(baseline, truths, "baseline_")
-        summary.update(base_summary)
-        summary["shorter_fraction"] = float((lengths < base_lengths).mean())
+    baseline_cov, base_lengths, base_summary = _coverage_summary(baseline, truths, "baseline_")
+    summary = {"points": points, **summary, **base_summary}
+    summary["shorter_fraction"] = float((lengths < base_lengths).mean())
     return CoverageReport(per_point=per_point, summary=summary, baseline_per_point=baseline_cov)
 
 
 def run_prediction_study(
     seed: int,
-    n_total: int = 3200,
-    n_train: int = 3000,
-    alpha: float = 0.05,
-    kind: str = "copula",
+    *,
+    n_total: int,
+    n_train: int,
+    alpha: float,
+    kind: str,
     tau: float = 0.0,
-    pai_draws: int = 4000,
+    pai_draws: int,
     truth_draws: int = 2000,
 ) -> dict:
     """End-to-end benchmark: simulate, fit both methods, report coverage.
@@ -342,7 +343,9 @@ def run_prediction_study(
     conformal intervals for each test point, and evaluates per-point coverage
     from fresh truth draws. ``kind`` names the generator family fitted to the
     joint (response, features) sample, one of
-    :data:`~pai.generators.KINDS`. Returns a JSON-ready dictionary.
+    :data:`~pai.generators.KINDS`. The truth draws of test point ``i`` are
+    the tau-0 :func:`~pai.generators.latent_block` draws of stream
+    ``(seed, PATH_TRUTH, i)``. Returns a JSON-ready dictionary.
     """
     if not 1 <= n_train < n_total:
         raise InputError(f"need 1 <= n_train < n_total, got n_train={n_train}, n_total={n_total}")
@@ -356,9 +359,7 @@ def run_prediction_study(
         (X_train, y_train), _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed
     )
     conf_iv = conformal_interval(conf_model, X_test)
-    truths = allocate((X_test.shape[0], truth_draws))
-    for out, rng in zip(truths, derive_rng_block(seed, PATH_TRUTH, 0, X_test.shape[0])):
-        rng.standard_normal(out=out)
+    truths = latent_block(PassConfig(mc_seed=seed), PATH_TRUTH, 0, X_test.shape[0], truth_draws, 1)[..., 0]
     truths *= regression_noise_sd(X_test)[:, None]
     truths += regression_mean(X_test)[:, None]
     report = coverage_report(pai_iv, truths, conf_iv)

@@ -3,10 +3,14 @@
 Whatever the argument vector and whatever the contents of the files it
 names, ``pai`` exits with 0, 2, 3 or 4 and never with a traceback. Each
 example runs in a fresh copy of a small work directory, so outputs written
-by one example (an ``--out`` may name an input) never feed the next.
+by one example (an ``--out`` may name an input) never feed the next. A
+deterministic sweep puts each edge value of float64 on every float flag,
+which random edits rarely do.
 """
 
+import argparse
 import contextlib
+import io
 import json
 import os
 import shutil
@@ -17,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pai import dataio
-from pai.cli import main
+from pai.cli import build_parser, main
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -60,11 +64,11 @@ VALUES = (
 )
 
 
-def run_in(directory, argv):
+def run_in(directory, argv, stderr=None):
     previous = os.getcwd()
     os.chdir(directory)
     try:
-        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(None):
+        with contextlib.redirect_stdout(None), contextlib.redirect_stderr(stderr):
             return main(list(argv))
     finally:
         os.chdir(previous)
@@ -141,6 +145,41 @@ def test_every_valid_argument_vector_succeeds(workdir):
 @given(argv=fuzzed_argv())
 def test_arbitrary_arguments_exit_with_a_documented_code(workdir, argv):
     assert run_in(workdir(), argv) in EXIT_CODES
+
+
+# The ends of float64 and its special values, each put on every float flag of
+# every subcommand that takes one, as ``--flag=value`` so that a leading
+# minus sign is not read as a flag.
+EDGE_FLOATS = ("1e308", "-1e308", "5e-324", "-5e-324", "-0.0", "nan", "inf", "-inf")
+
+
+def _float_flags():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+FLOAT_FLAGS = _float_flags()
+
+
+def test_the_sweep_finds_every_float_flag():
+    assert {flag for _, flag in FLOAT_FLAGS} == {"--tau", "--alpha", "--theta0", "--sigma"}
+
+
+@pytest.mark.parametrize("value", EDGE_FLOATS)
+@pytest.mark.parametrize("command,flag", FLOAT_FLAGS, ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
+def test_every_float_flag_takes_every_edge_value(workdir, command, flag, value):
+    argv = list(VALID_ARGV[command])
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    argv.append(f"{flag}={value}")
+    stderr = io.StringIO()
+    assert run_in(workdir(), argv, stderr) in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
 
 
 csv_field = st.one_of(

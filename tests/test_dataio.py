@@ -1,3 +1,4 @@
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pai import InputError, dataio
+from pai import InputError, PassConfig, dataio, gaussian_from_params, pai_interval, predict, sample_statistic_null
 
 
 def test_write_json_bytes_are_sorted_and_newline_terminated(tmp_path):
@@ -95,7 +96,7 @@ def _reference_csv(matrix):
 
 
 @pytest.mark.parametrize(
-    "shape", [(dataio._WRITE_BLOCK_VALUES // 8 + 1, 8), (dataio._WRITE_BLOCK_VALUES + 1,)], ids=["matrix", "vector"]
+    "shape", [(dataio._CHUNK_VALUES // 8 + 1, 8), (dataio._CHUNK_VALUES + 1,)], ids=["matrix", "vector"]
 )
 def test_write_matrix_bytes_match_per_value_formatting(tmp_path, shape):
     matrix = np.random.default_rng(3).standard_normal(shape) * 10.0 ** np.random.default_rng(4).integers(-320, 307, shape)
@@ -103,6 +104,42 @@ def test_write_matrix_bytes_match_per_value_formatting(tmp_path, shape):
     path = tmp_path / "m.csv"
     dataio.write_matrix(path, matrix)
     assert path.read_bytes() == _reference_csv(matrix).encode("ascii")
+
+
+def test_one_budget_sizes_every_chunked_loop(monkeypatch, tmp_path):
+    # One patch of 24 values makes chunks of two 12-value items in each loop:
+    # the engine's replicates, the interval points, the k-NN queries and the
+    # rows of a CSV write.
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 24)
+    engine, intervals, knn, writes = [], [], [], []
+    sample, chunk_loop = predict.conditional_sample, predict._knn_chunks
+
+    def statistic(chunk):
+        engine.append(len(chunk))
+        return np.zeros(len(chunk))
+
+    def recording_sample(model, X, *args):
+        intervals.append(len(X))
+        return sample(model, X, *args)
+
+    def recording_chunk_loop(queries, table, k, idx, chunks):
+        knn.extend((chunk.start, chunk.stop) for chunk in chunks)
+        chunk_loop(queries, table, k, idx, chunks)
+
+    class RecordingFile(io.StringIO):
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return super().write(text)
+
+    monkeypatch.setattr(predict, "conditional_sample", recording_sample)
+    monkeypatch.setattr(predict, "_knn_chunks", recording_chunk_loop)
+    monkeypatch.setattr(dataio, "open", lambda *args, **kwargs: RecordingFile(), raising=False)
+    sample_statistic_null(gaussian_from_params(np.zeros(1), cov=np.eye(1)), 12, 5, statistic, PassConfig())
+    pai_interval(gaussian_from_params(np.zeros(2), cov=np.eye(2)), np.zeros((5, 1)), 0.5, 12, PassConfig())
+    predict._knn_indices(np.zeros((5, 2)), np.zeros((12, 2)), 3)
+    dataio.write_matrix(tmp_path / "m.csv", np.zeros((5, 12)))
+    assert engine == intervals == writes == [2, 2, 1]
+    assert sorted(knn) == [(0, 2), (2, 4), (4, 6)]
 
 
 def test_write_matrix_memory_does_not_grow_with_the_matrix(tmp_path):

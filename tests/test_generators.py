@@ -24,7 +24,7 @@ from pai import (
     sample_statistic_null,
     save_model,
 )
-from pai import fid, gaussian_summary, generators
+from pai import dataio, fid, gaussian_summary, generators
 from pai.generators import KINDS, fit_model
 from pai.halton import MAX_DIM
 from pai.streams import PATH_PASS
@@ -288,6 +288,25 @@ def _model_of_kind(kind: str) -> object:
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_forward_scans_its_latent_once(monkeypatch, kind):
+    # the location-scale kind maps its feature columns with the copula's
+    # unchecked map, so no kind checks a chunk twice
+    model = _model_of_kind(kind)
+    latent = np.random.default_rng(32).standard_normal((10, 50, model.dim))
+    expected = model.forward(latent)
+    as_matrix = generators.as_matrix
+    scans = []
+
+    def counting_as_matrix(data, name, *args, **kwargs):
+        scans.append((name, np.shape(data)))
+        return as_matrix(data, name, *args, **kwargs)
+
+    monkeypatch.setattr(generators, "as_matrix", counting_as_matrix)
+    assert model.forward(latent).tobytes() == expected.tobytes()
+    assert scans == [("latent", latent.shape)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("tau", [0.0, 0.3])
 def test_null_chunks_are_the_pass_synthesize_samples(monkeypatch, kind, tau):
     # n = 13 rows is no multiple of a BLAS kernel's row block: mapped as one
@@ -297,11 +316,11 @@ def test_null_chunks_are_the_pass_synthesize_samples(monkeypatch, kind, tau):
     model = _model_of_kind(kind)
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=17)
     n, D = 13, 11
-    default_budget = generators._CHUNK_VALUES
+    default_budget = dataio._CHUNK_VALUES
     for first in (0, 6):
         expected = [pass_synthesize(model, None, cfg, replicate=first + k, n=n) for k in range(D)]
         for budget, sizes in ((default_budget, [D]), (4 * n * model.dim, [4, 4, 3])):
-            monkeypatch.setattr(generators, "_CHUNK_VALUES", budget)
+            monkeypatch.setattr(dataio, "_CHUNK_VALUES", budget)
             chunks = []
             sample_statistic_null(model, n, D, _recording(chunks), cfg, first_replicate=first)
             assert [chunk.shape for chunk in chunks] == [(size, n, model.dim) for size in sizes]
@@ -318,7 +337,7 @@ def test_sample_statistic_null_does_not_depend_on_the_chunk_budget(monkeypatch):
         [fid(ref, gaussian_summary(pass_synthesize(model, None, cfg, replicate=first + k, n=n))) for k in range(D)]
     )
     for replicates, sizes in ((1, [1] * D), (3, [3, 3, 3, 1]), (D, [D]), (D + 7, [D])):
-        monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
+        monkeypatch.setattr(dataio, "_CHUNK_VALUES", replicates * n * model.dim)
         seen = []
 
         def statistic(chunk):
@@ -340,7 +359,7 @@ def test_sample_statistic_null_checks_the_statistic_shape():
 
 
 def test_non_finite_value_names_its_global_replicate(monkeypatch):
-    monkeypatch.setattr(generators, "_CHUNK_VALUES", 4 * 5)  # 4 replicates per chunk at n=5, dim=1
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 4 * 5)  # 4 replicates per chunk at n=5, dim=1
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
     calls = []
 

@@ -25,7 +25,7 @@ from pai import (
     pivotal_inference,
 )
 from pai import TestReport as Report
-from pai import generators, inference
+from pai import dataio, generators, inference
 from pai import test_conditional_coherence as coherence_test
 from pai import test_feature_significance as feature_test
 from pai import test_two_sample_fid as fid_test
@@ -126,7 +126,7 @@ def test_feature_null_does_not_depend_on_the_chunk_budget(monkeypatch, rng):
     )
     learner = inference._risk_difference_statistic
     for replicates, sizes in ((1, [1] * D), (3, [3, 3, 1]), (D, [D])):
-        monkeypatch.setattr(generators, "_CHUNK_VALUES", replicates * n * model.dim)
+        monkeypatch.setattr(dataio, "_CHUNK_VALUES", replicates * n * model.dim)
         batches = []
 
         def recording_learner(train_X, *args):
@@ -330,9 +330,7 @@ def test_pivotal_matches_student_t_interval():
 
 def test_pivotal_known_scale_matches_z_interval():
     data = 1.0 + 2.0 * np.random.default_rng(12).standard_normal(40)
-    result = pivotal_inference(
-        data, D=20_000, cfg=PassConfig(mc_seed=13), alpha=0.05, pivot="mean_known_scale", sigma=2.0
-    )
+    result = pivotal_inference(data, D=20_000, cfg=PassConfig(mc_seed=13), alpha=0.05, sigma=2.0)
     z = stats.norm.ppf(0.975)
     assert result.lower == pytest.approx(result.estimate - z * result.scale, abs=4 * result.scale * 0.02)
     assert result.upper == pytest.approx(result.estimate + z * result.scale, abs=4 * result.scale * 0.02)
@@ -363,10 +361,8 @@ def test_pivotal_p_value_and_errors():
         pivotal_inference(np.array([1.0, 2.0]), D=10, cfg=PassConfig(mc_seed=1))
     with pytest.raises(InputError):
         pivotal_inference(data, D=10, cfg=PassConfig(mc_seed=1), alpha=1.5)
-    with pytest.raises(InputError):
-        pivotal_inference(data, D=10, cfg=PassConfig(mc_seed=1), pivot="mean_known_scale")
-    with pytest.raises(InputError):
-        pivotal_inference(data, D=10, cfg=PassConfig(mc_seed=1), pivot="nope")
+    with pytest.raises(InputError, match="needs sigma > 0"):
+        pivotal_inference(data, D=10, cfg=PassConfig(mc_seed=1), sigma=0.0)
 
 
 def test_null_draws_do_not_reuse_candidate_stream(rng):

@@ -24,7 +24,7 @@ from pai import (
     regression_noise_sd,
     simulate_regression_data,
 )
-from pai import predict
+from pai import dataio, predict
 from pai.generators import KINDS, fit_model
 from pai.predict import PredictionInterval, _knn_indices
 from pai.streams import PATH_CONDITIONAL
@@ -256,7 +256,9 @@ def test_coverage_report_hand_cases(rng):
         upper=np.array([100.0, 9.0, 1.5 + 1.96 * 0.5]),
         center_estimate=np.array([0.0, 9.0, 1.5]),
     )
-    report = coverage_report(intervals, np.stack([draws, draws, draws]))
+    report = coverage_report(intervals, np.stack([draws, draws, draws]), intervals)
+    assert report.baseline_per_point.tobytes() == report.per_point.tobytes()
+    assert report.summary["shorter_fraction"] == 0.0
     assert report.per_point[0] == 1.0
     assert report.per_point[1] == 0.0
     assert report.per_point[2] == pytest.approx(0.95, abs=0.02)
@@ -326,8 +328,8 @@ def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
     rows = [pai_interval(model, x, 0.05, m, cfg, stream_index=first + i) for i, x in enumerate(points)]
     expected = np.concatenate([_interval_array(row) for row in rows], axis=1).tobytes()
     sample = predict.conditional_sample
-    for budget, sizes in ((predict._CHUNK_VALUES, [7]), (3 * m, [3, 3, 1])):
-        monkeypatch.setattr(predict, "_CHUNK_VALUES", budget)
+    for budget, sizes in ((dataio._CHUNK_VALUES, [7]), (3 * m, [3, 3, 1])):
+        monkeypatch.setattr(dataio, "_CHUNK_VALUES", budget)
         chunks = []
 
         def recording_sample(model, X, *args):
@@ -365,8 +367,8 @@ def test_knn_indices_do_not_depend_on_the_chunk_budget(monkeypatch):
     rng = np.random.default_rng(54)
     queries, table, k = rng.random((23, 3)), rng.random((50, 3)), 5
     expected = np.argpartition(cdist(queries, table), kth=k - 1, axis=1)[:, :k]
-    for budget in (1, 3 * 50, predict._CHUNK_VALUES):
-        monkeypatch.setattr(predict, "_CHUNK_VALUES", budget)
+    for budget in (1, 3 * 50, dataio._CHUNK_VALUES):
+        monkeypatch.setattr(dataio, "_CHUNK_VALUES", budget)
         idx = _knn_indices(queries, table, k)
         assert idx.dtype == np.intp and idx.flags.owndata
         assert np.array_equal(idx, expected)
@@ -378,7 +380,7 @@ def test_threaded_knn_indices_equal_the_serial_chunk_loop(monkeypatch, n_queries
 
     rng = np.random.default_rng(57)
     queries, table, k = rng.random((n_queries, 3)), rng.random((50, 3)), 4
-    monkeypatch.setattr(predict, "_CHUNK_VALUES", 3 * 50)
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 3 * 50)
     expected = np.empty((n_queries, k), dtype=np.intp)
     for start in range(0, n_queries, 3):
         chunk = cdist(queries[start : start + 3], table)
@@ -397,7 +399,7 @@ def test_an_error_in_the_knn_worker_propagates_and_the_worker_ends(monkeypatch):
         return cdist(a, b)
 
     monkeypatch.setattr(scipy.spatial.distance, "cdist", failing_cdist)
-    monkeypatch.setattr(predict, "_CHUNK_VALUES", 3 * 50)
+    monkeypatch.setattr(dataio, "_CHUNK_VALUES", 3 * 50)
     rng = np.random.default_rng(58)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="worker cdist failed"):
