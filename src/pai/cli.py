@@ -349,10 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, default=3200, help="total simulated rows (default 3200)")
     sub.add_argument("--train", type=int, default=3000, help="training rows (default 3000)")
     sub.add_argument("--kind", choices=KINDS, default="copula")
-    sub.add_argument("--mc", type=int, default=4000, help="conditional draws per point")
-    sub.add_argument("--tau", type=float, default=0.0)
-    sub.add_argument("--alpha", type=float, default=0.05)
-    _add_common(sub, header=False)
+    sub.add_argument("--mc", type=_mc_count, default=4000, help="conditional draws per point (default 4000)")
+    _add_common(sub, header=False, tau=True, alpha=True)
 
     sub = commands.add_parser("verify-report", help="recompute a stored report's p-value/interval")
     sub.add_argument("--input", required=True)

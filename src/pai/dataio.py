@@ -20,10 +20,17 @@ byte-identical; rows are formatted and written in the chunks of
 :func:`chunk_starts`, so the text held at once does not grow with the matrix.
 Every read turns a missing, unreadable or non-UTF-8 file into
 :class:`InputError`.
+
+:func:`read_field` is the one reader of a field of a model or report
+document: a missing field, or a value its parser refuses, is an
+:class:`InputError` naming the document and the path (``marginals[1].ps``).
+Every numeric field is parsed by :func:`numbers`: each entry is a JSON
+number that is not a boolean, and finite as a float64.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -86,6 +93,64 @@ def read_json_object(path: str | os.PathLike, what: str) -> dict:
     if not isinstance(payload, dict):
         raise InputError(f"{path}: a {what} document must be a JSON object")
     return payload
+
+
+def read_field(doc, what: str, parse, *path):
+    """``parse`` of the field at ``path`` (keys and list indices) of a ``what`` document.
+
+    A missing field, or a value that ``parse`` refuses, is an :class:`InputError`.
+    """
+    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    value = doc
+    try:
+        for key in path:
+            value = value[key]
+    except (KeyError, IndexError, TypeError):
+        raise InputError(f"{what} document lacks field {name!r}") from None
+    try:
+        return parse(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{what} field {name!r}: {exc}") from None
+
+
+def numbers(raw, shape: tuple) -> np.ndarray:
+    """``raw`` as a float64 array of ``shape``, where ``None`` is any length.
+
+    Every entry is a JSON number, not a boolean, and finite as a float64.
+    """
+    leaves = [raw]
+    for _ in shape:
+        leaves = itertools.chain.from_iterable(leaves)  # a TypeError where a list is missing
+    kinds = set(map(type, leaves))
+    if not kinds <= {int, float}:
+        raise ValueError(f"expected numbers, found {sorted(kind.__name__ for kind in kinds - {int, float})}")
+    value = np.asarray(raw, dtype=np.float64)  # a ValueError if ragged, an OverflowError past float64
+    if value.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, value.shape)):
+        raise ValueError(f"has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError("has non-finite entries")
+    return value
+
+
+def number(raw) -> float:
+    """A scalar field under the rule of :func:`numbers`."""
+    return float(numbers(raw, ()))
+
+
+def integer(raw, least: int = 0) -> int:
+    """A JSON integer of at least ``least`` under the rule of :func:`numbers`."""
+    if number(raw) < least or type(raw) is not int:
+        raise ValueError(f"expected an integer >= {least}, got {raw!r}")
+    return raw
+
+
+def exactly(kind: type):
+    """A parser that passes a value of type ``kind``, and no subclass of it."""
+    def parse(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        return value
+    return parse
 
 
 def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:

@@ -57,10 +57,11 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .dataio import as_matrix, chunk_starts, read_json_object, write_json
+from .dataio import as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -171,8 +172,8 @@ class GaussianTransport:
     @classmethod
     def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> GaussianTransport:
         return cls(
-            mean=_array_field(payload, "mean", (dim,)),
-            chol=_load_chol(payload, "chol", dim),
+            mean=read_field(payload, "model", partial(numbers, shape=(dim,)), "mean"),
+            chol=read_field(payload, "model", partial(_chol, dim=dim), "chol"),
             fit_info=info,
         )
 
@@ -336,12 +337,10 @@ class CopulaTransport:
 
     @classmethod
     def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> CopulaTransport:
-        docs = _field(payload, "marginals")
-        if not isinstance(docs, list) or len(docs) != dim:
-            raise InputError(f"model field 'marginals' must list {dim} marginals")
+        read_field(payload, "model", partial(_list_of, size=dim), "marginals")
         return cls(
-            marginals=tuple(_load_marginal(m, f"marginals[{j}].") for j, m in enumerate(docs)),
-            latent_chol=_load_chol(payload, "latent_chol", dim),
+            marginals=tuple(_read_marginal(payload, "marginals", j) for j in range(dim)),
+            latent_chol=read_field(payload, "model", partial(_chol, dim=dim), "latent_chol"),
             fit_info=info,
         )
 
@@ -447,16 +446,13 @@ class LocationScaleTransport:
         if dim < 2:
             raise InputError("a location-scale model needs dim >= 2 (response plus features)")
         p = dim - 1
-        x_sd = _array_field(payload, "x_sd", (p,))
-        if np.any(x_sd <= 0):
-            raise InputError("model field 'x_sd' must be positive")
         return cls(
             features=CopulaTransport._from_fields(payload, p, info),
-            x_mean=_array_field(payload, "x_mean", (p,)),
-            x_sd=x_sd,
-            mean_coef=_array_field(payload, "mean_coef", (_quadratic_terms(p),)),
-            scale_coef=_array_field(payload, "scale_coef", (p + 1,)),
-            residual=_load_marginal(_field(payload, "residual"), "residual."),
+            x_mean=read_field(payload, "model", partial(numbers, shape=(p,)), "x_mean"),
+            x_sd=read_field(payload, "model", partial(_positive, size=p), "x_sd"),
+            mean_coef=read_field(payload, "model", partial(numbers, shape=(_quadratic_terms(p),)), "mean_coef"),
+            scale_coef=read_field(payload, "model", partial(numbers, shape=(p + 1,)), "scale_coef"),
+            residual=_read_marginal(payload, "residual"),
             fit_info=info,
         )
 
@@ -785,76 +781,62 @@ def save_model(model: GeneratorModel, path: str | os.PathLike) -> None:
     write_json(path, payload)
 
 
-def _field(doc, key: str, where: str = ""):
-    if not isinstance(doc, dict) or key not in doc:
-        raise InputError(f"model document lacks field {where + key!r}")
-    return doc[key]
+# Parsers of model fields for dataio.read_field: each refuses a value with a ValueError.
 
 
-def _array_field(doc, key: str, shape: tuple, where: str = "") -> np.ndarray:
-    """A finite float array of the given shape; ``None`` in ``shape`` is any length."""
-    name = where + key
-    raw = _field(doc, key, where)
-    try:
-        value = np.asarray(raw)
-    except ValueError:  # ragged nested lists
-        value = None
-    if value is None or value.dtype.kind not in "iuf":
-        raise InputError(f"model field {name!r} is not a numeric array")
-    value = value.astype(np.float64, copy=False)
-    if value.ndim != len(shape) or any(
-        want is not None and want != got for want, got in zip(shape, value.shape)
-    ):
-        raise InputError(f"model field {name!r} has shape {value.shape}, expected {shape}")
-    if not np.all(np.isfinite(value)):
-        raise InputError(f"model field {name!r} has non-finite entries")
+def _kind(raw) -> type:
+    if raw not in KINDS:  # tested before the lookup: a list or dict kind cannot be a dict key
+        raise ValueError(f"unrecognized model kind {raw!r}")
+    return _MODEL_CLASSES[raw]
+
+
+def _list_of(raw, size: int) -> list:
+    if not isinstance(raw, list) or len(raw) != size:
+        raise ValueError(f"expected a list of {size}")
+    return raw
+
+
+def _positive(raw, size: int) -> np.ndarray:
+    value = numbers(raw, (size,))
+    if np.any(value <= 0):
+        raise ValueError("must be positive")
     return value
 
 
-def _load_marginal(doc, where: str) -> Marginal:
-    xs = _array_field(doc, "xs", (None,), where)
-    ps = _array_field(doc, "ps", xs.shape, where)
-    if (
-        xs.shape[0] < 2
-        or np.any(np.diff(xs) <= 0)
-        or np.any(np.diff(ps) <= 0)
-        or ps[0] != 0.0
-        or ps[-1] != 1.0
-    ):
-        raise InputError(
-            f"model field {where[:-1]!r} is not a strictly increasing CDF grid from 0 to 1"
-        )
-    return Marginal(xs=xs, ps=ps)
-
-
-def _load_chol(doc, key: str, dim: int) -> np.ndarray:
-    chol = _array_field(doc, key, (dim, dim))
+def _chol(raw, dim: int) -> np.ndarray:
+    chol = numbers(raw, (dim, dim))
     if np.any(np.diag(chol) <= 0) or np.any(np.triu(chol, 1) != 0):
-        raise InputError(f"model field {key!r} is not lower triangular with a positive diagonal")
+        raise ValueError("is not lower triangular with a positive diagonal")
     return chol
+
+
+def _grid(raw, size: int | None, cdf: bool = False) -> np.ndarray:
+    grid = numbers(raw, (size,))
+    if grid.shape[0] < 2 or np.any(np.diff(grid) <= 0) or cdf and (grid[0], grid[-1]) != (0.0, 1.0):
+        raise ValueError("is not a strictly increasing grid of at least 2 knots" + (" from 0 to 1" if cdf else ""))
+    return grid
+
+
+def _read_marginal(payload: dict, *path) -> Marginal:
+    xs = read_field(payload, "model", partial(_grid, size=None), *path, "xs")
+    return Marginal(xs=xs, ps=read_field(payload, "model", partial(_grid, size=len(xs), cdf=True), *path, "ps"))
 
 
 def load_model(path: str | os.PathLike) -> GeneratorModel:
     """Load a model saved by :func:`save_model`.
 
-    Every field is checked against the model's kind and ``dim`` (shapes,
-    finiteness, triangular factors with positive diagonals, strictly
-    increasing marginal grids), so a malformed document raises
-    :class:`InputError` rather than loading a model that fails later.
+    Every field is read by :func:`pai.dataio.read_field` and checked against
+    the model's kind and ``dim`` (shapes, the number rule, triangular factors
+    with positive diagonals, strictly increasing marginal grids), so a
+    malformed document raises :class:`InputError` rather than loading.
     """
     payload = read_json_object(path, "model")
     if payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"unrecognized model schema: {payload.get('schema')!r}")
-    fitted_on = _field(payload, "fitted_on")
-    n_rows = _field(fitted_on, "n_rows", "fitted_on.")
-    data_hash = _field(fitted_on, "data_hash", "fitted_on.")
-    if type(n_rows) is not int or n_rows < 0 or not isinstance(data_hash, str):
-        raise InputError("model field 'fitted_on' needs an integer n_rows >= 0 and a string data_hash")
-    info = FitInfo(n_rows=n_rows, data_hash=data_hash)
-    kind = _field(payload, "kind")
-    dim = _field(payload, "dim")
-    if type(dim) is not int or dim < 1:
-        raise InputError(f"model field 'dim' must be a positive integer, got {dim!r}")
-    if kind not in KINDS:  # tested before the lookup: a list or dict kind cannot be a dict key
-        raise InputError(f"unrecognized model kind: {kind!r}")
-    return _MODEL_CLASSES[kind]._from_fields(payload, dim, info)
+    info = FitInfo(
+        n_rows=read_field(payload, "model", integer, "fitted_on", "n_rows"),
+        data_hash=read_field(payload, "model", exactly(str), "fitted_on", "data_hash"),
+    )
+    model_class = read_field(payload, "model", _kind, "kind")
+    dim = read_field(payload, "model", partial(integer, least=1), "dim")
+    return model_class._from_fields(payload, dim, info)

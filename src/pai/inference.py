@@ -25,7 +25,8 @@ subclass :class:`PivotalReport`, which adds the inverted confidence
 interval. A report keeps its null draws, so ``is_consistent`` re-derives the
 stored p-value and interval exactly. ``save`` writes a versioned JSON
 document (``pai-report/1`` or ``pai-pivotal/1``) and ``TestReport.load``
-reads either, turning any malformed document into :class:`InputError`.
+reads either, turning any malformed document into :class:`InputError`. Each
+schema lists its fields once, for both ``to_dict`` and ``from_dict``.
 
 The feature statistic fits two classifiers per chunk, one on all features and
 one with the masked features zeroed. They do not depend on each other, so the
@@ -48,9 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import as_matrix, read_json_object, write_json
+from .dataio import as_matrix, exactly, integer, number, numbers, read_field, read_json_object, write_json
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
-from .errors import InputError
+from .errors import InputError, NumericError
 from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
 from .metrics import fid, gaussian_summary
 
@@ -66,58 +67,19 @@ _LOGISTIC_STEP = 0.1
 _LABEL_THRESHOLD = 0.5
 
 
-def _number(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _optional_number(value) -> float | None:
-    return None if value is None else _number(value)
+    return None if value is None else number(value)
 
 
 def _level(value) -> float:
-    if not 0.0 < _number(value) < 1.0:
+    level = number(value)
+    if not 0.0 < level < 1.0:
         raise ValueError(f"expected a level in (0, 1), got {value!r}")
-    return float(value)
+    return level
 
 
 def _draws(value) -> EmpiricalDistribution:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list of numbers, got {type(value).__name__}")
-    return EmpiricalDistribution(np.array([_number(v) for v in value], dtype=np.float64))
-
-
-def _exactly(kind: type):
-    def parse(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
-        return value
-
-    return parse
-
-
-def _report_field(payload: dict, key: str, parse):
-    """``parse(payload[key])``; a missing key or a value it rejects is an InputError."""
-    if key not in payload:
-        raise InputError(f"report document lacks field {key!r}")
-    try:
-        return parse(payload[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"report field {key!r}: {exc}") from None
-
-
-def _common_fields(payload: dict, scalar) -> dict:
-    """Fields every report document has; ``scalar`` parses statistic and p-value."""
-    return {
-        "statistic": _report_field(payload, "statistic", scalar),
-        "p_value": _report_field(payload, "p_value", scalar),
-        "sidedness": _report_field(payload, "sidedness", Sidedness),
-        "correction": _report_field(payload, "correction", Correction),
-        "null_draws": _report_field(payload, "null_draws", _draws),
-        "seed": _report_field(payload, "seed", _exactly(int)),
-        "config": _report_field(payload, "config", _exactly(dict)),
-    }
+    return EmpiricalDistribution(numbers(value, (None,)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -125,6 +87,18 @@ class TestReport:
     """Self-contained result of one Monte Carlo test."""
 
     schema = REPORT_SCHEMA
+    # A report document's fields: key -> (attribute, parse, write), where a write
+    # of None stores the attribute as it is.
+    _FIELDS = {
+        "test": ("test_name", exactly(str), None),
+        "statistic": ("statistic", number, None),
+        "p_value": ("p_value", number, None),
+        "sidedness": ("sidedness", Sidedness, lambda sidedness: sidedness.value),
+        "correction": ("correction", Correction, lambda correction: correction.value),
+        "null_draws": ("null_draws", _draws, lambda draws: draws.values.tolist()),
+        "seed": ("seed", integer, None),
+        "config": ("config", exactly(dict), None),
+    }
 
     test_name: str
     statistic: float
@@ -148,25 +122,14 @@ class TestReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "test": self.test_name,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "sidedness": self.sidedness.value,
-            "correction": self.correction.value,
-            "null_draws": self.null_draws.values.tolist(),
-            "seed": self.seed,
-            "config": self.config,
-        }
+        doc = {"schema": self.schema}
+        for key, (attribute, _, write) in self._FIELDS.items():
+            value = getattr(self, attribute)
+            doc[key] = value if write is None else write(value)
+        return doc
 
     def save(self, path: str | os.PathLike) -> None:
         write_json(path, self.to_dict())
-
-    @staticmethod
-    def _parse_fields(payload: dict) -> dict:
-        fields = _common_fields(payload, _number)
-        return {"test_name": _report_field(payload, "test", _exactly(str)), **fields}
 
     @staticmethod
     def from_dict(payload: dict) -> "TestReport":
@@ -174,7 +137,8 @@ class TestReport:
         schema = payload.get("schema") if isinstance(payload, dict) else None
         for report_type in (TestReport, PivotalReport):
             if schema == report_type.schema:
-                return report_type(**report_type._parse_fields(payload))
+                fields = report_type._FIELDS.items()
+                return report_type(**{attr: read_field(payload, "report", parse, key) for key, (attr, parse, _) in fields})
         raise InputError(f"unrecognized report schema: {schema!r}")
 
     @staticmethod
@@ -469,6 +433,15 @@ class PivotalReport(TestReport):
     """
 
     schema = PIVOTAL_SCHEMA
+    # No "test" key: the test name is always "pivotal".
+    _FIELDS = {
+        **{key: field for key, field in TestReport._FIELDS.items() if key != "test"},
+        "statistic": ("statistic", _optional_number, None),
+        "p_value": ("p_value", _optional_number, None),
+        "pivot": ("pivot", exactly(str), None),
+        **{key: (key, number, None) for key in ("estimate", "scale", "lower", "upper")},
+        "alpha": ("alpha", _level, None),
+    }
 
     test_name: str = "pivotal"
     estimate: float
@@ -493,31 +466,6 @@ class PivotalReport(TestReport):
             f"estimate={self.estimate:.6g} interval=[{self.lower:.6g}, {self.upper:.6g}] "
             f"p={p_text}"
         )
-
-    def to_dict(self) -> dict:
-        doc = super().to_dict()
-        del doc["test"]
-        doc.update(
-            pivot=self.pivot,
-            estimate=self.estimate,
-            scale=self.scale,
-            alpha=self.alpha,
-            lower=self.lower,
-            upper=self.upper,
-        )
-        return doc
-
-    @staticmethod
-    def _parse_fields(payload: dict) -> dict:
-        return {
-            "pivot": _report_field(payload, "pivot", _exactly(str)),
-            "estimate": _report_field(payload, "estimate", _number),
-            "scale": _report_field(payload, "scale", _number),
-            "alpha": _report_field(payload, "alpha", _level),
-            "lower": _report_field(payload, "lower", _number),
-            "upper": _report_field(payload, "upper", _number),
-            **_common_fields(payload, _optional_number),
-        }
 
 
 def pivotal_inference(
@@ -555,6 +503,8 @@ def pivotal_inference(
     theta_hat = float(data.mean())
     sd_hat = float(data.std(ddof=1))
     theta_tilde = theta_hat if center is None else float(center)
+    if not math.isfinite(theta_hat) or (sigma is None and not math.isfinite(sd_hat)):
+        raise NumericError(f"the sample mean or sd overflows float64 (mean {theta_hat}, sd {sd_hat})")
     if sigma is None:
         if sd_hat <= 0:
             raise InputError("studentized pivot needs a non-degenerate sample")
@@ -571,7 +521,11 @@ def pivotal_inference(
     def pivot_values(chunk: np.ndarray) -> np.ndarray:
         synthetic = chunk[..., 0]
         spread = synthetic.std(axis=-1, ddof=1) if sigma is None else gen_scale
-        return math.sqrt(n) * (synthetic.mean(axis=-1) - theta_tilde) / spread
+        values = math.sqrt(n) * (synthetic.mean(axis=-1) - theta_tilde) / spread
+        if not (np.isfinite(values).all() and np.isfinite(spread).all()):
+            name = "the sample sd" if sigma is None else "sigma"
+            raise NumericError(f"the pivot's draws overflow float64 at {name} = {gen_scale:.6g}")
+        return values
 
     draws = sample_statistic_null(model, n, D, pivot_values, cfg)
     lower, upper = _pivot_interval(draws, theta_hat, obs_scale, alpha)

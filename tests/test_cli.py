@@ -114,6 +114,8 @@ def test_mc_flag_validation(tmp_path, sim_csv):
         "--mc", 0, "--seed", 1, "--out", tmp_path / "r.json",
     )
     assert code == 2
+    # coverage reads --mc with the same check as every other command
+    assert run("coverage", "--mc", 1, "--seed", 1, "--out", tmp_path / "c.json") == 2
 
 
 # Sizes whose arrays exceed any 47-bit address space, so no allocation
@@ -247,7 +249,7 @@ def test_an_overflow_prints_one_stderr_line(tmp_path, command):
         argv, code = ["--kind", "gaussian"], 4
     else:
         dataio.write_matrix(data, rng.standard_normal((40, 1)))
-        argv, code = ["--sigma", "1e308", "--mc", "19"], 3
+        argv, code = ["--sigma", "1e308", "--mc", "19"], 4
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pai.__file__))}
     done = subprocess.run(
         [sys.executable, "-m", "pai.cli", command, "--input", str(data), *argv, "--seed", "1", "--out", str(out)],
@@ -255,6 +257,29 @@ def test_an_overflow_prints_one_stderr_line(tmp_path, command):
     )
     assert done.returncode == code
     assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
+@pytest.mark.parametrize(
+    "column, argv, message",
+    [
+        # mean + sigma * z overflows float64 for |z| > 1.8
+        (lambda z: z, ["--sigma=1e308"], "the pivot's draws overflow float64 at sigma = 1e+308"),
+        # the sample's squares overflow, so its sd is inf
+        (lambda z: 1e307 * z, [], "the sample mean or sd overflows float64 (mean "),
+        # the sample's sum overflows, so its mean is inf, whatever sigma is
+        (lambda z: 1.7e308 - 1e307 * np.abs(z), ["--sigma=1"], "the sample mean or sd overflows float64 (mean inf, "),
+        # the sd is finite, but a synthetic sample's sd overflows
+        (lambda z: 3e153 * z, [], "the pivot's draws overflow float64 at the sample sd = "),
+    ],
+    ids=["sigma", "sample-sd", "sample-mean", "synthetic-sd"],
+)
+def test_a_pivot_that_overflows_is_a_numeric_error(tmp_path, capsys, column, argv, message):
+    data, out = tmp_path / "x.csv", tmp_path / "out.json"
+    dataio.write_matrix(data, column(np.random.default_rng(5).standard_normal((12, 1))))
+    capsys.readouterr()
+    assert run("test-pivotal", "--input", data, *argv, "--mc", 199, "--seed", 1, "--out", out) == 4
+    assert capsys.readouterr().err.startswith(f"numeric error: {message}")
+    assert not out.exists()
 
 
 def test_copula_fits_data_whose_squares_overflow(tmp_path):
@@ -476,6 +501,14 @@ MALFORMED_REPORTS = {
     "pivotal-statistic-list": ("pai-pivotal/1", lambda doc: {**doc, "statistic": [1.0]}),
     "unknown-schema": ("pai-report/1", lambda doc: {**doc, "schema": "pai-report/0"}),
     "unhashable-schema": ("pai-report/1", lambda doc: {**doc, "schema": ["pai-report/1"]}),
+    # JSON booleans are not numbers, as in model files
+    "report-statistic-bool": ("pai-report/1", lambda doc: {**doc, "statistic": True}),
+    "report-draws-bool": ("pai-report/1", lambda doc: {**doc, "null_draws": [*doc["null_draws"][:-1], True]}),
+    "report-seed-bool": ("pai-report/1", lambda doc: {**doc, "seed": True}),
+    "report-seed-huge": ("pai-report/1", lambda doc: {**doc, "seed": 10**400}),
+    "pivotal-estimate-bool": ("pai-pivotal/1", lambda doc: {**doc, "estimate": True}),
+    "pivotal-lower-bool": ("pai-pivotal/1", lambda doc: {**doc, "lower": False}),
+    "pivotal-draws-bool": ("pai-pivotal/1", lambda doc: {**doc, "null_draws": [False, *doc["null_draws"][1:]]}),
 }
 
 

@@ -5,13 +5,18 @@ names, ``pai`` exits with 0, 2, 3 or 4 and never with a traceback. Each
 example runs in a fresh copy of a small work directory, so outputs written
 by one example (an ``--out`` may name an input) never feed the next. A
 deterministic sweep puts each edge value of float64 on every float flag,
-which random edits rarely do.
+which random edits rarely do. Another puts a boolean, a string, null and an
+integer beyond float64 on the first number of every numeric field of every
+model and report document, and each must be refused.
 """
 
 import argparse
 import contextlib
+import copy
+import functools
 import io
 import json
+import operator
 import os
 import shutil
 
@@ -20,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pai import dataio
+from pai import InputError, dataio, load_model
+from pai import TestReport as Report
 from pai.cli import build_parser, main
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -168,6 +174,7 @@ FLOAT_FLAGS = _float_flags()
 
 def test_the_sweep_finds_every_float_flag():
     assert {flag for _, flag in FLOAT_FLAGS} == {"--tau", "--alpha", "--theta0", "--sigma"}
+    assert {("coverage", "--tau"), ("coverage", "--alpha")} <= set(FLOAT_FLAGS)
 
 
 @pytest.mark.parametrize("value", EDGE_FLOATS)
@@ -200,14 +207,25 @@ json_value = st.recursive(
 
 @st.composite
 def mutated_document(draw, pristine_json):
-    """A valid model or report document with one field replaced or removed."""
+    """A valid model or report document with one field replaced or removed.
+
+    The field is a top-level key or, after up to four steps down into
+    objects and lists, a nested one: a chol row or entry, a marginal's
+    knot, one null draw.
+    """
     name = draw(st.sampled_from(sorted(pristine_json)))
-    doc = dict(pristine_json[name])
-    key = draw(st.sampled_from(sorted(doc)))
+    doc = copy.deepcopy(pristine_json[name])
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    for _ in range(draw(st.integers(0, 4))):
+        child = parent[key]
+        if not isinstance(child, (dict, list)) or not child:
+            break
+        parent = child
+        key = draw(st.sampled_from(sorted(child) if isinstance(child, dict) else range(len(child))))
     if draw(st.booleans()):
-        del doc[key]
+        del parent[key]
     else:
-        doc[key] = draw(json_value)
+        parent[key] = draw(json_value)
     return json.dumps(doc)
 
 
@@ -245,3 +263,55 @@ def test_arbitrary_file_contents_exit_with_a_documented_code(workdir, pristine, 
     directory = workdir()
     (directory / "fuzz").write_text(text, encoding="utf-8")
     assert run_in(directory, argv) in EXIT_CODES
+
+
+# Each document the CLI reads, with its loader and a command that reads it ("doc" names the file).
+SYNTHESIZE = ["synthesize", "--model", "doc", "--n", "3", "--seed", "1", "--out", "s.csv"]
+DOCUMENT_READERS = {
+    **{f"{kind}.json": (load_model, SYNTHESIZE) for kind in ("gaussian", "copula", "location-scale")},
+    **{name: (Report.load, ["verify-report", "--input", "doc"]) for name in ("report.json", "pivotal.json")},
+}
+# Not numbers under the document rule: a boolean, a string, null, and an
+# integer beyond float64.
+NOT_NUMBERS = (True, "1", None, 10**400)
+
+
+def _first_numeric_leaves(value, path=()):
+    """The path to the first number of every numeric field of ``value``, outside ``config``.
+
+    A field is an object's value; each object inside a list (a marginal) is
+    searched for fields of its own.
+    """
+    if isinstance(value, dict):
+        for key in sorted(value):
+            if key != "config":
+                yield from _first_numeric_leaves(value[key], (*path, key))
+    elif isinstance(value, list) and value:
+        items = enumerate(value) if isinstance(value[0], dict) else [(0, value[0])]
+        for index, item in items:
+            yield from _first_numeric_leaves(item, (*path, index))
+    elif type(value) in (int, float):
+        yield path
+
+
+def test_the_leaf_sweep_reaches_nested_fields(pristine):
+    leaves = set(_first_numeric_leaves(json.loads((pristine / "copula.json").read_text())))
+    marginals = {("marginals", j, grid, 0) for j in range(3) for grid in ("ps", "xs")}
+    assert leaves == {("dim",), ("fitted_on", "n_rows"), ("latent_chol", 0, 0), *marginals}
+
+
+@pytest.mark.parametrize("replacement", NOT_NUMBERS, ids=["true", "string", "null", "huge-int"])
+@pytest.mark.parametrize("name", sorted(DOCUMENT_READERS))
+def test_every_numeric_field_refuses_what_is_not_a_number(tmp_path, pristine, name, replacement):
+    read, argv = DOCUMENT_READERS[name]
+    pristine_doc = json.loads((pristine / name).read_text())
+    leaves = list(_first_numeric_leaves(pristine_doc))
+    assert len(leaves) >= 4
+    for path in leaves:
+        doc = copy.deepcopy(pristine_doc)
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        parent[path[-1]] = replacement
+        (tmp_path / "doc").write_text(json.dumps(doc))
+        with pytest.raises(InputError):
+            read(tmp_path / "doc")
+        assert run_in(tmp_path, argv) == 3, path

@@ -166,3 +166,30 @@ def test_as_matrix_is_the_one_matrix_rule():
         dataio.as_matrix([[1.0, 2.0], [np.nan, -np.inf]], "x")
     with pytest.raises(InputError, match="x has 2 columns, expected 3"):
         dataio.as_matrix(np.zeros((5, 2)), "x", 3)
+
+
+def test_numbers_is_the_one_number_rule():
+    assert dataio.numbers([[1, 2.5], [-0.0, 1e308]], (2, None)).tolist() == [[1.0, 2.5], [-0.0, 1e308]]
+    assert dataio.number(3) == 3.0 and type(dataio.number(3)) is float
+    refused = [
+        ([True, 0.5], (2,)), ([1, False], (2,)), (["1", 0.5], (2,)), ([None, 0.5], (2,)),
+        ([10**400, 0.5], (2,)), ([float("nan"), 0.5], (2,)), ([[1.0, 2.0], [3.0]], (2, 2)),
+        ([1.0, 2.0], (2, 2)), ([[1.0], [2.0]], (2,)), ([1.0, 2.0, 3.0], (2,)), (True, ()), ("1", ()),
+    ]
+    for raw, shape in refused:
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            dataio.numbers(raw, shape)
+    assert dataio.integer(7) == 7
+    for raw in (True, 7.0, -1, 10**400, "7"):
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            dataio.integer(raw)
+
+
+def test_read_field_names_the_document_and_the_path():
+    doc = {"grids": [{"xs": [0.0, 1.0]}, {"xs": [0.0, True]}]}
+    assert dataio.read_field(doc, "model", len, "grids", 0, "xs") == 2
+    with pytest.raises(InputError, match=r"^model field 'grids\[1\]\.xs': expected numbers, found \['bool'\]$"):
+        dataio.read_field(doc, "model", lambda raw: dataio.numbers(raw, (None,)), "grids", 1, "xs")
+    for path in (("grids", 2, "xs"), ("grids", 0, "ps"), ("grids", "xs"), ("grids", 0, "xs", "a")):
+        with pytest.raises(InputError, match="^model document lacks field "):
+            dataio.read_field(doc, "model", len, *path)

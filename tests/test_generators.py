@@ -491,6 +491,11 @@ def _swap_first_knots(grid):
     grid[1], grid[2] = grid[2], grid[1]
 
 
+def _false_for_the_knot_nearest_zero(grid):
+    # Read as 0.0, false would keep the grid strictly increasing here.
+    grid[int(np.argmin(np.abs(grid)))] = False
+
+
 _FITTERS = {"gaussian": fit_gaussian, "copula": fit_copula, "location-scale": fit_location_scale}
 
 
@@ -524,6 +529,12 @@ _FITTERS = {"gaussian": fit_gaussian, "copula": fit_copula, "location-scale": fi
         ("location-scale", lambda d: d.update(kind={})),
         ("location-scale", lambda d: d.update(kind=None)),
         ("location-scale", lambda d: d.update(kind=1)),
+        # JSON booleans are not numbers, wherever they sit
+        ("gaussian", lambda d: d.update(mean=[True, 0.5])),
+        ("gaussian", lambda d: d.update(mean=[1, True])),
+        ("gaussian", lambda d: d["chol"][1].__setitem__(1, True)),
+        ("copula", lambda d: _false_for_the_knot_nearest_zero(d["marginals"][1]["xs"])),
+        ("location-scale", lambda d: d["x_sd"].__setitem__(0, True)),
     ],
 )
 def test_load_model_rejects_bad_fields(tmp_path, kind, mutate):
@@ -536,6 +547,20 @@ def test_load_model_rejects_bad_fields(tmp_path, kind, mutate):
     mutate(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError):
+        load_model(path)
+
+
+def test_a_nested_field_error_names_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(fit_copula(_heteroscedastic_sample(300, 21)[:, 1:]), path)
+    doc = json.loads(path.read_text())
+    doc["marginals"][1]["ps"][1] = True
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"^model field 'marginals\[1\]\.ps': expected numbers, found \['bool'\]$"):
+        load_model(path)
+    del doc["marginals"][1]["ps"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=r"^model document lacks field 'marginals\[1\]\.ps'$"):
         load_model(path)
 
 
