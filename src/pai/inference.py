@@ -22,11 +22,16 @@ bits as one replicate at a time:
 
 Every result is a :class:`TestReport`; pivotal inference returns the
 subclass :class:`PivotalReport`, which adds the inverted confidence
-interval. A report keeps its null draws, so ``is_consistent`` re-derives the
-stored p-value and interval exactly. ``save`` writes a versioned JSON
-document (``pai-report/1`` or ``pai-pivotal/1``) and ``TestReport.load``
-reads either, turning any malformed document into :class:`InputError`. Each
-schema lists its fields once, for both ``to_dict`` and ``from_dict``.
+interval. All four procedures build it through one constructor, whose
+p-value comes from one rule: none without a statistic (an untested
+interval), 1 when the config records ``"degenerate": true`` (the feature
+test's convention when masking changes no inference loss, so T = 0), else
+the Monte Carlo :func:`~pai.empirical.p_value` among the null draws. A report
+keeps its draws, and ``is_consistent`` (so ``pai verify-report``) applies
+the same rule, so no report is built that its own check rejects. ``save``
+writes a versioned JSON document (``pai-report/1`` or ``pai-pivotal/1``) and
+``TestReport.load`` reads either, turning any malformed document into
+:class:`InputError`. Each schema lists its fields once.
 
 The feature statistic fits two classifiers per chunk, one on all features and
 one with the masked features zeroed. They do not depend on each other, so the
@@ -82,6 +87,17 @@ def _draws(value) -> EmpiricalDistribution:
     return EmpiricalDistribution(numbers(value, (None,)))
 
 
+def _derived_p_value(
+    draws: EmpiricalDistribution, statistic: float | None, sidedness: Sidedness, correction: Correction, config: dict
+) -> float | None:
+    """The one p-value rule of a report, applied when it is built and when it is checked."""
+    if statistic is None:
+        return None
+    if config.get("degenerate") is True:
+        return 1.0
+    return p_value(draws, statistic, sidedness, correction)
+
+
 @dataclass(frozen=True, kw_only=True)
 class TestReport:
     """Self-contained result of one Monte Carlo test."""
@@ -111,8 +127,8 @@ class TestReport:
 
     def is_consistent(self) -> bool:
         """Whether the stored p-value re-derives from the stored draws."""
-        recomputed = p_value(self.null_draws, self.statistic, self.sidedness, self.correction)
-        return recomputed == self.p_value
+        derived = _derived_p_value(self.null_draws, self.statistic, self.sidedness, self.correction, self.config)
+        return derived == self.p_value
 
     def summary(self) -> str:
         """One line stating the result."""
@@ -148,25 +164,20 @@ class TestReport:
 
 
 def _build_report(
-    test_name: str,
-    statistic: float,
-    draws: EmpiricalDistribution,
-    sidedness: Sidedness,
-    correction: Correction,
-    cfg: PassConfig,
-    config: dict,
-    p_override: float | None = None,
+    report_type: type[TestReport], test_name: str, statistic: float | None, draws: EmpiricalDistribution,
+    sidedness: Sidedness, correction: Correction, cfg: PassConfig, D: int, config: dict, **fields,
 ) -> TestReport:
-    p = p_value(draws, statistic, sidedness, correction) if p_override is None else p_override
-    return TestReport(
-        test_name=test_name,
-        statistic=float(statistic),
-        p_value=float(p),
-        sidedness=sidedness,
-        correction=correction,
-        null_draws=draws,
-        seed=cfg.mc_seed,
-        config=config,
+    """The one report constructor; ``config`` gains ``test``, ``D`` and ``tau`` here.
+
+    ``statistic`` is ``None`` for an untested pivotal interval, and
+    ``fields`` are the extra :class:`PivotalReport` fields.
+    """
+    config = {"test": test_name, "D": D, "tau": cfg.perturbation.tau, **config}
+    statistic = None if statistic is None else float(statistic)
+    p = _derived_p_value(draws, statistic, sidedness, correction, config)
+    return report_type(
+        test_name=test_name, statistic=statistic, p_value=p, sidedness=sidedness, correction=correction,
+        null_draws=draws, seed=cfg.mc_seed, config=config, **fields,
     )
 
 
@@ -200,16 +211,10 @@ def test_two_sample_fid(
         model, n_draw, D, lambda chunk: fid(ref_summary, gaussian_summary(chunk)), cfg
     )
     config = {
-        "test": "fid",
-        "n_reference": int(reference.shape[0]),
-        "n_candidate": int(n_draw),
-        "dim": d,
-        "D": D,
-        "tau": cfg.perturbation.tau,
-        "model_kind": model.kind,
-        "model_fitted_on": model.fit_info.data_hash,
+        "n_reference": int(reference.shape[0]), "n_candidate": int(n_draw), "dim": d,
+        "model_kind": model.kind, "model_fitted_on": model.fit_info.data_hash,
     }
-    return _build_report("fid", statistic, draws, sidedness, correction, cfg, config)
+    return _build_report(TestReport, "fid", statistic, draws, sidedness, correction, cfg, D, config)
 
 
 def _standardize(train_X: np.ndarray):
@@ -325,11 +330,13 @@ def test_feature_significance(
             raise InputError(f"{name} labels must be binary 0/1")
     if np.unique(train_y).shape[0] < 2:
         raise InputError("train labels contain a single class")
-    mask = np.asarray(sorted(set(int(i) for i in masked_features)), dtype=np.intp)
-    if mask.shape[0] == 0:
+    mask = sorted(set(int(i) for i in masked_features))
+    if not mask:
         raise InputError("masked feature set is empty")
-    if mask.min() < 0 or mask.max() >= p:
+    # Checked as Python ints, so an index beyond int64 is refused like any other.
+    if mask[0] < 0 or mask[-1] >= p:
         raise InputError(f"masked feature indices must lie in 0..{p - 1}")
+    mask = np.asarray(mask, dtype=np.intp)
     if model.dim != p + 1:
         raise InputError(
             f"model dim {model.dim} != 1 + feature dim {p} (label column 0 plus features)"
@@ -346,23 +353,19 @@ def test_feature_significance(
 
     draws = sample_statistic_null(model, n_train + n_inf, D, replicate_statistic, cfg)
     statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
-    statistic = float(statistic)
     config = {
-        "test": "feature",
         "n_train": n_train,
         "n_inference": n_inf,
         "dim": p,
         "masked_features": mask.tolist(),
-        "D": D,
-        "tau": cfg.perturbation.tau,
         "label_threshold": _LABEL_THRESHOLD,
         "model_kind": model.kind,
         "model_fitted_on": model.fit_info.data_hash,
     }
-    p_override = 1.0 if bool(degenerate) else None
-    return _build_report(
-        "feature", statistic, draws, Sidedness.LOWER_TAIL, correction, cfg, config, p_override
-    )
+    if degenerate:
+        # Masking changes no inference loss: T = 0 and, by the report rule, p = 1.
+        config["degenerate"] = True
+    return _build_report(TestReport, "feature", statistic, draws, Sidedness.LOWER_TAIL, correction, cfg, D, config)
 
 
 def test_conditional_coherence(
@@ -403,18 +406,10 @@ def test_conditional_coherence(
     ]
     draws = EmpiricalDistribution(np.concatenate([half.values for half in halves]))
     config = {
-        "test": "coherence",
-        "n_group1": n1,
-        "n_group2": n2,
-        "dim": d,
-        "D": D,
-        "null_draws_total": 2 * D,
-        "tau": cfg.perturbation.tau,
-        "model_kinds": [cond_model1.kind, cond_model2.kind],
+        "n_group1": n1, "n_group2": n2, "dim": d,
+        "null_draws_total": 2 * D, "model_kinds": [cond_model1.kind, cond_model2.kind],
     }
-    return _build_report(
-        "coherence", statistic, draws, Sidedness.UPPER_TAIL, correction, cfg, config
-    )
+    return _build_report(TestReport, "coherence", statistic, draws, Sidedness.UPPER_TAIL, correction, cfg, D, config)
 
 
 def _pivot_interval(
@@ -454,11 +449,7 @@ class PivotalReport(TestReport):
     def is_consistent(self) -> bool:
         """Whether the stored interval and p-value re-derive from the stored draws."""
         interval = _pivot_interval(self.null_draws, self.estimate, self.scale, self.alpha)
-        if interval != (self.lower, self.upper):
-            return False
-        if self.statistic is None:
-            return self.p_value is None
-        return super().is_consistent()
+        return interval == (self.lower, self.upper) and super().is_consistent()
 
     def summary(self) -> str:
         p_text = "n/a" if self.p_value is None else f"{self.p_value:.6g}"
@@ -516,6 +507,13 @@ def pivotal_inference(
     obs_scale = gen_scale / math.sqrt(n)
     if obs_scale == 0.0:
         raise InputError(f"the pivot's scale / sqrt(n) underflows to 0 (scale {gen_scale})")
+    statistic = None
+    if theta0 is not None:
+        if not math.isfinite(theta0):
+            raise InputError(f"theta0 must be finite, got {theta0}")
+        statistic = (theta_hat - float(theta0)) / obs_scale
+        if not math.isfinite(statistic):
+            raise NumericError(f"the test statistic overflows float64 at theta0 = {theta0:.6g}")
     model = gaussian_from_params([theta_tilde], chol=[[gen_scale]])
 
     def pivot_values(chunk: np.ndarray) -> np.ndarray:
@@ -529,34 +527,8 @@ def pivotal_inference(
 
     draws = sample_statistic_null(model, n, D, pivot_values, cfg)
     lower, upper = _pivot_interval(draws, theta_hat, obs_scale, alpha)
-    statistic = None
-    p = None
-    if theta0 is not None:
-        statistic = (theta_hat - float(theta0)) / obs_scale
-        p = p_value(draws, statistic, sidedness, correction)
-    config = {
-        "test": "pivotal",
-        "pivot": pivot,
-        "n": n,
-        "D": D,
-        "alpha": alpha,
-        "theta0": theta0,
-        "sigma": sigma,
-        "center": center,
-        "tau": cfg.perturbation.tau,
-    }
-    return PivotalReport(
-        estimate=theta_hat,
-        scale=obs_scale,
-        alpha=alpha,
-        lower=lower,
-        upper=upper,
-        pivot=pivot,
-        statistic=statistic,
-        p_value=p,
-        sidedness=sidedness,
-        correction=correction,
-        null_draws=draws,
-        seed=cfg.mc_seed,
-        config=config,
+    config = {"pivot": pivot, "n": n, "alpha": alpha, "theta0": theta0, "sigma": sigma, "center": center}
+    return _build_report(
+        PivotalReport, "pivotal", statistic, draws, sidedness, correction, cfg, D, config,
+        estimate=theta_hat, scale=obs_scale, alpha=alpha, lower=lower, upper=upper, pivot=pivot,
     )

@@ -270,8 +270,10 @@ def test_an_overflow_prints_one_stderr_line(tmp_path, command):
         (lambda z: 1.7e308 - 1e307 * np.abs(z), ["--sigma=1"], "the sample mean or sd overflows float64 (mean inf, "),
         # the sd is finite, but a synthetic sample's sd overflows
         (lambda z: 3e153 * z, [], "the pivot's draws overflow float64 at the sample sd = "),
+        # (mean - theta0) / (sd / sqrt(n)) overflows, though theta0 is finite
+        (lambda z: z, ["--theta0=1e308"], "the test statistic overflows float64 at theta0 = 1e+308"),
     ],
-    ids=["sigma", "sample-sd", "sample-mean", "synthetic-sd"],
+    ids=["sigma", "sample-sd", "sample-mean", "synthetic-sd", "theta0"],
 )
 def test_a_pivot_that_overflows_is_a_numeric_error(tmp_path, capsys, column, argv, message):
     data, out = tmp_path / "x.csv", tmp_path / "out.json"
@@ -279,6 +281,31 @@ def test_a_pivot_that_overflows_is_a_numeric_error(tmp_path, capsys, column, arg
     capsys.readouterr()
     assert run("test-pivotal", "--input", data, *argv, "--mc", 199, "--seed", 1, "--out", out) == 4
     assert capsys.readouterr().err.startswith(f"numeric error: {message}")
+    assert not out.exists()
+
+
+def test_degenerate_feature_report_verifies(tmp_path):
+    # the masked column is constant, so masking changes no loss: T = 0 and p = 1
+    rng = np.random.default_rng(8)
+    labeled, model, out = tmp_path / "labeled.csv", tmp_path / "model.json", tmp_path / "report.json"
+    dataio.write_matrix(labeled, np.column_stack((np.arange(40) % 2, rng.standard_normal(40), np.zeros(40))))
+    assert run("fit", "--input", labeled, "--seed", 1, "--out", model) == 0
+    argv = ["--input", labeled, "--inference", labeled, "--model", model, "--mask", 1, "--mc", 9]
+    assert run("test-feature", *argv, "--seed", 2, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["statistic"], payload["p_value"], payload["config"]["degenerate"]) == (0.0, 1.0, True)
+    assert run("verify-report", "--input", out) == 0
+
+
+@pytest.mark.parametrize("index", [str(2**63), str(-(2**63) - 1), str(2**64)])
+def test_a_mask_index_beyond_int64_is_a_data_error(tmp_path, capsys, index):
+    _, labeled, _, model = _labeled_inputs(tmp_path)
+    out = tmp_path / "out.json"
+    argv = ["--input", labeled, "--inference", labeled, "--model", model, f"--mask={index}", "--mc", 5]
+    capsys.readouterr()
+    assert run("test-feature", *argv, "--seed", 1, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: masked feature indices must lie in 0..0") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -5,9 +5,10 @@ names, ``pai`` exits with 0, 2, 3 or 4 and never with a traceback. Each
 example runs in a fresh copy of a small work directory, so outputs written
 by one example (an ``--out`` may name an input) never feed the next. A
 deterministic sweep puts each edge value of float64 on every float flag,
-which random edits rarely do. Another puts a boolean, a string, null and an
-integer beyond float64 on the first number of every numeric field of every
-model and report document, and each must be refused.
+which random edits rarely do, and another puts -1, 0 and the integers just
+past int64 on every integer flag. A third puts a boolean, a string, null and
+an integer beyond float64 on the first number of every numeric field of
+every model and report document, and each must be refused.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from hypothesis import strategies as st
 
 from pai import InputError, dataio, load_model
 from pai import TestReport as Report
-from pai.cli import build_parser, main
+from pai.cli import _mc_count, build_parser, main
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -159,17 +160,28 @@ def test_arbitrary_arguments_exit_with_a_documented_code(workdir, argv):
 EDGE_FLOATS = ("1e308", "-1e308", "5e-324", "-5e-324", "-0.0", "nan", "inf", "-inf")
 
 
-def _float_flags():
+def _typed_flags(*types):
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     return [
         (command, action.option_strings[0])
         for command, sub in commands.choices.items()
         for action in sub._actions
-        if action.type is float
+        if action.type in types
     ]
 
 
-FLOAT_FLAGS = _float_flags()
+FLOAT_FLAGS = _typed_flags(float)
+
+
+def _run_edge(workdir, command, flag, value):
+    """Run a valid vector of ``command`` with ``flag`` set to ``value`` instead."""
+    argv = list(VALID_ARGV[command])
+    if flag in argv:
+        del argv[argv.index(flag) : argv.index(flag) + 2]
+    argv.append(f"{flag}={value}")
+    stderr = io.StringIO()
+    assert run_in(workdir(), argv, stderr) in EXIT_CODES
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_the_sweep_finds_every_float_flag():
@@ -180,13 +192,26 @@ def test_the_sweep_finds_every_float_flag():
 @pytest.mark.parametrize("value", EDGE_FLOATS)
 @pytest.mark.parametrize("command,flag", FLOAT_FLAGS, ids=[f"{c}{f}" for c, f in FLOAT_FLAGS])
 def test_every_float_flag_takes_every_edge_value(workdir, command, flag, value):
-    argv = list(VALID_ARGV[command])
-    if flag in argv:
-        del argv[argv.index(flag) : argv.index(flag) + 2]
-    argv.append(f"{flag}={value}")
-    stderr = io.StringIO()
-    assert run_in(workdir(), argv, stderr) in EXIT_CODES
-    assert "Traceback" not in stderr.getvalue()
+    _run_edge(workdir, command, flag, value)
+
+
+# -1, 0, the integers just past each end of int64, and 2**64, each put on
+# every integer flag and on ``--mask`` (a list of feature indices). Sizes
+# between 2**31 and 2**62 are left out: some pass the allocation guard and
+# really allocate.
+EDGE_INTS = ("-1", "0", str(2**63), str(2**64), str(-(2**63) - 1))
+INT_FLAGS = _typed_flags(int, _mc_count) + [("test-feature", "--mask")]
+
+
+def test_the_sweep_finds_every_integer_flag():
+    assert {flag for _, flag in INT_FLAGS} == {"--seed", "--n", "--replicate", "--mc", "--train", "--mask"}
+    assert {("coverage", "--mc"), ("coverage", "--train"), ("synthesize", "--replicate")} <= set(INT_FLAGS)
+
+
+@pytest.mark.parametrize("value", EDGE_INTS)
+@pytest.mark.parametrize("command,flag", INT_FLAGS, ids=[f"{c}{f}" for c, f in INT_FLAGS])
+def test_every_integer_flag_takes_every_edge_value(workdir, command, flag, value):
+    _run_edge(workdir, command, flag, value)
 
 
 csv_field = st.one_of(

@@ -98,6 +98,7 @@ def test_feature_masking_informative_column(rng):
     assert report.p_value <= 0.05
     assert report.sidedness is Sidedness.LOWER_TAIL
     assert report.is_consistent()
+    assert "degenerate" not in report.config
 
 
 def test_feature_degenerate_mask_gives_p_one(rng):
@@ -109,6 +110,10 @@ def test_feature_degenerate_mask_gives_p_one(rng):
     )
     assert report.statistic == 0.0
     assert report.p_value == 1.0
+    # p = 1 is the report rule for a config that records the convention, so it verifies
+    assert report.config["degenerate"] is True
+    assert report.is_consistent()
+    assert Report.from_dict(report.to_dict()).is_consistent()
 
 
 def test_feature_null_does_not_depend_on_the_chunk_budget(monkeypatch, rng):
@@ -270,6 +275,10 @@ def test_feature_errors(rng):
         feature_test((X, y + 1.0), (X, y), [0], model, 10, PassConfig())
     with pytest.raises(InputError, match="inference features has 2 columns, expected 3"):
         feature_test((X, y), (X[:, :2], y), [0], model, 10, PassConfig())
+    # indices beyond int64 are range errors, not overflows of the index array
+    for index in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(InputError, match=r"masked feature indices must lie in 0\.\.2"):
+            feature_test((X, y), (X, y), [0, index], model, 10, PassConfig())
 
 
 def _must_not_draw(*args):
