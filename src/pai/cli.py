@@ -11,6 +11,10 @@ CSV conventions: headerless by default (``--header`` skips one line); in
 labeled/joint files column 0 is the response or binary label and the
 remaining columns are features.
 
+Every output document echoes its command in its config. ``verify-report``
+reads any of the four report kinds (test, pivotal, intervals, coverage) and
+checks what that kind's ``is_consistent`` can re-derive.
+
 The argument parser is built once per process and reused by every
 :func:`main` call.
 
@@ -41,9 +45,8 @@ from .inference import (
     test_two_sample_fid,
 )
 from .perturb import PerturbationSpec
-from .predict import pai_interval, run_prediction_study, simulate_regression_data
+from .predict import IntervalsDocument, pai_interval, run_prediction_study, simulate_regression_data
 
-INTERVALS_SCHEMA = "pai-intervals/1"
 # verify-report states the null CDF's DKW band at confidence 1 - DKW_DELTA.
 DKW_DELTA = 0.05
 
@@ -65,12 +68,6 @@ def _cfg(args, rank_match: bool = False) -> PassConfig:
         rank_match=rank_match,
         mc_seed=args.seed,
     )
-
-
-def _echo(args, **extra) -> dict:
-    echo = {"schema_version": 1, "command": args.command, "seed": args.seed}
-    echo.update(extra)
-    return echo
 
 
 def _labeled(matrix: np.ndarray, what: str):
@@ -108,13 +105,11 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _finish_report(report: TestReport, args, **extra) -> TestReport:
-    merged = dict(report.config)
-    merged.update(_echo(args, **extra))
-    report = dataclasses.replace(report, config=merged)
-    report.save(args.out)
-    print(f"{report.test_name}: {report.summary()} -> {args.out}")
-    return report
+def _finish(document: dataio.Document, args, line: str, **extra) -> None:
+    """Save ``document`` to ``--out`` with the command echoed in its config, and print ``line``."""
+    echo = {"schema_version": 1, "command": args.command, "seed": args.seed, **extra}
+    dataclasses.replace(document, config={**document.config, **echo}).save(args.out)
+    print(f"{args.command}: {line} -> {args.out}")
 
 
 def cmd_test_fid(args) -> int:
@@ -130,7 +125,7 @@ def cmd_test_fid(args) -> int:
         sidedness=Sidedness(args.sided),
         correction=Correction(args.correction),
     )
-    _finish_report(report, args, input=args.input, candidate=args.candidate, model=args.model)
+    _finish(report, args, report.summary(), input=args.input, candidate=args.candidate, model=args.model)
     return 0
 
 
@@ -153,7 +148,7 @@ def cmd_test_feature(args) -> int:
         cfg=_cfg(args),
         correction=Correction(args.correction),
     )
-    _finish_report(report, args, input=args.input, inference=args.inference, model=args.model)
+    _finish(report, args, report.summary(), input=args.input, inference=args.inference, model=args.model)
     return 0
 
 
@@ -171,7 +166,9 @@ def cmd_test_coherence(args) -> int:
         cfg=_cfg(args),
         correction=Correction(args.correction),
     )
-    _finish_report(report, args, input=args.input, input2=args.input2, model=args.model, model2=args.model2)
+    _finish(
+        report, args, report.summary(), input=args.input, input2=args.input2, model=args.model, model2=args.model2
+    )
     return 0
 
 
@@ -189,7 +186,7 @@ def cmd_test_pivotal(args) -> int:
         sidedness=Sidedness(args.sided),
         correction=Correction(args.correction),
     )
-    _finish_report(report, args, input=args.input)
+    _finish(report, args, report.summary(), input=args.input)
     return 0
 
 
@@ -204,19 +201,8 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     points = dataio.read_matrix(args.input, args.header)
     iv = pai_interval(model, points, args.alpha, args.mc, _cfg(args))
-    columns = zip(points.tolist(), iv.lower.tolist(), iv.upper.tolist(), iv.center_estimate.tolist())
-    records = [
-        {"x": x, "lower": lower, "upper": upper, "center": center, "alpha": args.alpha, "mc_draws_used": args.mc}
-        for x, lower, upper, center in columns
-    ]
-    payload = {
-        "schema": INTERVALS_SCHEMA,
-        "alpha": args.alpha,
-        "intervals": records,
-        "config": _echo(args, model=args.model, input=args.input, mc=args.mc, tau=args.tau),
-    }
-    dataio.write_json(args.out, payload)
-    print(f"predict: {len(records)} intervals at alpha={args.alpha} -> {args.out}")
+    document = IntervalsDocument.build(points, iv, args.alpha, args.mc, args.tau)
+    _finish(document, args, f"{len(points)} intervals at alpha={args.alpha}", model=args.model, input=args.input)
     return 0
 
 
@@ -230,23 +216,21 @@ def cmd_coverage(args) -> int:
         tau=args.tau,
         pai_draws=args.mc,
     )
-    study["config"].update(_echo(args))
-    dataio.write_json(args.out, study)
-    summary = study["summary"]
-    print(
-        "coverage: median={median_coverage:.3f} mean={mean_coverage:.3f} "
-        "conformal_mean={baseline_mean_coverage:.3f} shorter_fraction={shorter_fraction:.3f}".format(
-            **summary
-        )
-        + f" -> {args.out}"
+    line = (
+        "median={median_coverage:.3f} mean={mean_coverage:.3f} "
+        "conformal_mean={baseline_mean_coverage:.3f} shorter_fraction={shorter_fraction:.3f}"
     )
+    _finish(study, args, line.format(**study.summary))
     return 0
 
 
 def cmd_verify_report(args) -> int:
-    report = TestReport.load(args.input)
+    report = dataio.Document.load(args.input)
     if not report.is_consistent():
-        raise InputError(f"{args.input}: stored results do not reproduce from the stored draws")
+        raise InputError(f"{args.input}: the stored {report.schema} results do not re-derive")
+    if not isinstance(report, TestReport):
+        print(f"verify: ok ({report.schema} results re-derive)")
+        return 0
     D, p = report.null_draws.size, report.p_value
     print(f"verify: ok ({report.test_name} report reproduces from {D} draws)")
     # Precision of the stored result: the Monte Carlo standard error of the
@@ -352,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mc", type=_mc_count, default=4000, help="conditional draws per point (default 4000)")
     _add_common(sub, header=False, tau=True, alpha=True)
 
-    sub = commands.add_parser("verify-report", help="recompute a stored report's p-value/interval")
+    sub = commands.add_parser("verify-report", help="re-derive a stored report's results")
     sub.add_argument("--input", required=True)
 
     return parser

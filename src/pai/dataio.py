@@ -25,7 +25,9 @@ Every read turns a missing, unreadable or non-UTF-8 file into
 document: a missing field, or a value its parser refuses, is an
 :class:`InputError` naming the document and the path (``marginals[1].ps``).
 Every numeric field is parsed by :func:`numbers`: each entry is a JSON
-number that is not a boolean, and finite as a float64.
+number that is not a boolean, and finite as a float64. :class:`Document` is
+the base of the four report kinds; each lists its fields once, and one
+schema table dispatches a file to its kind.
 """
 
 from __future__ import annotations
@@ -144,6 +146,14 @@ def integer(raw, least: int = 0) -> int:
     return raw
 
 
+def level(raw) -> float:
+    """A level in (0, 1) under the rule of :func:`numbers`."""
+    value = number(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"expected a level in (0, 1), got {raw!r}")
+    return value
+
+
 def exactly(kind: type):
     """A parser that passes a value of type ``kind``, and no subclass of it."""
     def parse(value):
@@ -151,6 +161,70 @@ def exactly(kind: type):
             raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
         return value
     return parse
+
+
+def record(fields: dict, what: str):
+    """A parser of a JSON object: each field ``key`` of ``fields`` through ``fields[key]``.
+
+    The object's other fields are kept as they are; ``what`` names it in errors.
+    """
+    def parse(raw):
+        parsed = {key: read_field(raw, what, field, key) for key, field in fields.items()}
+        return {**exactly(dict)(raw), **parsed}
+    return parse
+
+
+def records(fields: dict, what: str):
+    """A parser of a non-empty JSON list of objects, each read by :func:`record`."""
+    def parse(raw):
+        if not exactly(list)(raw):
+            raise ValueError("expected at least one record")
+        return [record(fields, f"{what} {index}")(item) for index, item in enumerate(raw)]
+    return parse
+
+
+class Document:
+    """A versioned JSON document (a frozen dataclass) whose fields are listed once.
+
+    A kind names its ``schema`` and lists its fields in ``_FIELDS``: key ->
+    ``(attribute, parse, write)``, where ``parse`` reads the field through
+    :func:`read_field` and a ``write`` of ``None`` stores the attribute as it
+    is. :meth:`to_dict` and :meth:`from_dict` both read the listing, and each
+    kind's ``is_consistent`` re-derives what its stored results imply.
+    """
+
+    # The one schema table: schema -> document kind, one entry per kind defined.
+    _SCHEMAS: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        Document._SCHEMAS[cls.schema] = cls
+
+    def to_dict(self) -> dict:
+        doc = {"schema": self.schema}
+        for key, (attribute, _, write) in self._FIELDS.items():
+            value = getattr(self, attribute)
+            doc[key] = value if write is None else write(value)
+        return doc
+
+    def save(self, path: str | os.PathLike) -> None:
+        write_json(path, self.to_dict())
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Document":
+        """Parse a document of the kind its schema names, which must be ``cls`` or a subclass."""
+        schema = payload.get("schema") if isinstance(payload, dict) else None
+        kind = Document._SCHEMAS.get(schema) if isinstance(schema, str) else None
+        if kind is None or not issubclass(kind, cls):
+            known = sorted(name for name, other in Document._SCHEMAS.items() if issubclass(other, cls))
+            raise InputError(f"unrecognized report schema {schema!r}, expected one of {known}")
+        fields = kind._FIELDS.items()
+        return kind(**{attribute: read_field(payload, "report", parse, key) for key, (attribute, parse, _) in fields})
+
+    @classmethod
+    def load(cls, path: str | os.PathLike) -> "Document":
+        """Read a document file through :meth:`from_dict`."""
+        return cls.from_dict(read_json_object(path, "report"))
 
 
 def read_matrix(path: str | os.PathLike, header: bool = False) -> np.ndarray:

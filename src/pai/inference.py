@@ -28,10 +28,13 @@ interval), 1 when the config records ``"degenerate": true`` (the feature
 test's convention when masking changes no inference loss, so T = 0), else
 the Monte Carlo :func:`~pai.empirical.p_value` among the null draws. A report
 keeps its draws, and ``is_consistent`` (so ``pai verify-report``) applies
-the same rule, so no report is built that its own check rejects. ``save``
-writes a versioned JSON document (``pai-report/1`` or ``pai-pivotal/1``) and
-``TestReport.load`` reads either, turning any malformed document into
-:class:`InputError`. Each schema lists its fields once.
+the same rule, so no report is built that its own check rejects. A report
+is a :class:`~pai.dataio.Document` that lists its fields once: ``save``
+writes a versioned JSON document (``pai-report/1`` or ``pai-pivotal/1``),
+and ``TestReport.load`` finds a file's kind in the one schema table, which
+also holds the interval and coverage kinds of :mod:`pai.predict`. It takes
+either report schema and turns any malformed document into
+:class:`InputError`.
 
 The feature statistic fits two classifiers per chunk, one on all features and
 one with the masked features zeroed. They do not depend on each other, so the
@@ -49,12 +52,12 @@ from __future__ import annotations
 
 import contextvars
 import math
-import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import as_matrix, exactly, integer, number, numbers, read_field, read_json_object, write_json
+from .dataio import Document, as_matrix, exactly, integer, level, number, numbers
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError
 from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
@@ -76,13 +79,6 @@ def _optional_number(value) -> float | None:
     return None if value is None else number(value)
 
 
-def _level(value) -> float:
-    level = number(value)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"expected a level in (0, 1), got {value!r}")
-    return level
-
-
 def _draws(value) -> EmpiricalDistribution:
     return EmpiricalDistribution(numbers(value, (None,)))
 
@@ -99,12 +95,10 @@ def _derived_p_value(
 
 
 @dataclass(frozen=True, kw_only=True)
-class TestReport:
+class TestReport(Document):
     """Self-contained result of one Monte Carlo test."""
 
     schema = REPORT_SCHEMA
-    # A report document's fields: key -> (attribute, parse, write), where a write
-    # of None stores the attribute as it is.
     _FIELDS = {
         "test": ("test_name", exactly(str), None),
         "statistic": ("statistic", number, None),
@@ -136,31 +130,6 @@ class TestReport:
             f"statistic={self.statistic:.6g} p={self.p_value:.6g} "
             f"({self.sidedness.value}, {self.correction.value})"
         )
-
-    def to_dict(self) -> dict:
-        doc = {"schema": self.schema}
-        for key, (attribute, _, write) in self._FIELDS.items():
-            value = getattr(self, attribute)
-            doc[key] = value if write is None else write(value)
-        return doc
-
-    def save(self, path: str | os.PathLike) -> None:
-        write_json(path, self.to_dict())
-
-    @staticmethod
-    def from_dict(payload: dict) -> "TestReport":
-        """Parse a document of either report schema."""
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        for report_type in (TestReport, PivotalReport):
-            if schema == report_type.schema:
-                fields = report_type._FIELDS.items()
-                return report_type(**{attr: read_field(payload, "report", parse, key) for key, (attr, parse, _) in fields})
-        raise InputError(f"unrecognized report schema: {schema!r}")
-
-    @staticmethod
-    def load(path: str | os.PathLike) -> "TestReport":
-        """Read a report file of either schema."""
-        return TestReport.from_dict(read_json_object(path, "report"))
 
 
 def _build_report(
@@ -330,7 +299,12 @@ def test_feature_significance(
             raise InputError(f"{name} labels must be binary 0/1")
     if np.unique(train_y).shape[0] < 2:
         raise InputError("train labels contain a single class")
-    mask = sorted(set(int(i) for i in masked_features))
+    # The integer rule of a document's integer fields: no booleans, no floats.
+    indices = list(masked_features)
+    refused = [i for i in indices if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
+    if refused:
+        raise InputError(f"masked feature indices must be integers, got {refused[0]!r}")
+    mask = sorted(set(int(i) for i in indices))
     if not mask:
         raise InputError("masked feature set is empty")
     # Checked as Python ints, so an index beyond int64 is refused like any other.
@@ -435,7 +409,7 @@ class PivotalReport(TestReport):
         "p_value": ("p_value", _optional_number, None),
         "pivot": ("pivot", exactly(str), None),
         **{key: (key, number, None) for key in ("estimate", "scale", "lower", "upper")},
-        "alpha": ("alpha", _level, None),
+        "alpha": ("alpha", level, None),
     }
 
     test_name: str = "pivotal"
@@ -509,8 +483,9 @@ def pivotal_inference(
         raise InputError(f"the pivot's scale / sqrt(n) underflows to 0 (scale {gen_scale})")
     statistic = None
     if theta0 is not None:
-        if not math.isfinite(theta0):
-            raise InputError(f"theta0 must be finite, got {theta0}")
+        # Compared, not converted: nan, infinities and integers beyond float64 all fail.
+        if not abs(theta0) <= sys.float_info.max:
+            raise InputError("theta0 must be finite in float64")
         statistic = (theta_hat - float(theta0)) / obs_scale
         if not math.isfinite(statistic):
             raise NumericError(f"the test statistic overflows float64 at theta0 = {theta0:.6g}")

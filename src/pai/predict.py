@@ -22,6 +22,11 @@ worker thread.
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
 
+``pai predict`` writes an :class:`IntervalsDocument` (``pai-intervals/1``)
+and the coverage study returns a :class:`CoverageDocument`
+(``pai-coverage/1``). Each lists its fields once, as the test reports do,
+and checks what its results imply with the rule that built them.
+
 Joint data layout everywhere: column 0 is the response, columns 1.. are the
 features.
 """
@@ -33,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import as_matrix, chunk_starts
+from .dataio import Document, as_matrix, chunk_starts, exactly, integer, level, number, numbers, record, records
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
@@ -127,6 +132,16 @@ class PredictionInterval:
         return (values >= self.lower[:, None]) & (values <= self.upper[:, None])
 
 
+def _least_draws(alpha: float) -> int:
+    """The fewest draws a Monte Carlo interval at level ``alpha`` takes, ``ceil(4 / alpha)``.
+
+    The one rule of :func:`pai_interval` and of an intervals document's check.
+    """
+    if not math.isfinite(4.0 / alpha):
+        raise InputError(f"alpha {alpha} is too small: 4/alpha draws overflows")
+    return math.ceil(4.0 / alpha)
+
+
 def pai_interval(
     model: GeneratorModel,
     X: np.ndarray,
@@ -143,10 +158,8 @@ def pai_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must be in (0, 1)")
-    if not math.isfinite(4.0 / alpha):
-        raise InputError(f"alpha {alpha} is too small: 4/alpha draws overflows")
-    if m < math.ceil(4.0 / alpha):
-        raise InputError(f"need at least ceil(4/alpha) = {math.ceil(4.0 / alpha)} draws, got {m}")
+    if m < _least_draws(alpha):
+        raise InputError(f"need at least ceil(4/alpha) = {_least_draws(alpha)} draws, got {m}")
     X = _point_block(model, X)
     bounds = allocate((3, X.shape[0]))
     starts = chunk_starts(X.shape[0], m)
@@ -287,17 +300,23 @@ class CoverageReport:
     baseline_per_point: np.ndarray
 
 
-def _coverage_summary(interval: PredictionInterval, truths: np.ndarray, prefix: str):
-    """Per-point coverage, lengths, and their ``prefix``-keyed mean/median summary."""
-    per_point = interval.contains(truths).mean(axis=1)
-    lengths = interval.length
-    summary = {
-        f"{prefix}mean_coverage": float(per_point.mean()),
-        f"{prefix}median_coverage": float(np.median(per_point)),
-        f"{prefix}mean_length": float(lengths.mean()),
-        f"{prefix}median_length": float(np.median(lengths)),
-    }
-    return per_point, lengths, summary
+def _coverage_summary(
+    coverage: np.ndarray, lengths: np.ndarray, baseline_coverage: np.ndarray, baseline_lengths: np.ndarray
+) -> dict:
+    """The ten summary values of per-point coverage and interval lengths of a method and its baseline.
+
+    The one summary rule: :func:`coverage_report` applies it when a study is
+    scored, and :meth:`CoverageDocument.is_consistent` when a study file is
+    checked.
+    """
+    summary = {"points": len(coverage)}
+    for prefix, per_point, length in (("", coverage, lengths), ("baseline_", baseline_coverage, baseline_lengths)):
+        summary[f"{prefix}mean_coverage"] = float(per_point.mean())
+        summary[f"{prefix}median_coverage"] = float(np.median(per_point))
+        summary[f"{prefix}mean_length"] = float(length.mean())
+        summary[f"{prefix}median_length"] = float(np.median(length))
+    summary["shorter_fraction"] = float((lengths < baseline_lengths).mean())
+    return summary
 
 
 def coverage_report(
@@ -318,11 +337,113 @@ def coverage_report(
         raise InputError(f"truths must hold one row of draws per interval ({points})")
     if baseline.lower.shape[0] != points:
         raise InputError("baseline interval count must match")
-    per_point, lengths, summary = _coverage_summary(interval, truths, "")
-    baseline_cov, base_lengths, base_summary = _coverage_summary(baseline, truths, "baseline_")
-    summary = {"points": points, **summary, **base_summary}
-    summary["shorter_fraction"] = float((lengths < base_lengths).mean())
+    per_point = interval.contains(truths).mean(axis=1)
+    baseline_cov = baseline.contains(truths).mean(axis=1)
+    summary = _coverage_summary(per_point, interval.length, baseline_cov, baseline.length)
     return CoverageReport(per_point=per_point, summary=summary, baseline_per_point=baseline_cov)
+
+
+def _point(raw) -> list:
+    """A record's ``x`` under the number rule."""
+    return numbers(raw, (None,)).tolist()
+
+
+def _records(X: np.ndarray, columns: dict, **constants) -> list[dict]:
+    """One record per row of ``X``: the row as ``x``, the constants, and its entry of each column."""
+    rows = zip(X.tolist(), *(column.tolist() for column in columns.values()))
+    return [{"x": x, **constants, **dict(zip(columns, values))} for x, *values in rows]
+
+
+# The fields of one interval of an intervals file.
+_INTERVAL_FIELDS = {
+    "x": _point, **dict.fromkeys(("lower", "upper", "center", "alpha"), number), "mc_draws_used": integer,
+}
+
+
+@dataclass(frozen=True, kw_only=True)
+class IntervalsDocument(Document):
+    """Monte Carlo prediction intervals at a block of points (``pai predict``).
+
+    ``config`` holds the draw count ``mc`` and ``tau``, and the file also
+    records each interval's level and draw count.
+    """
+
+    schema = "pai-intervals/1"
+    _FIELDS = {
+        "alpha": ("alpha", level, None),
+        "intervals": ("intervals", records(_INTERVAL_FIELDS, "interval"), None),
+        "config": ("config", record({"mc": integer}, "config"), None),
+    }
+
+    alpha: float
+    intervals: list
+    config: dict
+
+    @classmethod
+    def build(cls, X: np.ndarray, interval: PredictionInterval, alpha: float, m: int, tau: float):
+        """The document of :func:`pai_interval`'s intervals at the points ``X`` from ``m`` draws each."""
+        columns = {"lower": interval.lower, "upper": interval.upper, "center": interval.center_estimate}
+        intervals = _records(X, columns, alpha=alpha, mc_draws_used=m)
+        return cls(alpha=alpha, intervals=intervals, config={"mc": m, "tau": tau})
+
+    def is_consistent(self) -> bool:
+        """Whether every interval holds its center and the document's level, from enough draws."""
+        mc = self.config["mc"]
+        return mc >= _least_draws(self.alpha) and all(
+            iv["lower"] <= iv["center"] <= iv["upper"] and iv["alpha"] == self.alpha and iv["mc_draws_used"] == mc
+            for iv in self.intervals
+        )
+
+
+# A coverage study file's per-point columns, and the fields of its summary and of one point.
+_STUDY_COLUMNS = (
+    "pai_lower", "pai_upper", "pai_center", "conformal_lower", "conformal_upper", "conformal_center",
+    "pai_coverage", "conformal_coverage",
+)
+_SUMMARY_FIELDS = {
+    "points": integer,
+    **dict.fromkeys((
+        "mean_coverage", "median_coverage", "mean_length", "median_length", "baseline_mean_coverage",
+        "baseline_median_coverage", "baseline_mean_length", "baseline_median_length", "shorter_fraction",
+    ), number),
+}
+_POINT_FIELDS = {"x": _point, "alpha": number, **dict.fromkeys(_STUDY_COLUMNS, number)}
+
+
+@dataclass(frozen=True, kw_only=True)
+class CoverageDocument(Document):
+    """The prediction study's summary, per-point records and configuration (``pai coverage``)."""
+
+    schema = "pai-coverage/1"
+    _FIELDS = {
+        "config": ("config", exactly(dict), None),
+        "summary": ("summary", record(_SUMMARY_FIELDS, "summary"), None),
+        "points": ("points", records(_POINT_FIELDS, "point"), None),
+    }
+
+    config: dict
+    summary: dict
+    points: list
+
+    @classmethod
+    def build(cls, X: np.ndarray, interval: PredictionInterval, baseline: PredictionInterval,
+              report: CoverageReport, **config):
+        """The study document of both methods' intervals at the test points ``X`` and their coverage."""
+        columns = (
+            interval.lower, interval.upper, interval.center_estimate, baseline.lower, baseline.upper,
+            baseline.center_estimate, report.per_point, report.baseline_per_point,
+        )
+        points = _records(X, dict(zip(_STUDY_COLUMNS, columns)), alpha=config["alpha"])
+        return cls(config=config, summary=report.summary, points=points)
+
+    def is_consistent(self) -> bool:
+        """Whether the summary re-derives from the per-point coverage and bounds by the study's rule."""
+        column = {key: np.array([point[key] for point in self.points]) for key in _STUDY_COLUMNS}
+        derived = _coverage_summary(
+            column["pai_coverage"], column["pai_upper"] - column["pai_lower"],
+            column["conformal_coverage"], column["conformal_upper"] - column["conformal_lower"],
+        )
+        return derived == self.summary
 
 
 def run_prediction_study(
@@ -335,7 +456,7 @@ def run_prediction_study(
     tau: float = 0.0,
     pai_draws: int,
     truth_draws: int = 2000,
-) -> dict:
+) -> CoverageDocument:
     """End-to-end benchmark: simulate, fit both methods, report coverage.
 
     Simulates ``n_total`` rows from the benchmark law, holds out everything
@@ -345,7 +466,7 @@ def run_prediction_study(
     joint (response, features) sample, one of
     :data:`~pai.generators.KINDS`. The truth draws of test point ``i`` are
     the tau-0 :func:`~pai.generators.latent_block` draws of stream
-    ``(seed, PATH_TRUTH, i)``. Returns a JSON-ready dictionary.
+    ``(seed, PATH_TRUTH, i)``. Returns the study's :class:`CoverageDocument`.
     """
     if not 1 <= n_train < n_total:
         raise InputError(f"need 1 <= n_train < n_total, got n_train={n_train}, n_total={n_total}")
@@ -362,30 +483,9 @@ def run_prediction_study(
     truths = latent_block(PassConfig(mc_seed=seed), PATH_TRUTH, 0, X_test.shape[0], truth_draws, 1)[..., 0]
     truths *= regression_noise_sd(X_test)[:, None]
     truths += regression_mean(X_test)[:, None]
-    report = coverage_report(pai_iv, truths, conf_iv)
-    columns = {
-        "pai_lower": pai_iv.lower, "pai_upper": pai_iv.upper, "pai_center": pai_iv.center_estimate,
-        "conformal_lower": conf_iv.lower, "conformal_upper": conf_iv.upper,
-        "conformal_center": conf_iv.center_estimate,
-        "pai_coverage": report.per_point, "conformal_coverage": report.baseline_per_point,
-    }
-    rows = zip(X_test.tolist(), *(column.tolist() for column in columns.values()))
-    records = [{"x": x, "alpha": alpha, **dict(zip(columns, values))} for x, *values in rows]
-    return {
-        "schema": "pai-coverage/1",
-        "config": {
-            "seed": seed,
-            "n_total": n_total,
-            "n_train": n_train,
-            "n_test": int(n_total - n_train),
-            "alpha": alpha,
-            "kind": kind,
-            "tau": tau,
-            "pai_draws": pai_draws,
-            "k_neighbors": _STUDY_K_NEIGHBORS,
-            "calibration_fraction": _STUDY_CALIBRATION_FRACTION,
-            "truth_draws": truth_draws,
-        },
-        "summary": report.summary,
-        "points": records,
-    }
+    return CoverageDocument.build(
+        X_test, pai_iv, conf_iv, coverage_report(pai_iv, truths, conf_iv),
+        seed=seed, n_total=n_total, n_train=n_train, n_test=int(n_total - n_train), alpha=alpha, kind=kind,
+        tau=tau, pai_draws=pai_draws, k_neighbors=_STUDY_K_NEIGHBORS,
+        calibration_fraction=_STUDY_CALIBRATION_FRACTION, truth_draws=truth_draws,
+    )

@@ -269,7 +269,7 @@ def test_criterion_7_prediction_interval_study():
         seed=1, n_total=3200, n_train=3000, alpha=0.05, kind="location-scale",
         pai_draws=4000, truth_draws=2000,
     )
-    s = study["summary"]
+    s = study.summary
     median_ok = 0.90 <= s["median_coverage"] <= 0.98
     conformal_ok = s["baseline_mean_coverage"] >= 0.92
     shorter_ok = s["shorter_fraction"] >= 0.5
@@ -407,22 +407,23 @@ def test_criterion_10_cli_determinism(tmp_path):
             "--theta0", 2.0, "--seed", 13, "--out", out,
         ),
     )
-    results["predict"], _ = run_pair(
+    results["predict"], intervals = run_pair(
         "pred",
         lambda out: (
             "predict", "--model", model_c, "--input", points, "--mc", 200,
             "--alpha", 0.05, "--seed", 14, "--out", out,
         ),
     )
-    results["coverage"], _ = run_pair(
+    results["coverage"], coverage = run_pair(
         "cov",
         lambda out: (
             "coverage", "--n", 260, "--train", 200, "--mc", 200, "--seed", 6, "--out", out
         ),
     )
-    verify_ok = _cli("verify-report", "--input", fid_report) == 0
-    verify_ok = verify_ok and _cli("verify-report", "--input", pivotal_report) == 0
-    results["verify-report"] = verify_ok
+    results["verify-report"] = all(
+        _cli("verify-report", "--input", document) == 0
+        for document in (fid_report, pivotal_report, intervals, coverage)
+    )
 
     failed = sorted(name for name, ok in results.items() if not ok)
     ok = not failed

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -440,6 +441,89 @@ def test_coverage_accepts_location_scale(tmp_path):
         "--seed", 3, "--out", out,
     ) == 0
     assert json.loads(out.read_text())["config"]["kind"] == "location-scale"
+
+
+@pytest.mark.parametrize("tau", [0, 0.3])
+@pytest.mark.parametrize("kind", ["gaussian", "copula", "location-scale"])
+def test_fresh_interval_and_coverage_files_verify(tmp_path, capsys, sim_csv, kind, tau):
+    model, points = tmp_path / "model.json", tmp_path / "pts.csv"
+    intervals, study = tmp_path / "intervals.json", tmp_path / "study.json"
+    assert run("fit", "--input", sim_csv, "--kind", kind, "--seed", 1, "--out", model) == 0
+    dataio.write_matrix(points, np.random.default_rng(6).random((5, 7)))
+    assert run(
+        "predict", "--model", model, "--input", points, "--mc", 100, "--tau", tau, "--seed", 2, "--out", intervals
+    ) == 0
+    assert run(
+        "coverage", "--n", 260, "--train", 200, "--kind", kind, "--mc", 100, "--tau", tau, "--seed", 3, "--out", study
+    ) == 0
+    capsys.readouterr()
+    assert run("verify-report", "--input", intervals) == 0
+    assert run("verify-report", "--input", study) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verify: ok (pai-intervals/1 results re-derive)",
+        "verify: ok (pai-coverage/1 results re-derive)",
+    ]
+
+
+@pytest.fixture(scope="module")
+def prediction_documents(tmp_path_factory):
+    """A fresh intervals file (alpha 0.05, mc 100) and coverage file, as parsed JSON."""
+    root = tmp_path_factory.mktemp("prediction")
+    assert run("simulate", "--n", 200, "--seed", 7, "--out", root / "sim.csv") == 0
+    assert run("fit", "--input", root / "sim.csv", "--kind", "copula", "--seed", 1, "--out", root / "m.json") == 0
+    dataio.write_matrix(root / "pts.csv", np.random.default_rng(6).random((5, 7)))
+    assert run(
+        "predict", "--model", root / "m.json", "--input", root / "pts.csv", "--mc", 100, "--seed", 2,
+        "--out", root / "intervals.json",
+    ) == 0
+    assert run("coverage", "--n", 260, "--train", 200, "--mc", 100, "--seed", 3, "--out", root / "study.json") == 0
+    return {name: json.loads((root / f"{name}.json").read_text()) for name in ("intervals", "study")}
+
+
+def _set_draws(doc, mc):
+    doc["config"]["mc"] = mc
+    for record in doc["intervals"]:
+        record["mc_draws_used"] = mc
+
+
+# Edits that keep every field well-formed but break what the file's results imply.
+INCONSISTENT_PREDICTION_FILES = {
+    "study-median-coverage": ("study", lambda doc: doc["summary"].update(median_coverage=0.5)),
+    "study-point-count": ("study", lambda doc: doc["summary"].update(points=doc["summary"]["points"] + 1)),
+    "study-point-bound": ("study", lambda doc: doc["points"][0].update(pai_upper=doc["points"][0]["pai_upper"] + 1)),
+    "study-point-coverage": ("study", lambda doc: doc["points"][1].update(conformal_coverage=0.0)),
+    "intervals-lower-above-upper": (
+        "intervals", lambda doc: doc["intervals"][1].update(lower=doc["intervals"][1]["upper"] + 1.0)
+    ),
+    "intervals-center-above-upper": (
+        "intervals", lambda doc: doc["intervals"][0].update(center=doc["intervals"][0]["upper"] + 1.0)
+    ),
+    # ceil(4 / 0.05) = 80 draws at the least
+    "intervals-too-few-draws": ("intervals", lambda doc: _set_draws(doc, 79)),
+    "intervals-record-alpha": ("intervals", lambda doc: doc["intervals"][2].update(alpha=0.1)),
+    "intervals-record-draws": ("intervals", lambda doc: doc["intervals"][2].update(mc_draws_used=101)),
+    "intervals-alpha-overflows-draws": ("intervals", lambda doc: doc.update(alpha=5e-324)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INCONSISTENT_PREDICTION_FILES))
+def test_inconsistent_prediction_file_exit_code(tmp_path, capsys, prediction_documents, case):
+    name, edit = INCONSISTENT_PREDICTION_FILES[case]
+    doc = copy.deepcopy(prediction_documents[name])
+    assert edit(doc) is None
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify-report", "--input", path) == 3
+    assert capsys.readouterr().err.startswith("data error:")
+
+
+def test_least_draws_is_the_rule_of_both_interval_and_file(tmp_path, prediction_documents):
+    doc = copy.deepcopy(prediction_documents["intervals"])
+    _set_draws(doc, 80)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify-report", "--input", path) == 0
 
 
 @pytest.mark.parametrize("train", [-5, 0])

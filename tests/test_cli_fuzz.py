@@ -8,7 +8,8 @@ deterministic sweep puts each edge value of float64 on every float flag,
 which random edits rarely do, and another puts -1, 0 and the integers just
 past int64 on every integer flag. A third puts a boolean, a string, null and
 an integer beyond float64 on the first number of every numeric field of
-every model and report document, and each must be refused.
+every model document and of each of the four report kinds (test, pivotal,
+intervals, coverage), and each must be refused.
 """
 
 import argparse
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from pai import InputError, dataio, load_model
 from pai import TestReport as Report
 from pai.cli import _mc_count, build_parser, main
+from pai.predict import CoverageDocument, IntervalsDocument
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -60,7 +62,8 @@ FLAGS = (
 )
 FILES = (
     "data.csv", "labeled.csv", "onecol.csv", "points.csv", "gaussian.json", "copula.json",
-    "location-scale.json", "report.json", "pivotal.json", "absent.csv", "out.csv", ".", "huge.csv",
+    "location-scale.json", "report.json", "pivotal.json", "intervals.json", "coverage.json", "absent.csv",
+    "out.csv", ".", "huge.csv",
 )
 # Sizes stay small so every example is cheap, whichever flag a value lands on.
 VALUES = (
@@ -101,6 +104,10 @@ def pristine(tmp_path_factory):
                          "--out", "report.json"]) == 0
     assert run_in(root, ["test-pivotal", "--input", "onecol.csv", "--mc", "19", "--seed", "3",
                          "--out", "pivotal.json"]) == 0
+    assert run_in(root, ["predict", "--model", "copula.json", "--input", "points.csv", "--mc", "100",
+                         "--seed", "4", "--out", "intervals.json"]) == 0
+    assert run_in(root, ["coverage", "--n", "110", "--train", "100", "--mc", "100", "--seed", "5",
+                         "--out", "coverage.json"]) == 0
     return root
 
 
@@ -282,7 +289,10 @@ def test_arbitrary_file_contents_exit_with_a_documented_code(workdir, pristine, 
     else:
         documents = {
             name: json.loads((pristine / name).read_text())
-            for name in ("gaussian.json", "copula.json", "location-scale.json", "report.json", "pivotal.json")
+            for name in (
+                "gaussian.json", "copula.json", "location-scale.json", "report.json", "pivotal.json",
+                "intervals.json", "coverage.json",
+            )
         }
         text = data.draw(mutated_document(documents) | json_value.map(json.dumps) | st.text(max_size=40))
     directory = workdir()
@@ -295,6 +305,8 @@ SYNTHESIZE = ["synthesize", "--model", "doc", "--n", "3", "--seed", "1", "--out"
 DOCUMENT_READERS = {
     **{f"{kind}.json": (load_model, SYNTHESIZE) for kind in ("gaussian", "copula", "location-scale")},
     **{name: (Report.load, ["verify-report", "--input", "doc"]) for name in ("report.json", "pivotal.json")},
+    "intervals.json": (IntervalsDocument.load, ["verify-report", "--input", "doc"]),
+    "coverage.json": (CoverageDocument.load, ["verify-report", "--input", "doc"]),
 }
 # Not numbers under the document rule: a boolean, a string, null, and an
 # integer beyond float64.
@@ -323,6 +335,13 @@ def test_the_leaf_sweep_reaches_nested_fields(pristine):
     leaves = set(_first_numeric_leaves(json.loads((pristine / "copula.json").read_text())))
     marginals = {("marginals", j, grid, 0) for j in range(3) for grid in ("ps", "xs")}
     assert leaves == {("dim",), ("fitted_on", "n_rows"), ("latent_chol", 0, 0), *marginals}
+
+
+def test_the_leaf_sweep_reaches_every_record_of_a_coverage_file(pristine):
+    leaves = set(_first_numeric_leaves(json.loads((pristine / "coverage.json").read_text())))
+    # ten summary values, and ten numeric fields in each of the ten point records
+    assert ("summary", "median_coverage") in leaves and ("points", 9, "x", 0) in leaves
+    assert len(leaves) == 10 + 10 * 10
 
 
 @pytest.mark.parametrize("replacement", NOT_NUMBERS, ids=["true", "string", "null", "huge-int"])

@@ -15,6 +15,7 @@ import pytest
 
 import pai
 from pai import dataio
+from pai.cli import main
 
 SUBPACKAGES = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.special", "scipy.stats")
 
@@ -49,6 +50,15 @@ def test_import_pai_loads_no_scipy_module():
 def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("startup")
     dataio.write_matrix(root / "onecol.csv", 1.0 + np.random.default_rng(5).standard_normal((12, 1)))
+    # An interval file and a coverage file, written in this process, which has loaded scipy already.
+    dataio.write_matrix(root / "sim.csv", np.random.default_rng(6).standard_normal((60, 3)))
+    dataio.write_matrix(root / "pts.csv", np.random.default_rng(7).random((3, 2)))
+    for argv in (
+        ["fit", "--input", "sim.csv", "--seed", "1", "--out", "sim.json"],
+        ["predict", "--model", "sim.json", "--input", "pts.csv", "--mc", "100", "--seed", "1", "--out", "iv.json"],
+        ["coverage", "--n", "110", "--train", "100", "--mc", "100", "--seed", "1", "--out", "cov.json"],
+    ):
+        assert main([str(root / arg) if arg.endswith((".csv", ".json")) else arg for arg in argv]) == 0
     return root
 
 
@@ -70,6 +80,8 @@ COMMANDS = [
     (("test-pivotal", "--input", "onecol.csv", "--mc", "19", "--seed", "1", "--out", "piv.json"), set()),
     (("verify-report", "--input", "fid.json"), set()),
     (("verify-report", "--input", "piv.json"), set()),
+    (("verify-report", "--input", "iv.json"), set()),
+    (("verify-report", "--input", "cov.json"), set()),
     (("fit", "--input", "data.csv", "--kind", "copula", "--seed", "1", "--out", "c.json"), {"scipy.special"}),
 ]
 

@@ -281,6 +281,33 @@ def test_feature_errors(rng):
             feature_test((X, y), (X, y), [0, index], model, 10, PassConfig())
 
 
+@pytest.mark.parametrize("index", [0.5, True, np.True_, 1.0, "1"], ids=["half", "true", "np-true", "float", "string"])
+def test_feature_test_refuses_an_index_that_is_not_an_integer(rng, monkeypatch, index):
+    X, y = _logistic_data(rng, 100)
+    model = fit_gaussian(np.column_stack((y, X)))
+    monkeypatch.setattr(generators, "latent_block", _must_not_draw)
+    with pytest.raises(InputError, match="masked feature indices must be integers"):
+        feature_test((X, y), (X, y), [index], model, 10, PassConfig())
+
+
+def test_feature_test_takes_numpy_integer_indices(rng):
+    X, y = _logistic_data(rng, 100)
+    model = fit_gaussian(np.column_stack((y, X)))
+    reports = [feature_test((X, y), (X, y), mask, model, 5, PassConfig()) for mask in ([1], [np.int64(1)])]
+    assert reports[0].to_dict() == reports[1].to_dict()
+    assert reports[1].config["masked_features"] == [1]
+
+
+@pytest.mark.parametrize(
+    "theta0",
+    [10**400, -(10**400), 2**1024, float("inf"), float("nan")],
+    ids=["1e400", "-1e400", "2**1024", "inf", "nan"],
+)
+def test_pivotal_refuses_a_theta0_beyond_float64(theta0):
+    with pytest.raises(InputError, match="theta0 must be finite in float64"):
+        pivotal_inference(np.arange(5.0), D=9, cfg=PassConfig(), theta0=theta0)
+
+
 def _must_not_draw(*args):
     raise AssertionError("a replicate was drawn")
 

@@ -1,3 +1,4 @@
+import json
 import math
 import threading
 import tracemalloc
@@ -22,11 +23,14 @@ from pai import (
     pai_interval,
     regression_mean,
     regression_noise_sd,
+    run_prediction_study,
     simulate_regression_data,
 )
+from pai import TestReport as Report
 from pai import dataio, predict
+from pai.dataio import Document
 from pai.generators import KINDS, fit_model
-from pai.predict import PredictionInterval, _knn_indices
+from pai.predict import IntervalsDocument, PredictionInterval, _knn_indices
 from pai.streams import PATH_CONDITIONAL
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
@@ -275,6 +279,45 @@ def test_coverage_report_shorter_fraction():
         coverage_report(short, np.array([0.5, 0.5]), long)
     with pytest.raises(InputError, match="out of order"):
         PredictionInterval(lower=np.ones(2), upper=np.zeros(2), center_estimate=np.ones(2))
+
+
+def test_prediction_documents_round_trip_through_json(tmp_path):
+    study = run_prediction_study(seed=4, n_total=230, n_train=200, alpha=0.1, kind="gaussian", pai_draws=50)
+    model = fit_model("gaussian", np.column_stack(simulate_regression_data(60, 2)[::-1]))
+    X = np.random.default_rng(5).random((3, 7))
+    intervals = IntervalsDocument.build(X, pai_interval(model, X, 0.1, 40, PassConfig()), 0.1, 40, 0.0)
+    for document in (study, intervals):
+        assert document.is_consistent()
+        document.save(tmp_path / "doc.json")
+        loaded = Document.load(tmp_path / "doc.json")
+        assert type(loaded) is type(document) and loaded == document
+        assert json.loads((tmp_path / "doc.json").read_text()) == loaded.to_dict()
+    # the study's summary is the one the coverage rule gives its per-point columns
+    assert study.summary["points"] == len(study.points) == 30
+    with pytest.raises(InputError, match=r"unrecognized report schema 'pai-coverage/1'"):
+        Report.from_dict(study.to_dict())
+    with pytest.raises(InputError, match=r"expected one of \['pai-intervals/1'\]"):
+        IntervalsDocument.from_dict(study.to_dict())
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(intervals=[]), "expected at least one record"),
+        (lambda doc: doc["intervals"][1].pop("center"), r"interval 1 document lacks field 'center'"),
+        (lambda doc: doc["intervals"][0].update(x=[0.5, True]), r"interval 0 field 'x': expected numbers"),
+        (lambda doc: doc["config"].pop("mc"), r"config document lacks field 'mc'"),
+        (lambda doc: doc["config"].update(mc=40.0), r"config field 'mc': expected an integer"),
+        (lambda doc: doc.update(alpha=1.0), r"'alpha': expected a level in \(0, 1\)"),
+    ],
+)
+def test_intervals_document_refuses_malformed_fields(edit, message):
+    model = fit_model("gaussian", np.column_stack(simulate_regression_data(60, 2)[::-1]))
+    X = np.random.default_rng(5).random((3, 7))
+    doc = IntervalsDocument.build(X, pai_interval(model, X, 0.1, 40, PassConfig()), 0.1, 40, 0.0).to_dict()
+    edit(doc)
+    with pytest.raises(InputError, match=message):
+        Document.from_dict(json.loads(json.dumps(doc)))
 
 
 def test_copula_conditional_close_to_gaussian_oracle():
