@@ -21,6 +21,11 @@ byte-identical; rows are formatted and written in the chunks of
 Every read turns a missing, unreadable or non-UTF-8 file into
 :class:`InputError`.
 
+:func:`two_threads` is the package's one way off the calling thread, and
+its docstring the one statement of the thread contract.
+:func:`integer_argument` is the one rule for an integer argument: a seed, a
+replicate index, a sample size or a masked feature index.
+
 :func:`read_field` is the one reader of a field of a model or report
 document: a missing field, or a value its parser refuses, is an
 :class:`InputError` naming the document and the path (``marginals[1].ps``).
@@ -54,6 +59,45 @@ def chunk_starts(count: int, item_values: int) -> range:
     items (an item of no values counts as one); the last chunk holds the rest.
     """
     return range(0, count, max(1, _CHUNK_VALUES // max(1, item_values)))
+
+
+def two_threads(fn, worker_args: tuple, caller_args: tuple) -> tuple:
+    """``(fn(*worker_args), fn(*caller_args))``, the first call on one worker thread.
+
+    The calling thread makes the second call meanwhile. The worker runs its
+    call in a copy of the caller's context, so numpy's floating-point error
+    state (set by the CLI) holds there too. This is the package's one way off
+    the calling thread, and its contract:
+
+    * one worker thread, joined before this function returns or raises, so
+      no thread outlives the call;
+    * an exception of the calling thread's call wins and propagates once the
+      worker has finished; otherwise the worker's exception propagates;
+    * ``fn`` must be a function that the benchmark tracer
+      (``perfbench/tracer.py``) does not wrap, since its spans nest on one
+      stack; nothing of ``pai`` but ``fn`` runs on the worker.
+
+    The result has the same bits as the two calls in a row when neither call
+    reads what the other writes.
+    """
+    import concurrent.futures  # looked up at each call, so the executor can be swapped
+    import contextvars
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(contextvars.copy_context().run, fn, *worker_args)
+        mine = fn(*caller_args)
+        return future.result(), mine
+
+
+def integer_argument(value, name: str) -> int:
+    """``value`` as an ``int``: a Python or numpy integer, never a ``bool``.
+
+    Anything else, an integral float included, is an :class:`InputError`
+    naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_matrix(data, name: str, dim: int | None = None, stack: bool = False) -> np.ndarray:

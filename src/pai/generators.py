@@ -62,6 +62,7 @@ from functools import partial
 import numpy as np
 
 from .dataio import as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object, write_json
+from .dataio import integer_argument
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -633,7 +634,7 @@ class PassConfig:
     mc_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mc_seed < 0:
+        if integer_argument(self.mc_seed, "mc_seed") < 0:
             raise InputError("mc_seed must be non-negative")
 
 
@@ -696,6 +697,7 @@ def pass_synthesize(
     ``(mc_seed, replicate)`` pair always reproduces the same sample bit for
     bit. ``replicate`` must lie below ``2**64``.
     """
+    replicate = integer_argument(replicate, "replicate index")
     if replicate < 0:
         raise InputError("replicate index must be non-negative")
     if cfg.rank_match and inference is None:
@@ -704,7 +706,7 @@ def pass_synthesize(
         inference = as_matrix(inference, "inference", model.dim)
         n_rows = inference.shape[0]
     elif n is not None:
-        n_rows = int(n)
+        n_rows = integer_argument(n, "sample size n")
     else:
         raise InputError("provide an inference sample or an explicit n")
     if n_rows < 1:
@@ -738,13 +740,16 @@ def sample_statistic_null(
     replicate. The arguments are checked and the ``D`` values allocated before
     the first replicate is drawn.
     """
+    D = integer_argument(D, "Monte Carlo size D")
+    n = integer_argument(n, "sample size n")
+    first_replicate = integer_argument(first_replicate, "first replicate index")
     if D < 2:
         raise InputError("Monte Carlo size D must be >= 2")
     if n < 1:
         raise InputError("sample size must be >= 1")
     if first_replicate < 0:
         raise InputError("replicate index must be non-negative")
-    n, dim = int(n), model.dim
+    dim = model.dim
     values = allocate((D,))
     starts = chunk_starts(D, n * dim)
     for start in starts:

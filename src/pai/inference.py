@@ -38,26 +38,22 @@ either report schema and turns any malformed document into
 
 The feature statistic fits two classifiers per chunk, one on all features and
 one with the masked features zeroed. They do not depend on each other, so the
-masked fit runs on a worker thread while the calling thread runs the full fit;
-numpy's ``einsum`` and scipy's ``expit`` release the GIL, so on two cores the
-fits overlap. Each fit runs the same numpy calls on the same read-only arrays
-whichever thread runs it, so weights and statistics have the same bits as two
-fits in a row. The worker runs in a copy of the caller's context, so numpy's
-floating-point error state (set by the CLI) holds there too. Nothing else
-leaves the calling thread, and the worker is joined before the statistic
-returns.
+masked fit runs on the :func:`~pai.dataio.two_threads` worker while the
+calling thread runs the full fit; numpy's ``einsum`` and scipy's ``expit``
+release the GIL, so on two cores the fits overlap. Each fit runs the same
+numpy calls on the same read-only arrays whichever thread runs it, so weights
+and statistics have the same bits as two fits in a row.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Document, as_matrix, exactly, integer, level, number, numbers
+from .dataio import Document, as_matrix, exactly, integer, integer_argument, level, number, numbers, two_threads
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError
 from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
@@ -229,10 +225,9 @@ def _risk_difference_statistic(
     paired loss differences (then ``T = 0`` by convention). Broadcasts over
     leading batch axes.
 
-    The masked fit runs on one worker thread while this thread runs the
-    full fit, and both are joined before the losses; the result has the same
-    bits as two fits in a row (see the module docstring). An exception in
-    either fit propagates from here once the worker has finished.
+    The masked fit runs on the :func:`~pai.dataio.two_threads` worker while
+    this thread runs the full fit; the result has the same bits as two fits
+    in a row (see the module docstring).
     """
     mu, sd = _standardize(train_X)
     Xt = (train_X - mu) / sd
@@ -241,14 +236,8 @@ def _risk_difference_statistic(
     Xt_masked[..., mask] = 0.0
     Xi_masked = Xi.copy()
     Xi_masked[..., mask] = 0.0
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        # In a copy of this thread's context, so the worker keeps numpy's error state.
-        run = contextvars.copy_context().run
-        masked_fit = pool.submit(run, _fit_logistic, _with_intercept(Xt_masked), train_y)
-        w_full = _fit_logistic(_with_intercept(Xt), train_y)
-        w_masked = masked_fit.result()
+    masked_args, full_args = (_with_intercept(Xt_masked), train_y), (_with_intercept(Xt), train_y)
+    w_masked, w_full = two_threads(_fit_logistic, masked_args, full_args)
     loss_full = _log_loss(_with_intercept(Xi), inf_y, w_full)
     loss_masked = _log_loss(_with_intercept(Xi_masked), inf_y, w_masked)
     diffs = loss_full - loss_masked
@@ -299,12 +288,7 @@ def test_feature_significance(
             raise InputError(f"{name} labels must be binary 0/1")
     if np.unique(train_y).shape[0] < 2:
         raise InputError("train labels contain a single class")
-    # The integer rule of a document's integer fields: no booleans, no floats.
-    indices = list(masked_features)
-    refused = [i for i in indices if isinstance(i, bool) or not isinstance(i, (int, np.integer))]
-    if refused:
-        raise InputError(f"masked feature indices must be integers, got {refused[0]!r}")
-    mask = sorted(set(int(i) for i in indices))
+    mask = sorted(set(integer_argument(i, "masked feature index") for i in masked_features))
     if not mask:
         raise InputError("masked feature set is empty")
     # Checked as Python ints, so an index beyond int64 is refused like any other.

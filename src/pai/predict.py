@@ -16,8 +16,8 @@ distribution-free half-width multiplier.
 Every prediction function takes a ``(points, dim - 1)`` block of feature points
 (a 1-D point is one row) and holds at most the package's one chunk budget,
 ``pai.dataio._CHUNK_VALUES``, of draws or distances per chunk. The k-NN
-search of the baseline runs two chunks of distances at once, one on a
-worker thread.
+search of the baseline runs two chunks of distances at once, one on the
+:func:`~pai.dataio.two_threads` worker.
 
 The benchmark regression law is fully specified, so per-point coverage can
 be estimated by re-drawing the true response at each test point.
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Document, as_matrix, chunk_starts, exactly, integer, level, number, numbers, record, records
+from .dataio import Document, as_matrix, chunk_starts, integer, level, number, numbers, record, records, two_threads
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
@@ -200,22 +200,16 @@ def _knn_indices(queries: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     Queries go in the :func:`~pai.dataio.chunk_starts` chunks of
     ``len(table)`` distances each; each chunk's ``k``
     columns are copied out, as a slice would keep its whole ``argpartition``.
-    The odd chunks run on one worker thread while this thread runs the even
-    ones, so two chunks of distances are in flight at once; ``cdist`` and
-    ``argpartition`` release the GIL. A row's indices do not depend on the
-    chunk that holds it, so the result is that of the chunks in a row. An
-    exception in either thread propagates from here once the worker has
-    finished.
+    The odd chunks run on the :func:`~pai.dataio.two_threads` worker while
+    this thread runs the even ones, so two chunks of distances are in flight
+    at once; ``cdist`` and ``argpartition`` release the GIL. A row's indices
+    do not depend on the chunk that holds it, so the result is that of the
+    chunks in a row.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
     starts = chunk_starts(queries.shape[0], table.shape[0])
     chunks = [slice(start, start + starts.step) for start in starts]
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        odd = pool.submit(_knn_chunks, queries, table, k, idx, chunks[1::2])
-        _knn_chunks(queries, table, k, idx, chunks[::2])
-        odd.result()
+    two_threads(_knn_chunks, (queries, table, k, idx, chunks[1::2]), (queries, table, k, idx, chunks[::2]))
     return idx
 
 
@@ -416,7 +410,7 @@ class CoverageDocument(Document):
 
     schema = "pai-coverage/1"
     _FIELDS = {
-        "config": ("config", exactly(dict), None),
+        "config": ("config", record({"alpha": level}, "config"), None),
         "summary": ("summary", record(_SUMMARY_FIELDS, "summary"), None),
         "points": ("points", records(_POINT_FIELDS, "point"), None),
     }
@@ -437,13 +431,17 @@ class CoverageDocument(Document):
         return cls(config=config, summary=report.summary, points=points)
 
     def is_consistent(self) -> bool:
-        """Whether the summary re-derives from the per-point coverage and bounds by the study's rule."""
+        """Whether the summary re-derives and each point's two intervals hold their centers at the study's level."""
         column = {key: np.array([point[key] for point in self.points]) for key in _STUDY_COLUMNS}
         derived = _coverage_summary(
             column["pai_coverage"], column["pai_upper"] - column["pai_lower"],
             column["conformal_coverage"], column["conformal_upper"] - column["conformal_lower"],
         )
-        return derived == self.summary
+        return derived == self.summary and all(
+            point[f"{method}_lower"] <= point[f"{method}_center"] <= point[f"{method}_upper"]
+            and point["alpha"] == self.config["alpha"]
+            for point in self.points for method in ("pai", "conformal")
+        )
 
 
 def run_prediction_study(

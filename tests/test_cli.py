@@ -492,6 +492,14 @@ INCONSISTENT_PREDICTION_FILES = {
     "study-point-count": ("study", lambda doc: doc["summary"].update(points=doc["summary"]["points"] + 1)),
     "study-point-bound": ("study", lambda doc: doc["points"][0].update(pai_upper=doc["points"][0]["pai_upper"] + 1)),
     "study-point-coverage": ("study", lambda doc: doc["points"][1].update(conformal_coverage=0.0)),
+    # Edits that leave every summary value as it was.
+    "study-center-above-upper": (
+        "study", lambda doc: doc["points"][2].update(pai_center=doc["points"][2]["pai_upper"] + 1.0)
+    ),
+    "study-conformal-center-below-lower": (
+        "study", lambda doc: doc["points"][0].update(conformal_center=doc["points"][0]["conformal_lower"] - 1.0)
+    ),
+    "study-record-alpha": ("study", lambda doc: doc["points"][3].update(alpha=0.1)),
     "intervals-lower-above-upper": (
         "intervals", lambda doc: doc["intervals"][1].update(lower=doc["intervals"][1]["upper"] + 1.0)
     ),

@@ -1,5 +1,9 @@
+import ast
+import contextvars
 import io
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pai
 from pai import InputError, PassConfig, dataio, gaussian_from_params, pai_interval, predict, sample_statistic_null
 
 
@@ -193,3 +198,91 @@ def test_read_field_names_the_document_and_the_path():
     for path in (("grids", 2, "xs"), ("grids", 0, "ps"), ("grids", "xs"), ("grids", 0, "xs", "a")):
         with pytest.raises(InputError, match="^model document lacks field "):
             dataio.read_field(doc, "model", len, *path)
+
+
+_CALLER_VALUE = contextvars.ContextVar("caller_value", default="unset")
+
+
+def test_two_threads_runs_one_call_on_a_worker_in_the_callers_context():
+    def seen(tag):
+        return tag, threading.current_thread() is threading.main_thread(), _CALLER_VALUE.get(), np.geterr()["divide"]
+
+    before = threading.active_count()
+    token = _CALLER_VALUE.set("set by the caller")
+    try:
+        with np.errstate(divide="raise"):
+            on_worker, on_caller = dataio.two_threads(seen, ("worker",), ("caller",))
+    finally:
+        _CALLER_VALUE.reset(token)
+    assert on_worker == ("worker", False, "set by the caller", "raise")
+    assert on_caller == ("caller", True, "set by the caller", "raise")
+    assert threading.active_count() == before
+
+
+def test_the_calling_threads_error_wins_once_the_worker_has_finished():
+    caller_failing, worker_done = threading.Event(), threading.Event()
+
+    def call(side):
+        if side == "caller":
+            caller_failing.set()
+            raise ValueError("caller failed")
+        # Still running when the caller fails: its error waits for this call to end.
+        caller_failing.wait(10.0)
+        time.sleep(0.1)
+        worker_done.set()
+        raise FloatingPointError("worker failed")
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="caller failed"):
+        dataio.two_threads(call, ("worker",), ("caller",))
+    assert worker_done.is_set()
+    assert threading.active_count() == before
+
+
+def test_a_worker_error_propagates_when_the_caller_succeeds():
+    def call(side):
+        if side == "worker":
+            raise FloatingPointError("worker failed")
+        return side
+
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker failed"):
+        dataio.two_threads(call, ("worker",), ("caller",))
+    assert threading.active_count() == before
+
+
+def _thread_sites():
+    """``(module, function)`` of each import of a thread module, and of each call of ``two_threads``."""
+    imports, calls = set(), set()
+    for path in sorted(Path(pai.__file__).parent.glob("*.py")):
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    visit(child, child.name)
+                    continue
+                if isinstance(child, ast.Import):
+                    names = [alias.name for alias in child.names]
+                elif isinstance(child, ast.ImportFrom):
+                    names = [child.module or ""] + [f"{child.module}.{alias.name}" for alias in child.names]
+                else:
+                    names = []
+                if any(name.split(".")[0] in ("concurrent", "contextvars", "threading") for name in names):
+                    imports.add((path.stem, function))
+                if isinstance(child, ast.Call) and getattr(child.func, "id", getattr(child.func, "attr", None)) == (
+                    "two_threads"
+                ):
+                    calls.add((path.stem, function))
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return imports, calls
+
+
+def test_one_function_of_the_package_leaves_the_calling_thread():
+    # A thread module imported anywhere else would be a second thread site
+    # with its own contract; new work off the calling thread goes through
+    # dataio.two_threads.
+    imports, calls = _thread_sites()
+    assert imports == {("dataio", "two_threads")}
+    assert calls == {("inference", "_risk_difference_statistic"), ("predict", "_knn_indices")}

@@ -173,6 +173,48 @@ def test_pass_errors(rng):
         pass_synthesize(model, None, PassConfig(rank_match=True), replicate=0, n=10)
 
 
+# An integer argument is an int or a numpy integer, never a bool or a float.
+NOT_INTEGERS = pytest.mark.parametrize(
+    "value", [1.5, 1.0, True, np.True_, "1"], ids=["half", "float", "true", "np-true", "string"]
+)
+
+
+@NOT_INTEGERS
+def test_pass_config_refuses_a_seed_that_is_not_an_integer(value):
+    with pytest.raises(InputError, match="mc_seed must be an integer"):
+        PassConfig(mc_seed=value)
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("argument", ["replicate", "n"])
+def test_pass_refuses_a_draw_argument_that_is_not_an_integer(value, argument):
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    arguments = {"replicate": 0, "n": 3, argument: value}
+    with pytest.raises(InputError, match="must be an integer"):
+        pass_synthesize(model, None, PassConfig(mc_seed=1), **arguments)
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("argument", ["n", "D", "first_replicate"])
+def test_null_refuses_a_draw_argument_that_is_not_an_integer(monkeypatch, value, argument):
+    model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
+    monkeypatch.setattr(generators, "latent_block", lambda *args: pytest.fail("drew before the check"))
+    arguments = {"n": 4, "D": 3, "first_replicate": 0, argument: value}
+    with pytest.raises(InputError, match="must be an integer"):
+        sample_statistic_null(model, statistic=lambda chunk: chunk.sum(axis=(1, 2)), cfg=PassConfig(), **arguments)
+
+
+def test_numpy_integer_draw_arguments_draw_the_streams_of_ints():
+    model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
+    as_ints = pass_synthesize(model, None, PassConfig(mc_seed=3), 5, n=4)
+    as_numpy = pass_synthesize(model, None, PassConfig(mc_seed=np.int64(3)), np.uint64(5), n=np.int32(4))
+    assert np.array_equal(as_ints, as_numpy)
+    mean = lambda chunk: chunk.mean(axis=(1, 2))  # noqa: E731
+    ints = sample_statistic_null(model, 4, 3, mean, PassConfig(mc_seed=3), first_replicate=5)
+    numpy = sample_statistic_null(model, np.int64(4), np.int64(3), mean, PassConfig(mc_seed=3), np.int64(5))
+    assert np.array_equal(ints.values, numpy.values)
+
+
 def test_null_distribution_constant_statistic():
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
     dist = sample_statistic_null(

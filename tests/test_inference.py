@@ -286,7 +286,7 @@ def test_feature_test_refuses_an_index_that_is_not_an_integer(rng, monkeypatch, 
     X, y = _logistic_data(rng, 100)
     model = fit_gaussian(np.column_stack((y, X)))
     monkeypatch.setattr(generators, "latent_block", _must_not_draw)
-    with pytest.raises(InputError, match="masked feature indices must be integers"):
+    with pytest.raises(InputError, match="masked feature index must be an integer"):
         feature_test((X, y), (X, y), [index], model, 10, PassConfig())
 
 
