@@ -42,12 +42,10 @@ from .metrics import GaussianSummary, fid, gaussian_summary
 from .perturb import PerturbationSpec, perturb
 from .predict import (
     ConformalModel,
-    CoverageReport,
     PredictionInterval,
     conditional_sample,
     conformal_fit,
     conformal_interval,
-    coverage_report,
     pai_interval,
     regression_mean,
     regression_noise_sd,
@@ -64,7 +62,6 @@ __all__ = [
     "ConformalModel",
     "CopulaTransport",
     "Correction",
-    "CoverageReport",
     "EmpiricalDistribution",
     "FitInfo",
     "GaussianSummary",
@@ -81,7 +78,6 @@ __all__ = [
     "conditional_sample",
     "conformal_fit",
     "conformal_interval",
-    "coverage_report",
     "derive_rng",
     "empirical_ranks",
     "fid",

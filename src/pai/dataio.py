@@ -23,15 +23,20 @@ Every read turns a missing, unreadable or non-UTF-8 file into
 
 :func:`two_threads` is the package's one way off the calling thread, and
 its docstring the one statement of the thread contract.
-:func:`integer_argument` is the one rule for an integer argument: a seed, a
-replicate index, a sample size or a masked feature index.
 
-:func:`read_field` is the one reader of a field of a model or report
-document: a missing field, or a value its parser refuses, is an
-:class:`InputError` naming the document and the path (``marginals[1].ps``).
-Every numeric field is parsed by :func:`numbers`: each entry is a JSON
-number that is not a boolean, and finite as a float64. :class:`Document` is
-the base of the four report kinds; each lists its fields once, and one
+:func:`argument` is the one reader of a scalar: it applies a parser and
+turns a refused value into an :class:`InputError` whose message starts with
+a label. A public procedure reads each scalar argument through it once, on
+entry, and :func:`read_field`, the one reader of a field of a model or
+report document, passes the document and the path (``marginals[1].ps``) as
+the label; a missing field is an :class:`InputError` too. The parsers are
+:func:`numbers` and its scalar forms :func:`number`, :func:`integer` and
+:func:`level`, all three read through :func:`scalar`: each entry is a
+number that is not a boolean (a JSON number, or a Python or numpy integer or
+float) and finite as a float64, so an integer beyond float64 is refused.
+:func:`scalar` returns the Python int or float a number equals, so an
+argument read through it is echoed as the caller passed it. :class:`Document`
+is the base of the four report kinds; each lists its fields once, and one
 schema table dispatches a file to its kind.
 """
 
@@ -89,17 +94,6 @@ def two_threads(fn, worker_args: tuple, caller_args: tuple) -> tuple:
         return future.result(), mine
 
 
-def integer_argument(value, name: str) -> int:
-    """``value`` as an ``int``: a Python or numpy integer, never a ``bool``.
-
-    Anything else, an integral float included, is an :class:`InputError`
-    naming ``name``.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def as_matrix(data, name: str, dim: int | None = None, stack: bool = False) -> np.ndarray:
     """``data`` as a finite float64 matrix with ``dim`` columns when ``dim`` is given.
 
@@ -141,6 +135,17 @@ def read_json_object(path: str | os.PathLike, what: str) -> dict:
     return payload
 
 
+def argument(value, label: str, parse, **bounds):
+    """``parse(value, **bounds)``; a value that ``parse`` refuses is an :class:`InputError`.
+
+    The error's message starts with ``label``, which names the argument.
+    """
+    try:
+        return parse(value, **bounds)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{label}: {exc}") from None
+
+
 def read_field(doc, what: str, parse, *path):
     """``parse`` of the field at ``path`` (keys and list indices) of a ``what`` document.
 
@@ -153,23 +158,22 @@ def read_field(doc, what: str, parse, *path):
             value = value[key]
     except (KeyError, IndexError, TypeError):
         raise InputError(f"{what} document lacks field {name!r}") from None
-    try:
-        return parse(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"{what} field {name!r}: {exc}") from None
+    return argument(value, f"{what} field {name!r}", parse)
 
 
 def numbers(raw, shape: tuple) -> np.ndarray:
     """``raw`` as a float64 array of ``shape``, where ``None`` is any length.
 
-    Every entry is a JSON number, not a boolean, and finite as a float64.
+    Every entry is a number, not a boolean, and finite as a float64: a JSON
+    number, or a Python or numpy integer or float.
     """
     leaves = [raw]
     for _ in shape:
         leaves = itertools.chain.from_iterable(leaves)  # a TypeError where a list is missing
-    kinds = set(map(type, leaves))
-    if not kinds <= {int, float}:
-        raise ValueError(f"expected numbers, found {sorted(kind.__name__ for kind in kinds - {int, float})}")
+    kinds = set(map(type, leaves)) - {int, float}
+    refused = sorted(kind.__name__ for kind in kinds if not issubclass(kind, (np.integer, np.floating)))
+    if refused:
+        raise ValueError(f"expected numbers, found {refused}")
     value = np.asarray(raw, dtype=np.float64)  # a ValueError if ragged, an OverflowError past float64
     if value.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, value.shape)):
         raise ValueError(f"has shape {value.shape}, expected {shape}")
@@ -178,16 +182,28 @@ def numbers(raw, shape: tuple) -> np.ndarray:
     return value
 
 
+def scalar(raw, least: float = -math.inf) -> int | float:
+    """A number of at least ``least`` under the rule of :func:`numbers`, as the Python int or float it equals.
+
+    So an argument read through it is echoed as the caller passed it, and a
+    numpy scalar as the Python number it equals.
+    """
+    if numbers(raw, ()) < least:
+        raise ValueError(f"expected a number >= {least}, got {raw!r}")
+    return raw.item() if isinstance(raw, np.generic) else raw
+
+
 def number(raw) -> float:
-    """A scalar field under the rule of :func:`numbers`."""
-    return float(numbers(raw, ()))
+    """A number under the rule of :func:`numbers`, as a float."""
+    return float(scalar(raw))
 
 
 def integer(raw, least: int = 0) -> int:
-    """A JSON integer of at least ``least`` under the rule of :func:`numbers`."""
-    if number(raw) < least or type(raw) is not int:
+    """A Python or numpy integer of at least ``least`` under the rule of :func:`numbers`."""
+    value = scalar(raw)
+    if type(value) is not int or value < least:
         raise ValueError(f"expected an integer >= {least}, got {raw!r}")
-    return raw
+    return value
 
 
 def level(raw) -> float:

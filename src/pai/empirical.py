@@ -11,11 +11,11 @@ p-values in ``[1/(D+1), 1]`` and gives exact finite-sample level control.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import argument, number
 from .errors import InputError
 
 
@@ -68,8 +68,7 @@ def p_value(
     PLUS_ONE mode counts the observed statistic as an extra draw in the
     relevant tail; the two-sided value is ``min(1, 2 min(upper, lower))``.
     """
-    if not math.isfinite(statistic):
-        raise InputError("test statistic must be finite")
+    statistic = argument(statistic, "test statistic", number)
     values = dist.values
     D = dist.size
     n_le = int(np.searchsorted(values, statistic, side="right"))

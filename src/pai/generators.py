@@ -61,8 +61,8 @@ from functools import partial
 
 import numpy as np
 
-from .dataio import as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object, write_json
-from .dataio import integer_argument
+from .dataio import argument, as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object
+from .dataio import write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -634,8 +634,7 @@ class PassConfig:
     mc_seed: int = 0
 
     def __post_init__(self) -> None:
-        if integer_argument(self.mc_seed, "mc_seed") < 0:
-            raise InputError("mc_seed must be non-negative")
+        object.__setattr__(self, "mc_seed", argument(self.mc_seed, "mc_seed", integer))
 
 
 def allocate(shape: tuple[int, ...]) -> np.ndarray:
@@ -695,22 +694,17 @@ def pass_synthesize(
     the perturbation is applied; the transport maps the result to data space.
     Output rows are an independent sample from the model's law, and the same
     ``(mc_seed, replicate)`` pair always reproduces the same sample bit for
-    bit. ``replicate`` must lie below ``2**64``.
+    bit. ``replicate`` must lie below ``2**64``. ``n`` is the sample size
+    when no inference sample is given.
     """
-    replicate = integer_argument(replicate, "replicate index")
-    if replicate < 0:
-        raise InputError("replicate index must be non-negative")
+    replicate = argument(replicate, "replicate index", integer)
     if cfg.rank_match and inference is None:
         raise InputError("rank matching requires an inference sample")
     if inference is not None:
         inference = as_matrix(inference, "inference", model.dim)
-        n_rows = inference.shape[0]
-    elif n is not None:
-        n_rows = integer_argument(n, "sample size n")
-    else:
+    elif n is None:
         raise InputError("provide an inference sample or an explicit n")
-    if n_rows < 1:
-        raise InputError("sample size must be >= 1")
+    n_rows = argument(n if inference is None else inference.shape[0], "sample size n", integer, least=1)
     if cfg.rank_match:
         # the rank targets' shape is known before anything is drawn
         _check_shape(n_rows, model.dim)
@@ -740,15 +734,9 @@ def sample_statistic_null(
     replicate. The arguments are checked and the ``D`` values allocated before
     the first replicate is drawn.
     """
-    D = integer_argument(D, "Monte Carlo size D")
-    n = integer_argument(n, "sample size n")
-    first_replicate = integer_argument(first_replicate, "first replicate index")
-    if D < 2:
-        raise InputError("Monte Carlo size D must be >= 2")
-    if n < 1:
-        raise InputError("sample size must be >= 1")
-    if first_replicate < 0:
-        raise InputError("replicate index must be non-negative")
+    D = argument(D, "Monte Carlo size D", integer, least=2)
+    n = argument(n, "sample size n", integer, least=1)
+    first_replicate = argument(first_replicate, "first replicate index", integer)
     dim = model.dim
     values = allocate((D,))
     starts = chunk_starts(D, n * dim)

@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dataio import argument, integer
 from .errors import InputError
 
 _PRIMES = (
@@ -60,17 +61,16 @@ def _cached_block(n: int, d: int) -> np.ndarray:
     return out
 
 
-def _check_shape(n: int, d: int) -> None:
-    """Raise the ``InputError`` that ``halton_block(n, d)`` raises, if any."""
-    if n < 1:
-        raise InputError("Halton block needs n >= 1")
-    if d < 1:
-        raise InputError("Halton block needs d >= 1")
+def _check_shape(n: int, d: int) -> tuple[int, int]:
+    """``(n, d)`` as ints, or the ``InputError`` that ``halton_block(n, d)`` raises."""
+    n = argument(n, "Halton block size n", integer, least=1)
+    d = argument(d, "Halton dimension d", integer, least=1)
     if d > MAX_DIM:
         raise InputError(
             f"unsupported dimension {d}: only the first {MAX_DIM} primes are "
             "tabulated and unscrambled Halton degrades beyond that"
         )
+    return n, d
 
 
 def halton_block(n: int, d: int) -> np.ndarray:
@@ -80,5 +80,4 @@ def halton_block(n: int, d: int) -> np.ndarray:
     first ``d`` primes. Rows are pairwise distinct and the empirical measure
     converges weakly to the uniform law on the unit cube as ``n`` grows.
     """
-    _check_shape(n, d)
-    return _cached_block(int(n), int(d)).copy()
+    return _cached_block(*_check_shape(n, d)).copy()

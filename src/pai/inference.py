@@ -48,12 +48,11 @@ and statistics have the same bits as two fits in a row.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Document, as_matrix, exactly, integer, integer_argument, level, number, numbers, two_threads
+from .dataio import Document, argument, as_matrix, exactly, integer, level, number, numbers, scalar, two_threads
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError
 from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
@@ -162,6 +161,7 @@ def test_two_sample_fid(
     reference (caller's contract; the model's fit descriptor is echoed into
     the report so the provenance is auditable).
     """
+    D = argument(D, "Monte Carlo size D", integer, least=2)
     reference = as_matrix(reference, "reference")
     d = reference.shape[1]
     candidate = as_matrix(candidate, "candidate", d)
@@ -276,6 +276,8 @@ def test_feature_significance(
     independent noise). A model fitted on raw signal-bearing data would
     reproduce the alternative in the null draws and destroy power.
     """
+    D = argument(D, "Monte Carlo size D", integer, least=2)
+    mask = sorted({argument(i, "masked feature index", integer) for i in masked_features})
     (train_X, train_y), (inf_X, inf_y) = train, inference
     train_X = as_matrix(train_X, "train features")
     p = train_X.shape[1]
@@ -288,11 +290,10 @@ def test_feature_significance(
             raise InputError(f"{name} labels must be binary 0/1")
     if np.unique(train_y).shape[0] < 2:
         raise InputError("train labels contain a single class")
-    mask = sorted(set(integer_argument(i, "masked feature index") for i in masked_features))
     if not mask:
         raise InputError("masked feature set is empty")
-    # Checked as Python ints, so an index beyond int64 is refused like any other.
-    if mask[0] < 0 or mask[-1] >= p:
+    # Compared as Python ints, so an index beyond int64 is refused like any other.
+    if mask[-1] >= p:
         raise InputError(f"masked feature indices must lie in 0..{p - 1}")
     mask = np.asarray(mask, dtype=np.intp)
     if model.dim != p + 1:
@@ -343,6 +344,7 @@ def test_conditional_coherence(
     mixing the two sets of draws keeps the null symmetric in the conditions.
     Groups may have different sizes; every null split mirrors them.
     """
+    D = argument(D, "Monte Carlo size D", integer, least=2)
     group1 = as_matrix(group1, "group1")
     d = group1.shape[1]
     group2 = as_matrix(group2, "group2", d)
@@ -443,12 +445,15 @@ def pivotal_inference(
     Returns the inverted ``1 - alpha`` confidence interval, plus a p-value
     for ``H0: theta = theta0`` when ``theta0`` is given.
     """
+    D = argument(D, "Monte Carlo size D", integer, least=2)
+    alpha = argument(alpha, "alpha", level)
+    theta0 = None if theta0 is None else argument(theta0, "theta0", scalar)
+    sigma = None if sigma is None else argument(sigma, "sigma", scalar)
+    center = None if center is None else argument(center, "center", scalar)
     data = as_matrix(np.ravel(inference), "inference")[:, 0]
     n = data.shape[0]
     if n < 3:
         raise InputError(f"pivotal inference needs n >= 3, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must be in (0, 1)")
     theta_hat = float(data.mean())
     sd_hat = float(data.std(ddof=1))
     theta_tilde = theta_hat if center is None else float(center)
@@ -459,7 +464,7 @@ def pivotal_inference(
             raise InputError("studentized pivot needs a non-degenerate sample")
         pivot, gen_scale = "studentized_mean", sd_hat
     else:
-        if not math.isfinite(sigma) or sigma <= 0:
+        if sigma <= 0:
             raise InputError("mean_known_scale pivot needs sigma > 0")
         pivot, gen_scale = "mean_known_scale", float(sigma)
     obs_scale = gen_scale / math.sqrt(n)
@@ -467,9 +472,6 @@ def pivotal_inference(
         raise InputError(f"the pivot's scale / sqrt(n) underflows to 0 (scale {gen_scale})")
     statistic = None
     if theta0 is not None:
-        # Compared, not converted: nan, infinities and integers beyond float64 all fail.
-        if not abs(theta0) <= sys.float_info.max:
-            raise InputError("theta0 must be finite in float64")
         statistic = (theta_hat - float(theta0)) / obs_scale
         if not math.isfinite(statistic):
             raise NumericError(f"the test statistic overflows float64 at theta0 = {theta0:.6g}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import as_matrix
+from .dataio import argument, as_matrix, scalar
 from .errors import InputError
 
 
@@ -37,11 +37,12 @@ class PerturbationSpec:
     tau: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.tau) or self.tau < 0:
-            raise InputError(f"perturbation size tau must be finite and >= 0, got {self.tau}")
-        # perturb divides by sqrt(1 + tau**2), which a huge finite tau overflows.
-        if not math.isfinite(self.tau * self.tau):
-            raise InputError(f"perturbation size tau is too large: tau**2 overflows at {self.tau}")
+        tau = argument(self.tau, "perturbation size tau", scalar, least=0.0)
+        # perturb divides by sqrt(1 + tau**2), which a huge finite tau overflows
+        # (squared as a float: a float product overflows to inf, not an error).
+        if not math.isfinite(float(tau) * tau):
+            raise InputError(f"perturbation size tau is too large: tau**2 overflows at {tau}")
+        object.__setattr__(self, "tau", tau)
 
 
 def perturb(

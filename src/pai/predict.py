@@ -38,7 +38,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Document, as_matrix, chunk_starts, integer, level, number, numbers, record, records, two_threads
+from .dataio import Document, argument, as_matrix, chunk_starts, integer, level, number, numbers, record, records
+from .dataio import two_threads
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
 from .perturb import PerturbationSpec
@@ -74,8 +75,8 @@ def regression_noise_sd(X: np.ndarray) -> np.ndarray:
 
 def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` rows from the benchmark law; returns ``(X, y)``."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    n = argument(n, "n", integer, least=1)
+    seed = argument(seed, "seed", integer)
     X = allocate((n, N_FEATURES))
     rng = derive_rng(seed, PATH_SIMULATE)
     rng.random(out=X)
@@ -103,8 +104,8 @@ def conditional_sample(
     perturbation as unconditional synthesis, so the perturbation size never
     changes the sampled law. Stream indices must lie below ``2**64``.
     """
-    if m < 1:
-        raise InputError("draw count m must be >= 1")
+    m = argument(m, "draw count m", integer, least=1)
+    stream_index = argument(stream_index, "stream index", integer)
     X = _point_block(model, X)
     Z = latent_block(cfg, PATH_CONDITIONAL, stream_index, X.shape[0], m, 1)[..., 0]
     return model.conditional_response(X, Z)
@@ -156,8 +157,9 @@ def pai_interval(
     ``stream_index + i``, in the :func:`~pai.dataio.chunk_starts` chunks of
     points of ``m`` values each.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must be in (0, 1)")
+    alpha = argument(alpha, "alpha", level)
+    m = argument(m, "draw count m", integer)
+    stream_index = argument(stream_index, "stream index", integer)
     if m < _least_draws(alpha):
         raise InputError(f"need at least ceil(4/alpha) = {_least_draws(alpha)} draws, got {m}")
     X = _point_block(model, X)
@@ -235,17 +237,15 @@ def conformal_fit(
     ``ceil((n_cal + 1)(1 - alpha))``-th order statistic as the half-width
     multiplier.
     """
+    calibration_fraction = argument(calibration_fraction, "calibration_fraction", level)
+    alpha = argument(alpha, "alpha", level)
+    k = argument(k, "k", integer, least=1)
+    seed = argument(seed, "seed", integer)
     X, y = train
     X = as_matrix(X, "train features")
     y = as_matrix(y, "train responses", 1)[:, 0]
     if y.shape != (X.shape[0],):
         raise InputError("train must be (X, y) with one label per row")
-    if not 0.0 < calibration_fraction < 1.0:
-        raise InputError("calibration_fraction must be in (0, 1)")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must be in (0, 1)")
-    if k < 1:
-        raise InputError("k must be >= 1")
     n = X.shape[0]
     n_cal = int(round(n * calibration_fraction))
     if n_cal < 20:
@@ -285,23 +285,14 @@ def conformal_interval(model: ConformalModel, X: np.ndarray) -> PredictionInterv
     return PredictionInterval(lower=point - half, upper=point + half, center_estimate=point)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
-    """Per-point coverage of one interval method and of a baseline."""
-
-    per_point: np.ndarray
-    summary: dict
-    baseline_per_point: np.ndarray
-
-
 def _coverage_summary(
     coverage: np.ndarray, lengths: np.ndarray, baseline_coverage: np.ndarray, baseline_lengths: np.ndarray
 ) -> dict:
     """The ten summary values of per-point coverage and interval lengths of a method and its baseline.
 
-    The one summary rule: :func:`coverage_report` applies it when a study is
-    scored, and :meth:`CoverageDocument.is_consistent` when a study file is
-    checked.
+    The one summary rule: :meth:`CoverageDocument.build` applies it when a
+    study is scored, and :meth:`CoverageDocument.is_consistent` when a study
+    file is checked.
     """
     summary = {"points": len(coverage)}
     for prefix, per_point, length in (("", coverage, lengths), ("baseline_", baseline_coverage, baseline_lengths)):
@@ -311,30 +302,6 @@ def _coverage_summary(
         summary[f"{prefix}median_length"] = float(np.median(length))
     summary["shorter_fraction"] = float((lengths < baseline_lengths).mean())
     return summary
-
-
-def coverage_report(
-    interval: PredictionInterval,
-    truths: np.ndarray,
-    baseline: PredictionInterval,
-) -> CoverageReport:
-    """Estimate per-point coverage against repeated true-response draws.
-
-    Row ``i`` of the ``(points, draws)`` array ``truths`` holds fresh draws of
-    the true response at point ``i``; coverage at a point is the fraction of
-    those draws inside its interval, for the primary and the baseline
-    intervals alike; the summary also reports the fraction of points where
-    the primary interval is strictly shorter.
-    """
-    points = interval.lower.shape[0]
-    if np.ndim(truths) != 2 or len(truths) != points:
-        raise InputError(f"truths must hold one row of draws per interval ({points})")
-    if baseline.lower.shape[0] != points:
-        raise InputError("baseline interval count must match")
-    per_point = interval.contains(truths).mean(axis=1)
-    baseline_cov = baseline.contains(truths).mean(axis=1)
-    summary = _coverage_summary(per_point, interval.length, baseline_cov, baseline.length)
-    return CoverageReport(per_point=per_point, summary=summary, baseline_per_point=baseline_cov)
 
 
 def _point(raw) -> list:
@@ -421,14 +388,32 @@ class CoverageDocument(Document):
 
     @classmethod
     def build(cls, X: np.ndarray, interval: PredictionInterval, baseline: PredictionInterval,
-              report: CoverageReport, **config):
-        """The study document of both methods' intervals at the test points ``X`` and their coverage."""
+              truths: np.ndarray, **config):
+        """The study document of both methods' intervals at the test points ``X``, scored against ``truths``.
+
+        Row ``i`` of the ``(points, draws)`` array ``truths`` holds fresh draws
+        of the true response at point ``i``; coverage at a point is the
+        fraction of those draws inside its interval, for the primary and the
+        baseline intervals alike; the summary also reports the fraction of
+        points where the primary interval is strictly shorter. ``config``
+        holds the study's level ``alpha``.
+        """
+        points = interval.lower.shape[0]
+        if np.ndim(truths) != 2 or len(truths) != points:
+            raise InputError(f"truths must hold one row of draws per interval ({points})")
+        if baseline.lower.shape[0] != points:
+            raise InputError("baseline interval count must match")
+        coverage = interval.contains(truths).mean(axis=1)
+        baseline_coverage = baseline.contains(truths).mean(axis=1)
         columns = (
             interval.lower, interval.upper, interval.center_estimate, baseline.lower, baseline.upper,
-            baseline.center_estimate, report.per_point, report.baseline_per_point,
+            baseline.center_estimate, coverage, baseline_coverage,
         )
-        points = _records(X, dict(zip(_STUDY_COLUMNS, columns)), alpha=config["alpha"])
-        return cls(config=config, summary=report.summary, points=points)
+        return cls(
+            config=config,
+            summary=_coverage_summary(coverage, interval.length, baseline_coverage, baseline.length),
+            points=_records(X, dict(zip(_STUDY_COLUMNS, columns)), alpha=config["alpha"]),
+        )
 
     def is_consistent(self) -> bool:
         """Whether the summary re-derives and each point's two intervals hold their centers at the study's level."""
@@ -466,13 +451,19 @@ def run_prediction_study(
     the tau-0 :func:`~pai.generators.latent_block` draws of stream
     ``(seed, PATH_TRUTH, i)``. Returns the study's :class:`CoverageDocument`.
     """
-    if not 1 <= n_train < n_total:
-        raise InputError(f"need 1 <= n_train < n_total, got n_train={n_train}, n_total={n_total}")
+    seed = argument(seed, "seed", integer)
+    n_total = argument(n_total, "n_total", integer)
+    n_train = argument(n_train, "n_train", integer, least=1)
+    alpha = argument(alpha, "alpha", level)
+    pai_draws = argument(pai_draws, "pai_draws", integer)
+    truth_draws = argument(truth_draws, "truth_draws", integer, least=1)
+    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
+    if n_train >= n_total:
+        raise InputError(f"need n_train < n_total, got n_train={n_train}, n_total={n_total}")
     X, y = simulate_regression_data(n_total, seed)
     X_train, y_train = X[:n_train], y[:n_train]
     X_test = X[n_train:]
     model = fit_model(kind, np.column_stack((y_train, X_train)))
-    cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
     pai_iv = pai_interval(model, X_test, alpha, pai_draws, cfg)
     conf_model = conformal_fit(
         (X_train, y_train), _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed
@@ -482,8 +473,8 @@ def run_prediction_study(
     truths *= regression_noise_sd(X_test)[:, None]
     truths += regression_mean(X_test)[:, None]
     return CoverageDocument.build(
-        X_test, pai_iv, conf_iv, coverage_report(pai_iv, truths, conf_iv),
-        seed=seed, n_total=n_total, n_train=n_train, n_test=int(n_total - n_train), alpha=alpha, kind=kind,
-        tau=tau, pai_draws=pai_draws, k_neighbors=_STUDY_K_NEIGHBORS,
+        X_test, pai_iv, conf_iv, truths,
+        seed=seed, n_total=n_total, n_train=n_train, n_test=n_total - n_train, alpha=alpha, kind=kind,
+        tau=cfg.perturbation.tau, pai_draws=pai_draws, k_neighbors=_STUDY_K_NEIGHBORS,
         calibration_fraction=_STUDY_CALIBRATION_FRACTION, truth_draws=truth_draws,
     )

@@ -30,6 +30,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .dataio import argument, integer
 from .errors import InputError
 
 # Leading path tags: every consumer of randomness addresses its substreams
@@ -64,12 +65,9 @@ def derive_rng(master_seed: int, *path: int) -> np.random.Generator:
         paths yield statistically independent streams; equal paths yield
         bit-identical streams.
     """
-    if master_seed < 0:
-        raise InputError("master seed must be non-negative")
-    key = tuple(int(p) for p in path)
-    if any(p < 0 for p in key):
-        raise InputError("stream path components must be non-negative")
-    seq = np.random.SeedSequence(int(master_seed), spawn_key=key)
+    master_seed = argument(master_seed, "master seed", integer)
+    key = tuple(argument(p, "stream path component", integer) for p in path)
+    seq = np.random.SeedSequence(master_seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
 
 

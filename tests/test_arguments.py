@@ -1,0 +1,208 @@
+"""One argument rule: every scalar argument of the public API is read by ``pai.dataio``.
+
+A deterministic sweep puts each of ``VALUES`` (booleans, a non-integral float,
+a string, an integer beyond float64, nan, the infinities, -0.0 and numpy
+scalars) on every scalar argument of every public procedure. Each call
+returns or raises ``InputError``, ``NumericError`` or ``MemoryError``; a bare
+``TypeError`` or ``OverflowError`` never escapes. A numpy scalar gives what
+the Python number it equals gives, down to the bytes a document saves. Every
+valid value of the table is small, and no swept value is a size that passes
+the allocation guard and really allocates.
+
+A guard test reads the signatures of the public functions and dataclasses,
+so a new ``int`` or ``float`` parameter fails it until it has a row here.
+"""
+
+import dataclasses
+import inspect
+import json
+import math
+
+import numpy as np
+import pytest
+
+import pai
+from pai import InputError, NumericError, PassConfig, PerturbationSpec
+from pai.dataio import Document
+
+HUGE = 10**400
+VALUES = (True, np.True_, 2.5, "1", HUGE, math.nan, math.inf, -math.inf, -0.0, np.int64(3), np.float64(0.5))
+
+_rng = np.random.default_rng(23)
+MODEL = pai.gaussian_from_params(np.zeros(2), cov=[[1.0, 0.5], [0.5, 1.0]])
+SAMPLE = _rng.standard_normal((8, 2))
+LABELED = (_rng.standard_normal((16, 2)), np.tile([0.0, 1.0], 8))
+PIVOTAL = 1.0 + _rng.standard_normal(6)
+
+
+def _mean(chunk):
+    return chunk.mean(axis=(1, 2))
+
+
+def _feature_test(masked_features, **arguments):
+    """The feature test with one masked index, so the sweep reaches it as a scalar."""
+    return pai.test_feature_significance(masked_features=[masked_features], **arguments)
+
+
+# Each swept public name: what to call, and small valid keyword arguments.
+CALLS = {
+    "derive_rng": (lambda master_seed, path: pai.derive_rng(master_seed, path), dict(master_seed=3, path=2)),
+    "halton_block": (pai.halton_block, dict(n=4, d=2)),
+    "PerturbationSpec": (PerturbationSpec, dict(tau=0.3)),
+    "PassConfig": (PassConfig, dict(mc_seed=3)),
+    "pass_synthesize": (pai.pass_synthesize, dict(model=MODEL, inference=None, cfg=PassConfig(), replicate=2, n=4)),
+    "sample_statistic_null": (
+        pai.sample_statistic_null, dict(model=MODEL, n=4, D=3, statistic=_mean, cfg=PassConfig(), first_replicate=2)
+    ),
+    "test_two_sample_fid": (
+        pai.test_two_sample_fid, dict(reference=SAMPLE, candidate=SAMPLE, model=MODEL, D=3, cfg=PassConfig())
+    ),
+    "test_feature_significance": (_feature_test, dict(
+        train=LABELED, inference=LABELED, masked_features=1, model=pai.gaussian_from_params(np.zeros(3), np.eye(3)),
+        D=3, cfg=PassConfig(),
+    )),
+    "test_conditional_coherence": (pai.test_conditional_coherence, dict(
+        group1=SAMPLE, group2=SAMPLE, cond_model1=MODEL, cond_model2=MODEL, D=3, cfg=PassConfig(),
+    )),
+    "pivotal_inference": (pai.pivotal_inference, dict(
+        inference=PIVOTAL, D=3, cfg=PassConfig(), alpha=0.3, theta0=1, sigma=1.5, center=0.5,
+    )),
+    "conditional_sample": (pai.conditional_sample, dict(model=MODEL, X=[[0.3]], m=3, cfg=PassConfig(), stream_index=2)),
+    "pai_interval": (pai.pai_interval, dict(model=MODEL, X=[[0.3]], alpha=0.5, m=10, cfg=PassConfig(), stream_index=2)),
+    "conformal_fit": (pai.conformal_fit, dict(
+        train=(_rng.random((50, 2)), _rng.random(50)), calibration_fraction=0.5, alpha=0.3, k=3, seed=4,
+    )),
+    "simulate_regression_data": (pai.simulate_regression_data, dict(n=5, seed=3)),
+    "run_prediction_study": (pai.run_prediction_study, dict(
+        seed=3, n_total=102, n_train=100, alpha=0.5, kind="gaussian", tau=0.3, pai_draws=8, truth_draws=5,
+    )),
+    "p_value": (pai.p_value, dict(dist=pai.EmpiricalDistribution(np.linspace(0.0, 1.0, 5)), statistic=0.5)),
+}
+
+# (public name, parameter) -> the valid values whose numpy forms must give the
+# same result: each number of CALLS, and an int beside each float that takes
+# one. None marks a field of a record the package returns, filled from
+# arguments it has already read.
+SWEEP = {
+    **{
+        (name, parameter): (value,)
+        for name, (_, arguments) in CALLS.items()
+        for parameter, value in arguments.items()
+        if type(value) in (int, float)
+    },
+    ("PerturbationSpec", "tau"): (0, 0.3),
+    ("pivotal_inference", "theta0"): (1, 0.5),
+    ("pivotal_inference", "sigma"): (2, 1.5),
+    ("pivotal_inference", "center"): (1, 0.5),
+    ("p_value", "statistic"): (1, 0.5),
+    **dict.fromkeys([
+        ("Assignment", "total_cost"), ("ConformalModel", "k"), ("ConformalModel", "qhat"), ("FitInfo", "n_rows"),
+        *((report, field) for report in ("TestReport", "PivotalReport") for field in ("statistic", "p_value", "seed")),
+        *(("PivotalReport", field) for field in ("estimate", "scale", "alpha", "lower", "upper")),
+    ]),
+}
+SWEPT = sorted(key for key, valid in SWEEP.items() if valid is not None)
+
+
+def _call(name, parameter, value):
+    call, arguments = CALLS[name]
+    return call(**{**arguments, parameter: value})
+
+
+def _outcome(result, path):
+    """What a call returned, in terms that tell an int from a float and a numpy scalar from a Python one."""
+    if isinstance(result, Document):
+        result.save(path)
+        return repr(result.to_dict()), path.read_bytes()
+    if isinstance(result, np.random.Generator):
+        return result.standard_normal(3).tobytes()
+    if isinstance(result, np.ndarray):
+        return result.shape, result.tobytes()
+    if isinstance(result, tuple):
+        return tuple(_outcome(item, path) for item in result)
+    if dataclasses.is_dataclass(result):
+        fields = dataclasses.fields(result)
+        return type(result).__name__, tuple(_outcome(getattr(result, field.name), path) for field in fields)
+    return repr(result)
+
+
+@pytest.mark.parametrize("name,parameter", SWEPT, ids=[f"{name}.{parameter}" for name, parameter in SWEPT])
+def test_every_scalar_argument_takes_every_sweep_value(tmp_path, name, parameter):
+    for value in VALUES:
+        try:
+            _call(name, parameter, value)
+        except (InputError, NumericError, MemoryError):
+            pass
+    for value in SWEEP[name, parameter]:
+        as_numpy = np.int64(value) if isinstance(value, int) else np.float64(value)
+        expected = _outcome(_call(name, parameter, value), tmp_path / "python.json")
+        assert _outcome(_call(name, parameter, as_numpy), tmp_path / "numpy.json") == expected, as_numpy
+
+
+# Values that were taken silently, or raised a bare TypeError or
+# OverflowError, before the one argument rule: (name, parameter, value, the
+# label that starts the error).
+ONCE_TAKEN = (
+    ("derive_rng", "master_seed", 0.5, "master seed"),
+    ("derive_rng", "master_seed", True, "master seed"),
+    ("simulate_regression_data", "seed", 0.5, "seed"),
+    ("simulate_regression_data", "seed", True, "seed"),
+    ("conformal_fit", "seed", 0.5, "seed"),
+    ("conformal_fit", "seed", True, "seed"),
+    ("halton_block", "n", 2.5, "Halton block size n"),
+    ("PerturbationSpec", "tau", True, "perturbation size tau"),
+    ("pivotal_inference", "sigma", True, "sigma"),
+    ("pai_interval", "m", 100.7, "draw count m"),
+    ("pai_interval", "stream_index", 0.5, "stream index"),
+    ("pai_interval", "alpha", "0.05", "alpha"),
+    ("conditional_sample", "m", 5.5, "draw count m"),
+    ("conformal_fit", "k", 2.5, "k"),
+    ("conformal_fit", "calibration_fraction", "x", "calibration_fraction"),
+    ("simulate_regression_data", "n", 2.5, "n"),
+    ("run_prediction_study", "n_total", 100.5, "n_total"),
+    ("run_prediction_study", "truth_draws", 2.5, "truth_draws"),
+    ("pivotal_inference", "sigma", "1", "sigma"),
+    ("pivotal_inference", "center", HUGE, "center"),
+    ("PerturbationSpec", "tau", HUGE, "perturbation size tau"),
+)
+
+
+@pytest.mark.parametrize(
+    "name,parameter,value,label", ONCE_TAKEN,
+    ids=[f"{name}.{parameter}={'10**400' if value is HUGE else repr(value)}" for name, parameter, value, _ in ONCE_TAKEN],
+)
+def test_a_refused_value_is_an_input_error_naming_the_argument(name, parameter, value, label):
+    with pytest.raises(InputError, match=f"^{label}: "):
+        _call(name, parameter, value)
+
+
+def test_reports_built_from_numpy_scalars_save_the_bytes_of_python_numbers(tmp_path):
+    for path, (D, seed, theta0) in (
+        (tmp_path / "python.json", (19, 3, 0)), (tmp_path / "numpy.json", (np.int64(19), np.int64(3), np.int64(0))),
+    ):
+        pai.pivotal_inference(PIVOTAL, D=D, cfg=PassConfig(mc_seed=seed), theta0=theta0).save(path)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "python.json").read_bytes()
+    # an int theta0 is echoed as the int the caller passed
+    assert type(json.loads((tmp_path / "python.json").read_text())["config"]["theta0"]) is int
+
+
+def _scalar_parameters(obj):
+    """The parameters of ``obj`` annotated ``int`` or ``float``, alone or ``| None``."""
+    def annotation(parameter):
+        kind = parameter.annotation
+        return kind if isinstance(kind, str) else inspect.formatannotation(kind)
+
+    scalar = {"int", "float", "int | None", "float | None"}
+    return [p.name for p in inspect.signature(obj).parameters.values() if annotation(p) in scalar]
+
+
+def test_the_argument_sweep_covers_every_scalar_parameter():
+    found = {
+        (obj.__name__, parameter)
+        for obj in (getattr(pai, name) for name in pai.__all__)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)
+        for parameter in _scalar_parameters(obj)
+    }
+    assert found <= set(SWEEP), f"no sweep row for {sorted(found - set(SWEEP))}"
+    # the one row no annotation asks for: the feature test's masked indices
+    assert set(SWEEP) - found == {("test_feature_significance", "masked_features")}

@@ -306,7 +306,8 @@ def test_a_mask_index_beyond_int64_is_a_data_error(tmp_path, capsys, index):
     capsys.readouterr()
     assert run("test-feature", *argv, "--seed", 1, "--out", out) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: masked feature indices must lie in 0..0") and "Traceback" not in err
+    refusal = "index: expected an integer >= 0" if index.startswith("-") else "indices must lie in 0..0"
+    assert err.startswith(f"data error: masked feature {refusal}") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -538,7 +539,7 @@ def test_least_draws_is_the_rule_of_both_interval_and_file(tmp_path, prediction_
 def test_coverage_rejects_a_train_size_below_one(tmp_path, capsys, train):
     out = tmp_path / "study.json"
     assert run("coverage", "--n", 400, "--train", train, "--mc", 200, "--seed", 1, "--out", out) == 3
-    assert capsys.readouterr().err.startswith("data error: need 1 <= n_train < n_total")
+    assert capsys.readouterr().err.startswith("data error: n_train: expected an integer >= 1")
     assert not out.exists()
 
 

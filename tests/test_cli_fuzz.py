@@ -5,11 +5,12 @@ names, ``pai`` exits with 0, 2, 3 or 4 and never with a traceback. Each
 example runs in a fresh copy of a small work directory, so outputs written
 by one example (an ``--out`` may name an input) never feed the next. A
 deterministic sweep puts each edge value of float64 on every float flag,
-which random edits rarely do, and another puts -1, 0 and the integers just
-past int64 on every integer flag. A third puts a boolean, a string, null and
-an integer beyond float64 on the first number of every numeric field of
-every model document and of each of the four report kinds (test, pivotal,
-intervals, coverage), and each must be refused.
+which random edits rarely do, and another puts -1, 0, the integers just
+past int64 and one beyond float64 on every integer flag; a report written by
+either sweep must pass ``verify-report``. A third puts a boolean, a string,
+null and an integer beyond float64 on the first number of every numeric
+field of every model document and of each of the four report kinds (test,
+pivotal, intervals, coverage), and each must be refused.
 """
 
 import argparse
@@ -180,15 +181,27 @@ def _typed_flags(*types):
 FLOAT_FLAGS = _typed_flags(float)
 
 
+# The commands whose output is a report document that ``verify-report`` reads.
+REPORTING = ("test-fid", "test-feature", "test-coherence", "test-pivotal", "predict", "coverage")
+
+
 def _run_edge(workdir, command, flag, value):
-    """Run a valid vector of ``command`` with ``flag`` set to ``value`` instead."""
+    """Run a valid vector of ``command`` with ``flag`` set to ``value`` instead.
+
+    A report written by a run that exits 0 must pass ``verify-report``: no
+    command writes a document that the reader refuses.
+    """
     argv = list(VALID_ARGV[command])
     if flag in argv:
         del argv[argv.index(flag) : argv.index(flag) + 2]
     argv.append(f"{flag}={value}")
     stderr = io.StringIO()
-    assert run_in(workdir(), argv, stderr) in EXIT_CODES
+    directory = workdir()
+    code = run_in(directory, argv, stderr)
+    assert code in EXIT_CODES
     assert "Traceback" not in stderr.getvalue()
+    if code == 0 and command in REPORTING:
+        assert run_in(directory, ["verify-report", "--input", "o.json"], stderr) == 0, stderr.getvalue()
 
 
 def test_the_sweep_finds_every_float_flag():
@@ -202,11 +215,11 @@ def test_every_float_flag_takes_every_edge_value(workdir, command, flag, value):
     _run_edge(workdir, command, flag, value)
 
 
-# -1, 0, the integers just past each end of int64, and 2**64, each put on
-# every integer flag and on ``--mask`` (a list of feature indices). Sizes
-# between 2**31 and 2**62 are left out: some pass the allocation guard and
-# really allocate.
-EDGE_INTS = ("-1", "0", str(2**63), str(2**64), str(-(2**63) - 1))
+# -1, 0, the integers just past each end of int64, 2**64 and an integer
+# beyond float64, each put on every integer flag and on ``--mask`` (a list of
+# feature indices). Sizes between 2**31 and 2**62 are left out: some pass the
+# allocation guard and really allocate.
+EDGE_INTS = ("-1", "0", str(2**63), str(2**64), str(-(2**63) - 1), str(10**400))
 INT_FLAGS = _typed_flags(int, _mc_count) + [("test-feature", "--mask")]
 
 
@@ -215,7 +228,7 @@ def test_the_sweep_finds_every_integer_flag():
     assert {("coverage", "--mc"), ("coverage", "--train"), ("synthesize", "--replicate")} <= set(INT_FLAGS)
 
 
-@pytest.mark.parametrize("value", EDGE_INTS)
+@pytest.mark.parametrize("value", EDGE_INTS, ids=[value if len(value) < 40 else "10**400" for value in EDGE_INTS])
 @pytest.mark.parametrize("command,flag", INT_FLAGS, ids=[f"{c}{f}" for c, f in INT_FLAGS])
 def test_every_integer_flag_takes_every_edge_value(workdir, command, flag, value):
     _run_edge(workdir, command, flag, value)

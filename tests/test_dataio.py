@@ -180,12 +180,18 @@ def test_numbers_is_the_one_number_rule():
         ([True, 0.5], (2,)), ([1, False], (2,)), (["1", 0.5], (2,)), ([None, 0.5], (2,)),
         ([10**400, 0.5], (2,)), ([float("nan"), 0.5], (2,)), ([[1.0, 2.0], [3.0]], (2, 2)),
         ([1.0, 2.0], (2, 2)), ([[1.0], [2.0]], (2,)), ([1.0, 2.0, 3.0], (2,)), (True, ()), ("1", ()),
+        (np.True_, ()), ([np.bool_(False), 0.5], (2,)),
     ]
     for raw, shape in refused:
         with pytest.raises((TypeError, ValueError, OverflowError)):
             dataio.numbers(raw, shape)
-    assert dataio.integer(7) == 7
-    for raw in (True, 7.0, -1, 10**400, "7"):
+    # numpy scalars are numbers too, and a scalar is read as the Python number it equals
+    assert dataio.numbers([np.int64(1), np.float32(2.5)], (2,)).tolist() == [1.0, 2.5]
+    assert [(value, type(value)) for value in map(dataio.scalar, (3, np.int64(3), np.float64(0.5)))] == [
+        (3, int), (3, int), (0.5, float),
+    ]
+    assert dataio.integer(7) == 7 and type(dataio.integer(np.uint64(7))) is int
+    for raw in (True, 7.0, -1, 10**400, "7", np.True_, np.float64(7.0), np.int64(-1)):
         with pytest.raises((TypeError, ValueError, OverflowError)):
             dataio.integer(raw)
 

@@ -177,11 +177,14 @@ def test_pass_errors(rng):
 NOT_INTEGERS = pytest.mark.parametrize(
     "value", [1.5, 1.0, True, np.True_, "1"], ids=["half", "float", "true", "np-true", "string"]
 )
+# The label that starts the error of each integer argument of the draw path.
+LABELS = {"replicate": "replicate index", "n": "sample size n", "D": "Monte Carlo size D",
+          "first_replicate": "first replicate index"}
 
 
 @NOT_INTEGERS
 def test_pass_config_refuses_a_seed_that_is_not_an_integer(value):
-    with pytest.raises(InputError, match="mc_seed must be an integer"):
+    with pytest.raises(InputError, match="^mc_seed: "):
         PassConfig(mc_seed=value)
 
 
@@ -190,7 +193,7 @@ def test_pass_config_refuses_a_seed_that_is_not_an_integer(value):
 def test_pass_refuses_a_draw_argument_that_is_not_an_integer(value, argument):
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     arguments = {"replicate": 0, "n": 3, argument: value}
-    with pytest.raises(InputError, match="must be an integer"):
+    with pytest.raises(InputError, match=f"^{LABELS[argument]}: "):
         pass_synthesize(model, None, PassConfig(mc_seed=1), **arguments)
 
 
@@ -200,7 +203,7 @@ def test_null_refuses_a_draw_argument_that_is_not_an_integer(monkeypatch, value,
     model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
     monkeypatch.setattr(generators, "latent_block", lambda *args: pytest.fail("drew before the check"))
     arguments = {"n": 4, "D": 3, "first_replicate": 0, argument: value}
-    with pytest.raises(InputError, match="must be an integer"):
+    with pytest.raises(InputError, match=f"^{LABELS[argument]}: "):
         sample_statistic_null(model, statistic=lambda chunk: chunk.sum(axis=(1, 2)), cfg=PassConfig(), **arguments)
 
 

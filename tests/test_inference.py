@@ -277,7 +277,8 @@ def test_feature_errors(rng):
         feature_test((X, y), (X[:, :2], y), [0], model, 10, PassConfig())
     # indices beyond int64 are range errors, not overflows of the index array
     for index in (2**63, -(2**63) - 1, 2**64):
-        with pytest.raises(InputError, match=r"masked feature indices must lie in 0\.\.2"):
+        refusal = "index: expected an integer >= 0" if index < 0 else r"indices must lie in 0\.\.2"
+        with pytest.raises(InputError, match=f"^masked feature {refusal}"):
             feature_test((X, y), (X, y), [0, index], model, 10, PassConfig())
 
 
@@ -286,7 +287,7 @@ def test_feature_test_refuses_an_index_that_is_not_an_integer(rng, monkeypatch, 
     X, y = _logistic_data(rng, 100)
     model = fit_gaussian(np.column_stack((y, X)))
     monkeypatch.setattr(generators, "latent_block", _must_not_draw)
-    with pytest.raises(InputError, match="masked feature index must be an integer"):
+    with pytest.raises(InputError, match="^masked feature index: "):
         feature_test((X, y), (X, y), [index], model, 10, PassConfig())
 
 
@@ -304,7 +305,7 @@ def test_feature_test_takes_numpy_integer_indices(rng):
     ids=["1e400", "-1e400", "2**1024", "inf", "nan"],
 )
 def test_pivotal_refuses_a_theta0_beyond_float64(theta0):
-    with pytest.raises(InputError, match="theta0 must be finite in float64"):
+    with pytest.raises(InputError, match="^theta0: "):
         pivotal_inference(np.arange(5.0), D=9, cfg=PassConfig(), theta0=theta0)
 
 

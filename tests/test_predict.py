@@ -15,7 +15,6 @@ from pai import (
     conditional_sample,
     conformal_fit,
     conformal_interval,
-    coverage_report,
     derive_rng,
     fit_copula,
     fit_location_scale,
@@ -30,7 +29,7 @@ from pai import TestReport as Report
 from pai import dataio, predict
 from pai.dataio import Document
 from pai.generators import KINDS, fit_model
-from pai.predict import IntervalsDocument, PredictionInterval, _knn_indices
+from pai.predict import CoverageDocument, IntervalsDocument, PredictionInterval, _knn_indices
 from pai.streams import PATH_CONDITIONAL
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
@@ -260,23 +259,26 @@ def test_coverage_report_hand_cases(rng):
         upper=np.array([100.0, 9.0, 1.5 + 1.96 * 0.5]),
         center_estimate=np.array([0.0, 9.0, 1.5]),
     )
-    report = coverage_report(intervals, np.stack([draws, draws, draws]), intervals)
-    assert report.baseline_per_point.tobytes() == report.per_point.tobytes()
+    truths = np.stack([draws, draws, draws])
+    report = CoverageDocument.build(np.zeros((3, 1)), intervals, intervals, truths, alpha=0.05)
+    per_point = np.array([point["pai_coverage"] for point in report.points])
+    baseline_per_point = np.array([point["conformal_coverage"] for point in report.points])
+    assert baseline_per_point.tobytes() == per_point.tobytes()
     assert report.summary["shorter_fraction"] == 0.0
-    assert report.per_point[0] == 1.0
-    assert report.per_point[1] == 0.0
-    assert report.per_point[2] == pytest.approx(0.95, abs=0.02)
+    assert per_point[0] == 1.0
+    assert per_point[1] == 0.0
+    assert per_point[2] == pytest.approx(0.95, abs=0.02)
 
 
 def test_coverage_report_shorter_fraction():
     short = PredictionInterval(lower=np.zeros(2), upper=np.ones(2), center_estimate=np.full(2, 0.5))
     long = PredictionInterval(lower=np.zeros(2), upper=np.full(2, 2.0), center_estimate=np.ones(2))
     truths = np.array([[0.5], [0.5]])
-    report = coverage_report(short, truths, long)
+    report = CoverageDocument.build(np.zeros((2, 1)), short, long, truths, alpha=0.1)
     assert report.summary["shorter_fraction"] == 1.0
-    assert report.baseline_per_point is not None
+    assert [point["conformal_coverage"] for point in report.points] == [1.0, 1.0]
     with pytest.raises(InputError, match="one row of draws per interval"):
-        coverage_report(short, np.array([0.5, 0.5]), long)
+        CoverageDocument.build(np.zeros((2, 1)), short, long, np.array([0.5, 0.5]), alpha=0.1)
     with pytest.raises(InputError, match="out of order"):
         PredictionInterval(lower=np.ones(2), upper=np.zeros(2), center_estimate=np.ones(2))
 
