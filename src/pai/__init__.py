@@ -11,7 +11,7 @@ Importing pai loads numpy only: each scipy subpackage is imported inside the
 functions that call it, so a process pays for it at its first such call.
 """
 
-from .assignment import Assignment, rank_cost_matrix, solve_lsap
+from .assignment import rank_cost_matrix, solve_lsap
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError, PaiError
 from .generators import (
@@ -58,7 +58,6 @@ from .streams import derive_rng
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "ConformalModel",
     "CopulaTransport",
     "Correction",

@@ -2,14 +2,14 @@
 
 Cost matrices are plain square ``numpy`` arrays of non-negative finite reals;
 ``solve_lsap`` returns the minimum-cost perfect matching as a column-to-row
-permutation with its total cost. The solver is scipy's shortest-augmenting-path
-implementation (Jonker-Volgenant family, worst case O(n^3)); this module owns
-the cost-matrix check, the permutation orientation used throughout the
-package, and desk-scale size guards. ``rank_cost_matrix`` takes its points and
+permutation (no caller reads its total cost, so none is summed). The solver
+is scipy's shortest-augmenting-path implementation (Jonker-Volgenant family,
+worst case O(n^3)); this module owns the cost-matrix check, the permutation
+orientation used throughout the package, and desk-scale size guards. ``rank_cost_matrix`` takes its points and
 targets through :func:`pai.dataio.as_matrix`, the package's one matrix rule,
 and adds only its own: equal shapes. Tie-breaking among equally optimal
 permutations follows the solver's deterministic scan order and is not part of
-the contract - only the total cost is.
+the contract - only the minimality of the total cost is.
 
 The solver starts from zero dual variables. A caller that knows a near-optimal
 dual warm-starts it through the costs alone: subtracting a constant from a
@@ -25,7 +25,6 @@ keeps the unreduced costs for samples with repeated rows.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,14 +35,6 @@ from .errors import InputError
 # it is no longer a desk-scale computation at all.
 SOFT_SIZE_LIMIT = 4096
 HARD_SIZE_LIMIT = 16384
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """A perfect matching: column ``i`` is assigned row ``perm[i]``."""
-
-    perm: np.ndarray
-    total_cost: float
 
 
 def _validate_costs(costs: np.ndarray) -> np.ndarray:
@@ -61,20 +52,19 @@ def _validate_costs(costs: np.ndarray) -> np.ndarray:
     return costs
 
 
-def solve_lsap(costs: np.ndarray) -> Assignment:
+def solve_lsap(costs: np.ndarray) -> np.ndarray:
     """Minimum-cost perfect matching of a square cost matrix.
 
-    Returns an :class:`Assignment` whose ``perm`` maps each column index to
-    its assigned row, with ``total_cost = sum(costs[perm[i], i])`` minimal
-    over all permutations. An empty matrix yields the empty assignment with
-    cost 0.
+    Returns the permutation ``perm`` that assigns column ``i`` the row
+    ``perm[i]``, with ``sum(costs[perm[i], i])`` minimal over all
+    permutations. An empty matrix yields the empty permutation.
     """
     from scipy.optimize import linear_sum_assignment
 
     costs = _validate_costs(costs)
     n = costs.shape[0]
     if n == 0:
-        return Assignment(perm=np.empty(0, dtype=np.intp), total_cost=0.0)
+        return np.empty(0, dtype=np.intp)
     if n > HARD_SIZE_LIMIT:
         raise InputError(
             f"assignment size {n} exceeds the hard limit {HARD_SIZE_LIMIT}"
@@ -89,8 +79,7 @@ def solve_lsap(costs: np.ndarray) -> Assignment:
     row_ind, col_ind = linear_sum_assignment(costs)
     perm = np.empty(n, dtype=np.intp)
     perm[col_ind] = row_ind
-    total = float(costs[perm, np.arange(n)].sum())
-    return Assignment(perm=perm, total_cost=total)
+    return perm
 
 
 def rank_cost_matrix(points: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ CSV conventions: headerless by default (``--header`` skips one line); in
 labeled/joint files column 0 is the response or binary label and the
 remaining columns are features.
 
-Every output document echoes its command in its config. ``verify-report``
-reads any of the four report kinds (test, pivotal, intervals, coverage) and
-checks what that kind's ``is_consistent`` can re-derive.
+Each handler passes its flags to the library as they are, and the library
+reads them as it reads any argument (a sidedness, a correction, the
+one-column pivotal sample). Every output document echoes its command in
+its config. ``verify-report`` reads any of the four report kinds (test,
+pivotal, intervals, coverage) and checks what that kind's
+``is_consistent`` can re-derive.
 
 The argument parser is built once per process and reused by every
 :func:`main` call.
@@ -88,18 +91,13 @@ def cmd_fit(args) -> int:
 
 def cmd_synthesize(args) -> int:
     model = load_model(args.model)
-    inference = None
-    if args.rank_match:
-        if args.input is None:
-            raise UsageError("--rank-match requires --input with the inference sample")
-        inference = dataio.read_matrix(args.input, args.header)
-        n = inference.shape[0]
-    else:
-        if args.n is None:
-            raise UsageError("provide --n (or --rank-match with --input)")
-        n = args.n
+    if args.rank_match and args.input is None:
+        raise UsageError("--rank-match requires --input with the inference sample")
+    if not args.rank_match and args.n is None:
+        raise UsageError("provide --n (or --rank-match with --input)")
+    inference = dataio.read_matrix(args.input, args.header) if args.rank_match else None
     cfg = _cfg(args, rank_match=args.rank_match)
-    sample = pass_synthesize(model, inference, cfg, replicate=args.replicate, n=n)
+    sample = pass_synthesize(model, inference, cfg, replicate=args.replicate, n=args.n)
     dataio.write_matrix(args.out, sample)
     print(f"synthesize: {sample.shape[0]}x{sample.shape[1]} tau={args.tau} -> {args.out}")
     return 0
@@ -122,8 +120,8 @@ def cmd_test_fid(args) -> int:
         model,
         D=args.mc,
         cfg=_cfg(args),
-        sidedness=Sidedness(args.sided),
-        correction=Correction(args.correction),
+        sidedness=args.sided,
+        correction=args.correction,
     )
     _finish(report, args, report.summary(), input=args.input, candidate=args.candidate, model=args.model)
     return 0
@@ -146,7 +144,7 @@ def cmd_test_feature(args) -> int:
         model,
         D=args.mc,
         cfg=_cfg(args),
-        correction=Correction(args.correction),
+        correction=args.correction,
     )
     _finish(report, args, report.summary(), input=args.input, inference=args.inference, model=args.model)
     return 0
@@ -164,7 +162,7 @@ def cmd_test_coherence(args) -> int:
         model2,
         D=args.mc,
         cfg=_cfg(args),
-        correction=Correction(args.correction),
+        correction=args.correction,
     )
     _finish(
         report, args, report.summary(), input=args.input, input2=args.input2, model=args.model, model2=args.model2
@@ -173,18 +171,15 @@ def cmd_test_coherence(args) -> int:
 
 
 def cmd_test_pivotal(args) -> int:
-    data = dataio.read_matrix(args.input, args.header)
-    if data.shape[1] != 1:
-        raise InputError(f"pivotal inference expects a single-column file, got {data.shape[1]} columns")
     report = pivotal_inference(
-        data[:, 0],
+        dataio.read_matrix(args.input, args.header),
         D=args.mc,
         cfg=_cfg(args),
         alpha=args.alpha,
         theta0=args.theta0,
         sigma=args.sigma,
-        sidedness=Sidedness(args.sided),
-        correction=Correction(args.correction),
+        sidedness=args.sided,
+        correction=args.correction,
     )
     _finish(report, args, report.summary(), input=args.input)
     return 0

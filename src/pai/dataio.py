@@ -4,7 +4,9 @@
 and every function that takes data applies it: float64, a 1-D array as one
 column, two dimensions (or a stack of matrices where the caller maps
 stacks), every entry finite, and a given column count where the caller
-needs one. A caller adds only its own rule, such as a minimum row count.
+needs one. Data numpy cannot read as float64 is refused by the same
+:class:`InputError`, read through :func:`argument`. A caller adds only its
+own rule, such as a minimum row count.
 
 CSV files are headerless by default (``header=True`` skips one line), one
 row of comma-separated finite decimal numbers per sample; blank lines are
@@ -35,9 +37,10 @@ the label; a missing field is an :class:`InputError` too. The parsers are
 number that is not a boolean (a JSON number, or a Python or numpy integer or
 float) and finite as a float64, so an integer beyond float64 is refused.
 :func:`scalar` returns the Python int or float a number equals, so an
-argument read through it is echoed as the caller passed it. :class:`Document`
-is the base of the four report kinds; each lists its fields once, and one
-schema table dispatches a file to its kind.
+argument read through it is echoed as the caller passed it. A choice is
+read by its enum (``Sidedness``, ``Correction``), which takes a member or its
+string value. :class:`Document` is the base of the four report kinds; each
+lists its fields once, and one schema table dispatches a file to its kind.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ def as_matrix(data, name: str, dim: int | None = None, stack: bool = False) -> n
 
     A 1-D array is one column. With ``stack``, a ``(..., n, columns)`` stack
     of such matrices passes too. The error names ``name`` and, for a
-    non-finite entry, the index of the first one.
+    non-finite entry, the index of the first one; so does the error of data
+    that numpy cannot read as float64 (strings, a ragged list, a dict).
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = argument(data, name, np.asarray, dtype=np.float64)
     if data.ndim == 1:
         data = data[:, None]
     if data.ndim != 2 and not (stack and data.ndim > 2):

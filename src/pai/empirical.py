@@ -1,11 +1,17 @@
 """Empirical null distributions and Monte Carlo p-values.
 
 An :class:`EmpiricalDistribution` is the sorted vector of statistic values
-computed on independent synthetic replicates. P-values come in two flavours:
+computed on independent synthetic replicates; it reads its draws as one
+column through :func:`pai.dataio.as_matrix`. P-values come in two flavours:
 ``RAW`` reproduces the plain empirical-CDF rules (and can return 0 when the
 observed statistic is beyond every draw), while ``PLUS_ONE`` - the default
 everywhere - counts the observed statistic as one extra draw, which keeps
 p-values in ``[1/(D+1), 1]`` and gives exact finite-sample level control.
+Each correction gives a lower-tail and an upper-tail value, and the
+sidedness picks one of them or the two-sided ``min(1, 2 min(lower, upper))``.
+The enums are the parsers of their arguments: :func:`p_value` and every
+procedure read a ``Sidedness`` or ``Correction`` (or its string value, such
+as ``"upper"``) through :func:`pai.dataio.argument`, as report files do.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, number
+from .dataio import argument, as_matrix, number
 from .errors import InputError
 
 
@@ -37,11 +43,9 @@ class EmpiricalDistribution:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64).ravel()
+        values = as_matrix(self.values, "draws", 1)[:, 0]
         if values.shape[0] < 2:
             raise InputError("an empirical distribution needs at least 2 draws")
-        if not np.all(np.isfinite(values)):
-            raise InputError("draws must be finite")
         values = np.sort(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -63,27 +67,23 @@ def p_value(
 ) -> float:
     """P-value of ``statistic`` against the empirical null.
 
-    RAW mode: lower tail ``F(T)``, upper tail ``1 - F(T)``, two-sided
-    ``2 min(F(T), 1 - F(T))``, with ``F`` the draws' empirical CDF.
-    PLUS_ONE mode counts the observed statistic as an extra draw in the
-    relevant tail; the two-sided value is ``min(1, 2 min(upper, lower))``.
+    RAW mode: lower tail ``F(T)``, upper tail ``1 - F(T)``, with ``F`` the
+    draws' empirical CDF. PLUS_ONE mode counts the observed statistic as an
+    extra draw in each tail. The two-sided value is
+    ``min(1, 2 min(lower, upper))`` in either mode.
     """
     statistic = argument(statistic, "test statistic", number)
+    sidedness = argument(sidedness, "sidedness", Sidedness)
+    correction = argument(correction, "correction", Correction)
     values = dist.values
     D = dist.size
     n_le = int(np.searchsorted(values, statistic, side="right"))
-    n_ge = D - int(np.searchsorted(values, statistic, side="left"))
     if correction is Correction.RAW:
-        F = n_le / D
-        if sidedness is Sidedness.LOWER_TAIL:
-            return F
-        if sidedness is Sidedness.UPPER_TAIL:
-            return 1.0 - F
-        return min(1.0, 2.0 * min(F, 1.0 - F))
-    upper = (1 + n_ge) / (D + 1)
-    lower = (1 + n_le) / (D + 1)
-    if sidedness is Sidedness.LOWER_TAIL:
-        return lower
-    if sidedness is Sidedness.UPPER_TAIL:
-        return upper
-    return min(1.0, 2.0 * min(upper, lower))
+        lower = n_le / D
+        upper = 1.0 - lower
+    else:
+        n_ge = D - int(np.searchsorted(values, statistic, side="left"))
+        lower, upper = (1 + n_le) / (D + 1), (1 + n_ge) / (D + 1)
+    if sidedness is Sidedness.TWO_SIDED:
+        return min(1.0, 2.0 * min(lower, upper))
+    return lower if sidedness is Sidedness.LOWER_TAIL else upper

@@ -162,6 +162,8 @@ def test_two_sample_fid(
     the report so the provenance is auditable).
     """
     D = argument(D, "Monte Carlo size D", integer, least=2)
+    sidedness = argument(sidedness, "sidedness", Sidedness)
+    correction = argument(correction, "correction", Correction)
     reference = as_matrix(reference, "reference")
     d = reference.shape[1]
     candidate = as_matrix(candidate, "candidate", d)
@@ -277,6 +279,8 @@ def test_feature_significance(
     reproduce the alternative in the null draws and destroy power.
     """
     D = argument(D, "Monte Carlo size D", integer, least=2)
+    correction = argument(correction, "correction", Correction)
+    masked_features = argument(masked_features, "masked features", list)
     mask = sorted({argument(i, "masked feature index", integer) for i in masked_features})
     (train_X, train_y), (inf_X, inf_y) = train, inference
     train_X = as_matrix(train_X, "train features")
@@ -345,6 +349,7 @@ def test_conditional_coherence(
     Groups may have different sizes; every null split mirrors them.
     """
     D = argument(D, "Monte Carlo size D", integer, least=2)
+    correction = argument(correction, "correction", Correction)
     group1 = as_matrix(group1, "group1")
     d = group1.shape[1]
     group2 = as_matrix(group2, "group2", d)
@@ -432,6 +437,7 @@ def pivotal_inference(
 ) -> PivotalReport:
     """Monte Carlo inference for a pivotal statistic of the Gaussian mean.
 
+    ``inference`` is one column: a 1-D sample or an ``(n, 1)`` matrix.
     Because the pivot's law does not depend on the parameters, the generator
     may be fitted on the inference sample itself: replicate ``k`` refits the
     estimates on a synthetic sample and the pivot values are exact draws from
@@ -450,7 +456,9 @@ def pivotal_inference(
     theta0 = None if theta0 is None else argument(theta0, "theta0", scalar)
     sigma = None if sigma is None else argument(sigma, "sigma", scalar)
     center = None if center is None else argument(center, "center", scalar)
-    data = as_matrix(np.ravel(inference), "inference")[:, 0]
+    sidedness = argument(sidedness, "sidedness", Sidedness)
+    correction = argument(correction, "correction", Correction)
+    data = as_matrix(inference, "inference", 1)[:, 0]
     n = data.shape[0]
     if n < 3:
         raise InputError(f"pivotal inference needs n >= 3, got {n}")

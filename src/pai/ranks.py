@@ -3,8 +3,8 @@
 The empirical rank of a sample row is the Halton point it is matched to by
 the minimum-cost assignment between the sample and the first ``n`` Halton
 points - the discrete Monge solution. ``empirical_ranks`` returns that
-matching as a permutation only (no caller reads its cost, so none is
-summed), and ``match_ranks`` composes two such permutations into the
+matching as the permutation :func:`~pai.assignment.solve_lsap` returns
+(its cost is not summed), and ``match_ranks`` composes two such permutations into the
 permutation ``r`` that aligns the ranks of a base sample with those of a
 latent sample. Both take their samples through
 :func:`pai.dataio.as_matrix`.
@@ -101,7 +101,7 @@ def _solve_rank_map(key: bytes, n: int, d: int) -> np.ndarray:
         costs = rank_cost_matrix(sample, targets)
         if not _has_repeated_rows(sample):
             _reduce_costs(costs, _target_potential(n, d))
-        perm = solve_lsap(costs).perm
+        perm = solve_lsap(costs)
     perm.setflags(write=False)
     return perm
 

@@ -5,6 +5,8 @@ paths: ``brute_force_lsap_cost`` enumerates all permutations, and
 ``halton_point`` computes one radical inverse with a scalar digit loop and
 its own primality check.
 
+``assignment_cost`` is the one statement of an assignment's total cost.
+
 The others are instruments built on the library's solvers, for measuring
 samples rather than for checking those solvers: ``row_ranks`` and
 ``rank_discrepancy`` read ranks from ``empirical_ranks``, and
@@ -20,13 +22,18 @@ from scipy.spatial.distance import cdist
 from pai import InputError, empirical_ranks, halton_block, solve_lsap
 
 
+def assignment_cost(costs: np.ndarray, perm) -> float:
+    """Total cost of assigning column ``i`` the row ``perm[i]``: ``sum(costs[perm[i], i])``."""
+    perm = np.asarray(perm, dtype=np.intp)
+    return float(costs[perm, np.arange(perm.shape[0])].sum())
+
+
 def brute_force_lsap_cost(costs: np.ndarray) -> float:
     """Minimum assignment cost by full enumeration (n <= 8)."""
     n = costs.shape[0]
     best = math.inf
-    cols = np.arange(n)
     for perm in itertools.permutations(range(n)):
-        total = costs[list(perm), cols].sum()
+        total = assignment_cost(costs, perm)
         if total < best:
             best = float(total)
     return best
@@ -117,5 +124,5 @@ def wasserstein_exact(a: np.ndarray, b: np.ndarray, order: int = 2) -> float:
         raise InputError("samples must be non-empty")
     metric = "sqeuclidean" if order == 2 else "euclidean"
     costs = cdist(a, b, metric=metric) / n
-    total = solve_lsap(costs).total_cost
+    total = assignment_cost(costs, solve_lsap(costs))
     return math.sqrt(total) if order == 2 else total

@@ -9,8 +9,14 @@ the Python number it equals gives, down to the bytes a document saves. Every
 valid value of the table is small, and no swept value is a size that passes
 the allocation guard and really allocates.
 
+A second sweep puts each of ``CHOICE_VALUES`` on every ``Sidedness`` and
+``Correction`` argument: a string the enum takes gives the result of its
+enum member, down to the bytes a report saves, and any other value is an
+``InputError`` naming the argument, raised before a replicate is drawn.
+
 A guard test reads the signatures of the public functions and dataclasses,
-so a new ``int`` or ``float`` parameter fails it until it has a row here.
+so a new ``int``, ``float``, ``Sidedness`` or ``Correction`` parameter fails
+it until it has a row here.
 """
 
 import dataclasses
@@ -22,7 +28,7 @@ import numpy as np
 import pytest
 
 import pai
-from pai import InputError, NumericError, PassConfig, PerturbationSpec
+from pai import Correction, InputError, NumericError, PassConfig, PerturbationSpec, Sidedness, generators
 from pai.dataio import Document
 
 HUGE = 10**400
@@ -96,7 +102,7 @@ SWEEP = {
     ("pivotal_inference", "center"): (1, 0.5),
     ("p_value", "statistic"): (1, 0.5),
     **dict.fromkeys([
-        ("Assignment", "total_cost"), ("ConformalModel", "k"), ("ConformalModel", "qhat"), ("FitInfo", "n_rows"),
+        ("ConformalModel", "k"), ("ConformalModel", "qhat"), ("FitInfo", "n_rows"),
         *((report, field) for report in ("TestReport", "PivotalReport") for field in ("statistic", "p_value", "seed")),
         *(("PivotalReport", field) for field in ("estimate", "scale", "alpha", "lower", "upper")),
     ]),
@@ -186,23 +192,107 @@ def test_reports_built_from_numpy_scalars_save_the_bytes_of_python_numbers(tmp_p
     assert type(json.loads((tmp_path / "python.json").read_text())["config"]["theta0"]) is int
 
 
-def _scalar_parameters(obj):
-    """The parameters of ``obj`` annotated ``int`` or ``float``, alone or ``| None``."""
+def _annotated(obj, kinds):
+    """The parameters of ``obj`` whose annotation is one of ``kinds``."""
     def annotation(parameter):
         kind = parameter.annotation
         return kind if isinstance(kind, str) else inspect.formatannotation(kind)
 
-    scalar = {"int", "float", "int | None", "float | None"}
-    return [p.name for p in inspect.signature(obj).parameters.values() if annotation(p) in scalar]
+    return [p.name for p in inspect.signature(obj).parameters.values() if annotation(p) in kinds]
 
 
-def test_the_argument_sweep_covers_every_scalar_parameter():
-    found = {
+def _public_parameters(kinds):
+    return {
         (obj.__name__, parameter)
         for obj in (getattr(pai, name) for name in pai.__all__)
         if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)
-        for parameter in _scalar_parameters(obj)
+        for parameter in _annotated(obj, kinds)
     }
+
+
+def test_the_argument_sweep_covers_every_scalar_parameter():
+    found = _public_parameters({"int", "float", "int | None", "float | None"})
     assert found <= set(SWEEP), f"no sweep row for {sorted(found - set(SWEEP))}"
     # the one row no annotation asks for: the feature test's masked indices
     assert set(SWEEP) - found == {("test_feature_significance", "masked_features")}
+    found = _public_parameters({"Sidedness", "Correction"})
+    assert found == set(CHOICE_SWEEP), f"choice rows differ from {sorted(found)}"
+
+
+CHOICE_VALUES = ("upper", "bogus", True, None, ["two"])
+# (public name, parameter) -> its enum, or None for a field of a record the
+# package returns, filled from an argument it has already read.
+CHOICE_SWEEP = {
+    **{(name, "sidedness"): Sidedness for name in ("p_value", "test_two_sample_fid", "pivotal_inference")},
+    **{
+        (name, "correction"): Correction
+        for name in ("p_value", "test_two_sample_fid", "test_feature_significance", "test_conditional_coherence",
+                     "pivotal_inference")
+    },
+    **dict.fromkeys(
+        (report, field) for report in ("TestReport", "PivotalReport") for field in ("sidedness", "correction")
+    ),
+}
+CHOICE_SWEPT = sorted(key for key, kind in CHOICE_SWEEP.items() if kind is not None)
+
+
+def _must_not_draw(*args):
+    raise AssertionError("a replicate was drawn before the arguments were read")
+
+
+@pytest.mark.parametrize(
+    "name,parameter", CHOICE_SWEPT, ids=[f"{name}.{parameter}" for name, parameter in CHOICE_SWEPT]
+)
+def test_every_choice_argument_takes_its_strings_and_refuses_the_rest(tmp_path, monkeypatch, name, parameter):
+    kind = CHOICE_SWEEP[name, parameter]
+    for value in (*CHOICE_VALUES, *(member.value for member in kind)):
+        try:
+            member = kind(value)
+        except ValueError:
+            with monkeypatch.context() as patch:
+                patch.setattr(generators, "_draw_replicate", _must_not_draw)
+                with pytest.raises(InputError, match=f"^{parameter}: "):
+                    _call(name, parameter, value)
+            continue
+        expected = _outcome(_call(name, parameter, member), tmp_path / "enum.json")
+        assert _outcome(_call(name, parameter, value), tmp_path / "string.json") == expected, value
+
+
+@pytest.mark.parametrize("name", ["test_two_sample_fid", "pivotal_inference"])
+def test_an_upper_tail_string_gives_the_upper_tail_p_value(tmp_path, name):
+    report = _call(name, "sidedness", "upper")
+    assert report.sidedness is Sidedness.UPPER_TAIL
+    upper = pai.p_value(report.null_draws, report.statistic, Sidedness.UPPER_TAIL)
+    assert report.p_value == upper != pai.p_value(report.null_draws, report.statistic)
+    report.save(tmp_path / "report.json")
+    assert json.loads((tmp_path / "report.json").read_text())["sidedness"] == "upper"
+
+
+# Inputs that ran silently or raised a bare ValueError or TypeError before
+# every collection and matrix argument was read by a rule: the call, and
+# the text that starts the error.
+REFUSED_INPUTS = {
+    "pivotal-two-column-sample": (
+        lambda: pai.pivotal_inference(np.ones((6, 2)), D=3, cfg=PassConfig()), "inference has 2 columns, expected 1"
+    ),
+    "matrix-of-strings": (lambda: pai.fit_gaussian([["a", "b"], ["c", "d"]]), "holdout: "),
+    "ragged-matrix": (lambda: pai.fit_gaussian([[1.0, 2.0], [3.0]]), "holdout: "),
+    "dict-matrix": (lambda: pai.fit_gaussian({"a": 1.0}), "holdout: "),
+    "two-column-draws": (lambda: pai.EmpiricalDistribution(np.ones((3, 2))), "draws has 2 columns, expected 1"),
+    **{
+        f"masked-features-{value}": (
+            lambda value=value: pai.test_feature_significance(
+                **{**CALLS["test_feature_significance"][1], "masked_features": value}
+            ),
+            "masked features: ",
+        )
+        for value in (3, None)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_INPUTS))
+def test_a_refused_collection_or_matrix_is_an_input_error_naming_it(case):
+    call, start = REFUSED_INPUTS[case]
+    with pytest.raises(InputError, match=f"^{start}"):
+        call()

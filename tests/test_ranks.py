@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import brute_force_lsap_cost, rank_discrepancy, row_ranks
+from oracles import assignment_cost, brute_force_lsap_cost, rank_discrepancy, row_ranks
 
 import pai.ranks
 from pai import (
@@ -23,9 +23,9 @@ def lsap_rank_map(sample):
 
 
 def matched_cost(sample, perm):
-    """Total rank cost of ``perm``, by ``solve_lsap``'s own formula."""
+    """Total rank cost of ``perm``."""
     n, d = sample.shape
-    return rank_cost_matrix(sample, halton_block(n, d))[perm, np.arange(n)].sum()
+    return assignment_cost(rank_cost_matrix(sample, halton_block(n, d)), perm)
 
 
 def fresh_rank_map(sample):
@@ -135,9 +135,7 @@ def test_errors():
 def test_univariate_sort_path_equals_the_lsap(rng, n):
     sample = rng.standard_normal((n, 1))
     perm = empirical_ranks(sample)
-    oracle = lsap_rank_map(sample)
-    np.testing.assert_array_equal(perm, oracle.perm)
-    assert matched_cost(sample, perm) == pytest.approx(oracle.total_cost, rel=1e-12, abs=1e-15)
+    np.testing.assert_array_equal(perm, lsap_rank_map(sample))
 
 
 def test_univariate_sort_path_is_optimal_on_ties(rng):
@@ -161,7 +159,7 @@ def test_cache_hit_returns_a_perm_the_caller_owns(rng):
     first[:] = 0
     second[:] = 0
     np.testing.assert_array_equal(empirical_ranks(sample), expected)
-    np.testing.assert_array_equal(empirical_ranks(sample), lsap_rank_map(sample).perm)
+    np.testing.assert_array_equal(empirical_ranks(sample), lsap_rank_map(sample))
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -171,7 +169,7 @@ def test_mutating_the_input_in_place_gives_a_fresh_rank_map(rng, d):
     sample[[0, 1, 2]] = sample[[2, 0, 1]]
     sample[5] += 10.0
     fresh = empirical_ranks(sample)
-    np.testing.assert_array_equal(fresh, lsap_rank_map(sample).perm)
+    np.testing.assert_array_equal(fresh, lsap_rank_map(sample))
     assert not np.array_equal(fresh, stale)
 
 
@@ -195,9 +193,7 @@ def test_warm_started_solve_returns_the_plain_solve(rng, kind, n):
         sample = CONTINUOUS_SAMPLES[kind](rng, n, d)
         assert not pai.ranks._has_repeated_rows(sample)
         perm = fresh_rank_map(sample)
-        oracle = lsap_rank_map(sample)
-        np.testing.assert_array_equal(perm, oracle.perm, err_msg=f"d={d}")
-        assert matched_cost(sample, perm) == oracle.total_cost, d
+        np.testing.assert_array_equal(perm, lsap_rank_map(sample), err_msg=f"d={d}")
 
 
 def test_repeated_rows_take_the_plain_solve(rng):
@@ -209,9 +205,7 @@ def test_repeated_rows_take_the_plain_solve(rng):
     for sample in samples:
         assert pai.ranks._has_repeated_rows(sample)
         perm = fresh_rank_map(sample)
-        oracle = lsap_rank_map(sample)
-        np.testing.assert_array_equal(perm, oracle.perm)
-        assert matched_cost(sample, perm) == oracle.total_cost
+        np.testing.assert_array_equal(perm, lsap_rank_map(sample))
     distinct = signed_zero.copy()
     distinct[30, 1] = np.nextafter(0.0, 1.0)
     assert not pai.ranks._has_repeated_rows(distinct)
