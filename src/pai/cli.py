@@ -13,10 +13,10 @@ remaining columns are features.
 
 Each handler passes its flags to the library as they are, and the library
 reads them as it reads any argument (a sidedness, a correction, the
-one-column pivotal sample). Every output document echoes its command in
-its config. ``verify-report`` reads any of the four report kinds (test,
-pivotal, intervals, coverage) and checks what that kind's
-``is_consistent`` can re-derive.
+one-column pivotal sample, a labeled file's feature columns). Every output
+document echoes its command in its config. ``verify-report`` reads any of
+the four report kinds (test, pivotal, intervals, coverage) and checks what
+that kind's ``is_consistent`` can re-derive.
 
 The argument parser is built once per process and reused by every
 :func:`main` call.
@@ -73,12 +73,6 @@ def _cfg(args, rank_match: bool = False) -> PassConfig:
     )
 
 
-def _labeled(matrix: np.ndarray, what: str):
-    if matrix.shape[1] < 2:
-        raise InputError(f"{what}: labeled data needs a label column plus features")
-    return matrix[:, 1:], matrix[:, 0]
-
-
 def cmd_fit(args) -> int:
     model = fit_model(args.kind, dataio.read_matrix(args.input, args.header))
     save_model(model, args.out)
@@ -128,8 +122,8 @@ def cmd_test_fid(args) -> int:
 
 
 def cmd_test_feature(args) -> int:
-    train = _labeled(dataio.read_matrix(args.input, args.header), "train")
-    inference = _labeled(dataio.read_matrix(args.inference, args.header), "inference")
+    train = dataio.read_matrix(args.input, args.header)
+    inference = dataio.read_matrix(args.inference, args.header)
     model = load_model(args.model)
     try:
         mask = [int(part) for part in args.mask.split(",") if part.strip() != ""]
@@ -138,8 +132,8 @@ def cmd_test_feature(args) -> int:
     if not mask:
         raise UsageError("--mask must name at least one feature index")
     report = test_feature_significance(
-        train,
-        inference,
+        (train[:, 1:], train[:, 0]),
+        (inference[:, 1:], inference[:, 0]),
         mask,
         model,
         D=args.mc,

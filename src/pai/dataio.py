@@ -39,12 +39,15 @@ float) and finite as a float64, so an integer beyond float64 is refused.
 :func:`scalar` returns the Python int or float a number equals, so an
 argument read through it is echoed as the caller passed it. A choice is
 read by its enum (``Sidedness``, ``Correction``), which takes a member or its
-string value. :class:`Document` is the base of the four report kinds; each
-lists its fields once, and one schema table dispatches a file to its kind.
+string value, and an object by :func:`exactly` or :func:`sized`. :func:`entry`
+declares each field of a :class:`Document` (the four report kinds) once,
+with its parser, and one schema table dispatches a file to its kind.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -218,13 +221,23 @@ def level(raw) -> float:
     return value
 
 
-def exactly(kind: type):
-    """A parser that passes a value of type ``kind``, and no subclass of it."""
+def exactly(*kinds: type):
+    """A parser that passes a value of one of the types ``kinds``, and no subclass of them."""
     def parse(value):
-        if type(value) is not kind:
-            raise TypeError(f"expected {kind.__name__}, got {type(value).__name__}")
+        if type(value) not in kinds:
+            raise TypeError(f"expected {' or '.join(kind.__name__ for kind in kinds)}, got {type(value).__name__}")
         return value
     return parse
+
+
+def sized(raw, size: int, kind: type = list):
+    """``raw``, a ``kind`` (and no subclass) of ``size`` items."""
+    if len(exactly(kind)(raw)) != size:
+        raise ValueError(f"expected a {kind.__name__} of {size}, got {len(raw)}")
+    return raw
+
+
+pair = functools.partial(sized, size=2, kind=tuple)
 
 
 def record(fields: dict, what: str):
@@ -247,14 +260,23 @@ def records(fields: dict, what: str):
     return parse
 
 
-class Document:
-    """A versioned JSON document (a frozen dataclass) whose fields are listed once.
+def entry(parse, write=None, key=None):
+    """A document field that ``parse`` reads and ``write`` stores (as it is if None) under ``key`` (or its name)."""
+    return dataclasses.field(metadata={"entry": (parse, write, key)})
 
-    A kind names its ``schema`` and lists its fields in ``_FIELDS``: key ->
-    ``(attribute, parse, write)``, where ``parse`` reads the field through
-    :func:`read_field` and a ``write`` of ``None`` stores the attribute as it
-    is. :meth:`to_dict` and :meth:`from_dict` both read the listing, and each
-    kind's ``is_consistent`` re-derives what its stored results imply.
+
+def _entries(kind) -> list:
+    """``(attribute, parse, write, key)`` of each field of ``kind`` declared with :func:`entry`."""
+    return [(field.name, *field.metadata["entry"]) for field in dataclasses.fields(kind) if "entry" in field.metadata]
+
+
+class Document:
+    """A versioned JSON document: a frozen dataclass that declares each field once.
+
+    A kind names its ``schema`` and declares each field of its file with
+    :func:`entry`; a field declared without it is not in the file.
+    :meth:`to_dict` and :meth:`from_dict` both read the declarations, and
+    each kind's ``is_consistent`` re-derives what its stored results imply.
     """
 
     # The one schema table: schema -> document kind, one entry per kind defined.
@@ -266,9 +288,9 @@ class Document:
 
     def to_dict(self) -> dict:
         doc = {"schema": self.schema}
-        for key, (attribute, _, write) in self._FIELDS.items():
+        for attribute, _, write, key in _entries(type(self)):
             value = getattr(self, attribute)
-            doc[key] = value if write is None else write(value)
+            doc[key or attribute] = value if write is None else write(value)
         return doc
 
     def save(self, path: str | os.PathLike) -> None:
@@ -282,8 +304,8 @@ class Document:
         if kind is None or not issubclass(kind, cls):
             known = sorted(name for name, other in Document._SCHEMAS.items() if issubclass(other, cls))
             raise InputError(f"unrecognized report schema {schema!r}, expected one of {known}")
-        fields = kind._FIELDS.items()
-        return kind(**{attribute: read_field(payload, "report", parse, key) for key, (attribute, parse, _) in fields})
+        fields = _entries(kind)
+        return kind(**{name: read_field(payload, "report", parse, key or name) for name, parse, _, key in fields})
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Document":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, as_matrix, number
+from .dataio import argument, as_matrix, exactly, number
 from .errors import InputError
 
 
@@ -72,6 +72,7 @@ def p_value(
     extra draw in each tail. The two-sided value is
     ``min(1, 2 min(lower, upper))`` in either mode.
     """
+    dist = argument(dist, "dist", exactly(EmpiricalDistribution))
     statistic = argument(statistic, "test statistic", number)
     sidedness = argument(sidedness, "sidedness", Sidedness)
     correction = argument(correction, "correction", Correction)

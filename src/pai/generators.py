@@ -61,7 +61,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataio import argument, as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object
+from .dataio import argument, as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object, sized
 from .dataio import write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
@@ -80,6 +80,9 @@ _RIDGE = 1e-10
 # Offset, relative to the mean absolute residual, inside the log of the
 # location-scale fit's scale regression.
 _SCALE_OFFSET = 0.01
+
+# Clip for CDF values before the normal quantile; keeps latents finite.
+_EPS = 1e-12
 
 
 def _data_hash(data: np.ndarray) -> str:
@@ -108,6 +111,13 @@ def _require_finite(fit: str, **fitted: np.ndarray) -> None:
     for name, value in fitted.items():
         if not np.isfinite(value).all():
             raise NumericError(f"{fit} is not finite: its {name} overflows float64")
+
+
+def _normal_scores(u: np.ndarray) -> np.ndarray:
+    """The normal quantiles of CDF values ``u``, clipped to ``[_EPS, 1 - _EPS]`` first."""
+    from scipy.special import ndtri
+
+    return ndtri(np.clip(u, _EPS, 1.0 - _EPS))
 
 
 def _schur_conditional(cov: np.ndarray, mean0, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -285,9 +295,6 @@ class CopulaTransport:
 
     kind = "copula"
 
-    # Clip for CDF values before the normal quantile; keeps latents finite.
-    _EPS = 1e-12
-
     @property
     def dim(self) -> int:
         return len(self.marginals)
@@ -308,13 +315,9 @@ class CopulaTransport:
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
         from scipy.linalg import solve_triangular
-        from scipy.special import ndtri
 
         data = as_matrix(data, "data", self.dim)
-        u = np.empty_like(data)
-        for j, marginal in enumerate(self.marginals):
-            u[:, j] = marginal.cdf(data[:, j])
-        scores = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
+        scores = _normal_scores(np.column_stack([m.cdf(column) for m, column in zip(self.marginals, data.T)]))
         return solve_triangular(self.latent_chol, scores.T, lower=True).T
 
     def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -323,10 +326,9 @@ class CopulaTransport:
         The conditioning is on the response's latent score; the conditional
         scores go back through the normal CDF and the response's quantile.
         """
-        from scipy.special import ndtr, ndtri
+        from scipy.special import ndtr
 
-        u = np.column_stack([m.cdf(column) for m, column in zip(self.marginals[1:], X.T)])
-        rhs = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
+        rhs = _normal_scores(np.column_stack([m.cdf(column) for m, column in zip(self.marginals[1:], X.T)]))
         cond_mean, cond_sd = _schur_conditional(self.latent_chol @ self.latent_chol.T, 0.0, rhs)
         return self.marginals[0].quantile(ndtr(cond_mean[:, None] + cond_sd * Z))
 
@@ -338,7 +340,7 @@ class CopulaTransport:
 
     @classmethod
     def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> CopulaTransport:
-        read_field(payload, "model", partial(_list_of, size=dim), "marginals")
+        read_field(payload, "model", partial(sized, size=dim), "marginals")
         return cls(
             marginals=tuple(_read_marginal(payload, "marginals", j) for j in range(dim)),
             latent_chol=read_field(payload, "model", partial(_chol, dim=dim), "latent_chol"),
@@ -385,8 +387,6 @@ class LocationScaleTransport:
 
     kind = "location-scale"
 
-    _EPS = CopulaTransport._EPS
-
     @property
     def dim(self) -> int:
         return self.features.dim + 1
@@ -408,12 +408,9 @@ class LocationScaleTransport:
         return np.concatenate((response[..., None], features), axis=-1)
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        from scipy.special import ndtri
-
         data = as_matrix(data, "data", self.dim)
         location, scale = self.location_scale(data[:, 1:])
-        u = self.residual.cdf((data[:, 0] - location) / scale)
-        score = ndtri(np.clip(u, self._EPS, 1.0 - self._EPS))
+        score = _normal_scores(self.residual.cdf((data[:, 0] - location) / scale))
         return np.column_stack((score, self.features.inverse(data[:, 1:])))
 
     def conditional_response(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -464,6 +461,9 @@ _MODEL_CLASSES = {cls.kind: cls for cls in (GaussianTransport, CopulaTransport, 
 
 KINDS = tuple(_MODEL_CLASSES)
 
+# The parser of a model argument: an instance of one of the three transport classes.
+generator_model = exactly(*_MODEL_CLASSES.values())
+
 
 def fit_gaussian(holdout: np.ndarray) -> GaussianTransport:
     """Fit mean and ridge-regularized covariance; return the affine transport.
@@ -498,25 +498,21 @@ def gaussian_from_params(
     """Build a Gaussian transport from known parameters (no fitting).
 
     Useful when the data-generating law is known exactly, e.g. in calibration
-    experiments where estimation error must be ruled out.
+    experiments where estimation error must be ruled out. ``mean`` is one
+    column, and ``chol`` the lower-triangular Cholesky factor of ``cov``.
     """
-    mean = as_matrix(np.ravel(mean), "mean")[:, 0]
+    mean = as_matrix(mean, "mean", 1)[:, 0]
+    d = mean.shape[0]
     if (cov is None) == (chol is None):
         raise InputError("provide exactly one of cov or chol")
     if chol is None:
-        cov = as_matrix(cov, "cov")
-        if cov.shape != (mean.shape[0], mean.shape[0]):
-            raise InputError("cov shape does not match mean")
+        cov = argument(as_matrix(cov, "cov"), "cov", numbers, shape=(d, d))
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NumericError("cov is not positive definite") from exc
-    else:
-        chol = as_matrix(chol, "chol")
-        if chol.shape != (mean.shape[0], mean.shape[0]):
-            raise InputError("chol shape does not match mean")
-        if np.any(np.diag(chol) <= 0):
-            raise InputError("chol must have strictly positive diagonal")
+    # the model file's own rule, so every model built here saves and loads
+    chol = argument(as_matrix(chol, "chol"), "chol", _chol, dim=d)
     return GaussianTransport(
         mean=mean, chol=chol, fit_info=FitInfo(n_rows=0, data_hash="injected")
     )
@@ -634,6 +630,8 @@ class PassConfig:
     mc_seed: int = 0
 
     def __post_init__(self) -> None:
+        argument(self.perturbation, "perturbation", exactly(PerturbationSpec))
+        argument(self.rank_match, "rank_match", exactly(bool))
         object.__setattr__(self, "mc_seed", argument(self.mc_seed, "mc_seed", integer))
 
 
@@ -697,6 +695,8 @@ def pass_synthesize(
     bit. ``replicate`` must lie below ``2**64``. ``n`` is the sample size
     when no inference sample is given.
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     replicate = argument(replicate, "replicate index", integer)
     if cfg.rank_match and inference is None:
         raise InputError("rank matching requires an inference sample")
@@ -734,6 +734,8 @@ def sample_statistic_null(
     replicate. The arguments are checked and the ``D`` values allocated before
     the first replicate is drawn.
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     D = argument(D, "Monte Carlo size D", integer, least=2)
     n = argument(n, "sample size n", integer, least=1)
     first_replicate = argument(first_replicate, "first replicate index", integer)
@@ -764,6 +766,7 @@ def _marginal_doc(marginal: Marginal) -> dict:
 
 def save_model(model: GeneratorModel, path: str | os.PathLike) -> None:
     """Serialize a fitted model to a self-describing JSON document."""
+    model = argument(model, "model", generator_model)
     payload = {
         "schema": MODEL_SCHEMA,
         "kind": model.kind,
@@ -781,12 +784,6 @@ def _kind(raw) -> type:
     if raw not in KINDS:  # tested before the lookup: a list or dict kind cannot be a dict key
         raise ValueError(f"unrecognized model kind {raw!r}")
     return _MODEL_CLASSES[raw]
-
-
-def _list_of(raw, size: int) -> list:
-    if not isinstance(raw, list) or len(raw) != size:
-        raise ValueError(f"expected a list of {size}")
-    return raw
 
 
 def _positive(raw, size: int) -> np.ndarray:

@@ -29,12 +29,12 @@ test's convention when masking changes no inference loss, so T = 0), else
 the Monte Carlo :func:`~pai.empirical.p_value` among the null draws. A report
 keeps its draws, and ``is_consistent`` (so ``pai verify-report``) applies
 the same rule, so no report is built that its own check rejects. A report
-is a :class:`~pai.dataio.Document` that lists its fields once: ``save``
-writes a versioned JSON document (``pai-report/1`` or ``pai-pivotal/1``),
-and ``TestReport.load`` finds a file's kind in the one schema table, which
-also holds the interval and coverage kinds of :mod:`pai.predict`. It takes
-either report schema and turns any malformed document into
-:class:`InputError`.
+is a :class:`~pai.dataio.Document` that declares each field once, with its
+parser (:func:`~pai.dataio.entry`): ``save`` writes a versioned JSON
+document (``pai-report/1`` or ``pai-pivotal/1``), and ``TestReport.load``
+finds a file's kind in the one schema table, which also holds the interval
+and coverage kinds of :mod:`pai.predict`. It takes either report schema and
+turns any malformed document into :class:`InputError`.
 
 The feature statistic fits two classifiers per chunk, one on all features and
 one with the masked features zeroed. They do not depend on each other, so the
@@ -52,10 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Document, argument, as_matrix, exactly, integer, level, number, numbers, scalar, two_threads
+from .dataio import Document, argument, as_matrix, entry, exactly, integer, level, number, numbers, pair, scalar
+from .dataio import two_threads
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError
-from .generators import GeneratorModel, PassConfig, gaussian_from_params, sample_statistic_null
+from .generators import GeneratorModel, PassConfig, gaussian_from_params, generator_model, sample_statistic_null
 from .metrics import fid, gaussian_summary
 
 REPORT_SCHEMA = "pai-report/1"
@@ -94,25 +95,15 @@ class TestReport(Document):
     """Self-contained result of one Monte Carlo test."""
 
     schema = REPORT_SCHEMA
-    _FIELDS = {
-        "test": ("test_name", exactly(str), None),
-        "statistic": ("statistic", number, None),
-        "p_value": ("p_value", number, None),
-        "sidedness": ("sidedness", Sidedness, lambda sidedness: sidedness.value),
-        "correction": ("correction", Correction, lambda correction: correction.value),
-        "null_draws": ("null_draws", _draws, lambda draws: draws.values.tolist()),
-        "seed": ("seed", integer, None),
-        "config": ("config", exactly(dict), None),
-    }
 
-    test_name: str
-    statistic: float
-    p_value: float
-    sidedness: Sidedness
-    correction: Correction
-    null_draws: EmpiricalDistribution
-    seed: int
-    config: dict
+    test_name: str = entry(exactly(str), key="test")
+    statistic: float = entry(number)
+    p_value: float = entry(number)
+    sidedness: Sidedness = entry(Sidedness, lambda sidedness: sidedness.value)
+    correction: Correction = entry(Correction, lambda correction: correction.value)
+    null_draws: EmpiricalDistribution = entry(_draws, lambda draws: draws.values.tolist())
+    seed: int = entry(integer)
+    config: dict = entry(exactly(dict))
 
     def is_consistent(self) -> bool:
         """Whether the stored p-value re-derives from the stored draws."""
@@ -161,16 +152,16 @@ def test_two_sample_fid(
     reference (caller's contract; the model's fit descriptor is echoed into
     the report so the provenance is auditable).
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     D = argument(D, "Monte Carlo size D", integer, least=2)
     sidedness = argument(sidedness, "sidedness", Sidedness)
     correction = argument(correction, "correction", Correction)
-    reference = as_matrix(reference, "reference")
-    d = reference.shape[1]
+    d = model.dim
+    reference = as_matrix(reference, "reference", d)
     candidate = as_matrix(candidate, "candidate", d)
     if min(reference.shape[0], candidate.shape[0]) < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} rows per sample")
-    if d != model.dim:
-        raise InputError(f"model dim {model.dim} != data dim {d}")
     ref_summary = gaussian_summary(reference)
     statistic = fid(ref_summary, gaussian_summary(candidate))
     n_draw = candidate.shape[0]
@@ -278,15 +269,17 @@ def test_feature_significance(
     independent noise). A model fitted on raw signal-bearing data would
     reproduce the alternative in the null draws and destroy power.
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     D = argument(D, "Monte Carlo size D", integer, least=2)
     correction = argument(correction, "correction", Correction)
     masked_features = argument(masked_features, "masked features", list)
     mask = sorted({argument(i, "masked feature index", integer) for i in masked_features})
-    (train_X, train_y), (inf_X, inf_y) = train, inference
-    train_X = as_matrix(train_X, "train features")
-    p = train_X.shape[1]
+    (train_X, train_y), (inf_X, inf_y) = argument(train, "train", pair), argument(inference, "inference", pair)
+    p = model.dim - 1  # the label is column 0 of the model's layout
+    train_X = as_matrix(train_X, "train features", p)
     inf_X = as_matrix(inf_X, "inference features", p)
-    train_y, inf_y = np.asarray(train_y, dtype=np.float64), np.asarray(inf_y, dtype=np.float64)
+    train_y, inf_y = as_matrix(train_y, "train labels", 1)[:, 0], as_matrix(inf_y, "inference labels", 1)[:, 0]
     for name, y, X in (("train", train_y, train_X), ("inference", inf_y, inf_X)):
         if y.shape != (X.shape[0],):
             raise InputError(f"{name} labels must be one per row")
@@ -300,10 +293,6 @@ def test_feature_significance(
     if mask[-1] >= p:
         raise InputError(f"masked feature indices must lie in 0..{p - 1}")
     mask = np.asarray(mask, dtype=np.intp)
-    if model.dim != p + 1:
-        raise InputError(
-            f"model dim {model.dim} != 1 + feature dim {p} (label column 0 plus features)"
-        )
     n_train, n_inf = train_X.shape[0], inf_X.shape[0]
 
     def replicate_statistic(chunk: np.ndarray) -> np.ndarray:
@@ -348,17 +337,17 @@ def test_conditional_coherence(
     mixing the two sets of draws keeps the null symmetric in the conditions.
     Groups may have different sizes; every null split mirrors them.
     """
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     D = argument(D, "Monte Carlo size D", integer, least=2)
     correction = argument(correction, "correction", Correction)
-    group1 = as_matrix(group1, "group1")
-    d = group1.shape[1]
+    d = argument(cond_model1, "cond_model1", generator_model).dim
+    if argument(cond_model2, "cond_model2", generator_model).dim != d:
+        raise InputError(f"cond_model2 dim {cond_model2.dim} != cond_model1 dim {d}")
+    group1 = as_matrix(group1, "group1", d)
     group2 = as_matrix(group2, "group2", d)
     n1, n2 = group1.shape[0], group2.shape[0]
     if min(n1, n2) < d + 2:
         raise InputError(f"need at least d + 2 = {d + 2} rows per group")
-    for label, model in (("cond_model1", cond_model1), ("cond_model2", cond_model2)):
-        if model.dim != d:
-            raise InputError(f"{label} dim {model.dim} != data dim {d}")
     statistic = fid(gaussian_summary(group1), gaussian_summary(group2))
 
     def split_fid(pooled: np.ndarray) -> np.ndarray:
@@ -393,23 +382,16 @@ class PivotalReport(TestReport):
     """
 
     schema = PIVOTAL_SCHEMA
-    # No "test" key: the test name is always "pivotal".
-    _FIELDS = {
-        **{key: field for key, field in TestReport._FIELDS.items() if key != "test"},
-        "statistic": ("statistic", _optional_number, None),
-        "p_value": ("p_value", _optional_number, None),
-        "pivot": ("pivot", exactly(str), None),
-        **{key: (key, number, None) for key in ("estimate", "scale", "lower", "upper")},
-        "alpha": ("alpha", level, None),
-    }
 
-    test_name: str = "pivotal"
-    estimate: float
-    scale: float
-    alpha: float
-    lower: float
-    upper: float
-    pivot: str
+    test_name: str = "pivotal"  # not in the file, which has no "test" key
+    statistic: float | None = entry(_optional_number)
+    p_value: float | None = entry(_optional_number)
+    estimate: float = entry(number)
+    scale: float = entry(number)
+    alpha: float = entry(level)
+    lower: float = entry(number)
+    upper: float = entry(number)
+    pivot: str = entry(exactly(str))
 
     def is_consistent(self) -> bool:
         """Whether the stored interval and p-value re-derive from the stored draws."""
@@ -451,6 +433,7 @@ def pivotal_inference(
     Returns the inverted ``1 - alpha`` confidence interval, plus a p-value
     for ``H0: theta = theta0`` when ``theta0`` is given.
     """
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     D = argument(D, "Monte Carlo size D", integer, least=2)
     alpha = argument(alpha, "alpha", level)
     theta0 = None if theta0 is None else argument(theta0, "theta0", scalar)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import as_matrix
+from .dataio import argument, as_matrix, exactly
 from .errors import InputError, NumericError
 
 # Eigenvalue clamp threshold: more negative mass than this in a covariance
@@ -90,6 +90,8 @@ def fid(a: GaussianSummary, b: GaussianSummary):
     leading axes and give an array of distances, each equal bit for bit to
     the float of its slices alone.
     """
+    a = argument(a, "summary a", exactly(GaussianSummary))
+    b = argument(b, "summary b", exactly(GaussianSummary))
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} != {b.dim}")
     delta = a.mean - b.mean

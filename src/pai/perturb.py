@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, as_matrix, scalar
+from .dataio import argument, as_matrix, exactly, scalar
 from .errors import InputError
 
 
@@ -60,6 +60,7 @@ def perturb(
     returned unchanged (as a copy). A stack maps each slice bit for bit as a
     call on that slice alone.
     """
+    spec = argument(spec, "spec", exactly(PerturbationSpec))
     rows = as_matrix(base_rows, "base_rows", stack=True)
     if spec.tau == 0.0:
         if noise is not None:

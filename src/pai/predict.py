@@ -24,8 +24,9 @@ be estimated by re-drawing the true response at each test point.
 
 ``pai predict`` writes an :class:`IntervalsDocument` (``pai-intervals/1``)
 and the coverage study returns a :class:`CoverageDocument`
-(``pai-coverage/1``). Each lists its fields once, as the test reports do,
-and checks what its results imply with the rule that built them.
+(``pai-coverage/1``). Each declares every field once, with its parser
+(:func:`~pai.dataio.entry`), as the test reports do, and checks what its
+results imply with the rule that built them.
 
 Joint data layout everywhere: column 0 is the response, columns 1.. are the
 features.
@@ -38,10 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Document, argument, as_matrix, chunk_starts, integer, level, number, numbers, record, records
-from .dataio import two_threads
+from .dataio import Document, argument, as_matrix, chunk_starts, entry, exactly, integer, level, number, numbers, pair
+from .dataio import record, records, two_threads
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, allocate, fit_model, latent_block
+from .generators import GeneratorModel, PassConfig, allocate, fit_model, generator_model, latent_block
 from .perturb import PerturbationSpec
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
@@ -104,6 +105,8 @@ def conditional_sample(
     perturbation as unconditional synthesis, so the perturbation size never
     changes the sampled law. Stream indices must lie below ``2**64``.
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     m = argument(m, "draw count m", integer, least=1)
     stream_index = argument(stream_index, "stream index", integer)
     X = _point_block(model, X)
@@ -157,6 +160,8 @@ def pai_interval(
     ``stream_index + i``, in the :func:`~pai.dataio.chunk_starts` chunks of
     points of ``m`` values each.
     """
+    model = argument(model, "model", generator_model)
+    cfg = argument(cfg, "cfg", exactly(PassConfig))
     alpha = argument(alpha, "alpha", level)
     m = argument(m, "draw count m", integer)
     stream_index = argument(stream_index, "stream index", integer)
@@ -241,7 +246,7 @@ def conformal_fit(
     alpha = argument(alpha, "alpha", level)
     k = argument(k, "k", integer, least=1)
     seed = argument(seed, "seed", integer)
-    X, y = train
+    X, y = argument(train, "train", pair)
     X = as_matrix(X, "train features")
     y = as_matrix(y, "train responses", 1)[:, 0]
     if y.shape != (X.shape[0],):
@@ -279,6 +284,7 @@ def conformal_fit(
 
 def conformal_interval(model: ConformalModel, X: np.ndarray) -> PredictionInterval:
     """Intervals ``point(x) +- qhat * spread(x)`` at the calibrated level at each row of ``X``."""
+    model = argument(model, "model", exactly(ConformalModel))
     X = as_matrix(np.atleast_2d(X), "points", model.x_mean.shape[0])
     point, spread = _conformal_predict(model, X)
     half = model.qhat * spread
@@ -330,15 +336,10 @@ class IntervalsDocument(Document):
     """
 
     schema = "pai-intervals/1"
-    _FIELDS = {
-        "alpha": ("alpha", level, None),
-        "intervals": ("intervals", records(_INTERVAL_FIELDS, "interval"), None),
-        "config": ("config", record({"mc": integer}, "config"), None),
-    }
 
-    alpha: float
-    intervals: list
-    config: dict
+    alpha: float = entry(level)
+    intervals: list = entry(records(_INTERVAL_FIELDS, "interval"))
+    config: dict = entry(record({"mc": integer}, "config"))
 
     @classmethod
     def build(cls, X: np.ndarray, interval: PredictionInterval, alpha: float, m: int, tau: float):
@@ -376,15 +377,10 @@ class CoverageDocument(Document):
     """The prediction study's summary, per-point records and configuration (``pai coverage``)."""
 
     schema = "pai-coverage/1"
-    _FIELDS = {
-        "config": ("config", record({"alpha": level}, "config"), None),
-        "summary": ("summary", record(_SUMMARY_FIELDS, "summary"), None),
-        "points": ("points", records(_POINT_FIELDS, "point"), None),
-    }
 
-    config: dict
-    summary: dict
-    points: list
+    config: dict = entry(record({"alpha": level}, "config"))
+    summary: dict = entry(record(_SUMMARY_FIELDS, "summary"))
+    points: list = entry(records(_POINT_FIELDS, "point"))
 
     @classmethod
     def build(cls, X: np.ndarray, interval: PredictionInterval, baseline: PredictionInterval,

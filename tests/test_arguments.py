@@ -14,15 +14,22 @@ A second sweep puts each of ``CHOICE_VALUES`` on every ``Sidedness`` and
 enum member, down to the bytes a report saves, and any other value is an
 ``InputError`` naming the argument, raised before a replicate is drawn.
 
+A third sweep puts each of ``OBJECT_VALUES`` (``None``, a string, a float,
+a matrix, and an object of another public type) on every object argument:
+a model, a config, a null distribution, a perturbation spec, a summary, a
+conformal model, a ``(features, labels)`` pair or a flag. Each is an
+``InputError`` naming the argument, raised before a replicate is drawn.
+
 A guard test reads the signatures of the public functions and dataclasses,
-so a new ``int``, ``float``, ``Sidedness`` or ``Correction`` parameter fails
-it until it has a row here.
+so a new ``int``, ``float``, ``Sidedness``, ``Correction``, ``bool``, pair
+or public-class parameter fails it until it has a row here.
 """
 
 import dataclasses
 import inspect
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -39,6 +46,7 @@ MODEL = pai.gaussian_from_params(np.zeros(2), cov=[[1.0, 0.5], [0.5, 1.0]])
 SAMPLE = _rng.standard_normal((8, 2))
 LABELED = (_rng.standard_normal((16, 2)), np.tile([0.0, 1.0], 8))
 PIVOTAL = 1.0 + _rng.standard_normal(6)
+CONFORMAL = pai.conformal_fit((_rng.random((50, 2)), _rng.random(50)), 0.5, 0.3, 3, 4)
 
 
 def _mean(chunk):
@@ -83,6 +91,10 @@ CALLS = {
         seed=3, n_total=102, n_train=100, alpha=0.5, kind="gaussian", tau=0.3, pai_draws=8, truth_draws=5,
     )),
     "p_value": (pai.p_value, dict(dist=pai.EmpiricalDistribution(np.linspace(0.0, 1.0, 5)), statistic=0.5)),
+    "perturb": (pai.perturb, dict(base_rows=np.ones((2, 2)), spec=PerturbationSpec(tau=0.3), noise=np.ones((2, 2)))),
+    "fid": (pai.fid, dict(a=pai.gaussian_summary(SAMPLE), b=pai.gaussian_summary(SAMPLE))),
+    "conformal_interval": (pai.conformal_interval, dict(model=CONFORMAL, X=[[0.3, 0.4]])),
+    "save_model": (pai.save_model, dict(model=MODEL, path=os.devnull)),
 }
 
 # (public name, parameter) -> the valid values whose numpy forms must give the
@@ -217,6 +229,8 @@ def test_the_argument_sweep_covers_every_scalar_parameter():
     assert set(SWEEP) - found == {("test_feature_significance", "masked_features")}
     found = _public_parameters({"Sidedness", "Correction"})
     assert found == set(CHOICE_SWEEP), f"choice rows differ from {sorted(found)}"
+    found = _public_parameters(OBJECT_KINDS)
+    assert found == set(OBJECT_SWEEP), f"object rows differ from {sorted(found)}"
 
 
 CHOICE_VALUES = ("upper", "bogus", True, None, ["two"])
@@ -288,6 +302,16 @@ REFUSED_INPUTS = {
         )
         for value in (3, None)
     },
+    # a bare ValueError, taken silently (the 2x2 mean) or an error without the
+    # argument's label, before the feature labels and the Gaussian parameters
+    # were read by the matrix rule and the number rule
+    "feature-string-labels": (
+        lambda: _call("test_feature_significance", "train", (LABELED[0], ["a"] * 16)), "train labels: "
+    ),
+    "gaussian-2x2-mean": (
+        lambda: pai.gaussian_from_params(np.zeros((2, 2)), np.eye(4)), "mean has 2 columns, expected 1"
+    ),
+    "gaussian-wrong-shape-cov": (lambda: pai.gaussian_from_params(np.zeros(2), cov=np.ones((3, 2))), "cov: "),
 }
 
 
@@ -296,3 +320,64 @@ def test_a_refused_collection_or_matrix_is_an_input_error_naming_it(case):
     call, start = REFUSED_INPUTS[case]
     with pytest.raises(InputError, match=f"^{start}"):
         call()
+
+
+# The annotations of an object argument: a public class (the choices have
+# their own sweep), the union of the transport classes, a pair or a flag.
+OBJECT_KINDS = {
+    *(name for name in pai.__all__ if inspect.isclass(getattr(pai, name))),
+    "GeneratorModel", "tuple[np.ndarray, np.ndarray]", "bool",
+} - {"Sidedness", "Correction"}
+OBJECT_VALUES = (None, "m", 0.5, np.ones((2, 2)))
+# (public name, parameter) -> the label that starts its error, or None for a
+# field of a record the package returns (a model's parts, a report's draws),
+# filled from what it has already read.
+OBJECT_SWEEP = {
+    **{
+        (name, parameter): parameter
+        for name, (_, arguments) in CALLS.items()
+        for parameter, value in arguments.items()
+        if isinstance(value, (pai.GaussianTransport, PassConfig, pai.ConformalModel, tuple))
+    },
+    ("PassConfig", "perturbation"): "perturbation",
+    ("PassConfig", "rank_match"): "rank_match",
+    ("p_value", "dist"): "dist",
+    ("perturb", "spec"): "spec",
+    ("fid", "a"): "summary a",
+    ("fid", "b"): "summary b",
+    **dict.fromkeys([
+        *((report, "null_draws") for report in ("TestReport", "PivotalReport")),
+        *((kind, "fit_info") for kind in ("GaussianTransport", "CopulaTransport", "LocationScaleTransport")),
+        ("LocationScaleTransport", "features"),
+    ]),
+}
+OBJECT_SWEPT = sorted(key for key, label in OBJECT_SWEEP.items() if label is not None)
+
+
+@pytest.mark.parametrize(
+    "name,parameter", OBJECT_SWEPT, ids=[f"{name}.{parameter}" for name, parameter in OBJECT_SWEPT]
+)
+def test_every_object_argument_refuses_other_objects_before_a_draw(monkeypatch, name, parameter):
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_draw)
+    # an object of another public type: a model where a config is due, a config elsewhere
+    other = MODEL if isinstance(CALLS[name][1].get(parameter), PassConfig) else PassConfig()
+    for value in (*OBJECT_VALUES, other):
+        with pytest.raises(InputError, match=f"^{OBJECT_SWEEP[name, parameter]}: "):
+            _call(name, parameter, value)
+
+
+@pytest.mark.parametrize("params", [
+    dict(chol=[[1.0, 0.0], [5.0, 1.0]]), dict(cov=[[2.0, 0.5], [0.5, 1.0]]),
+    dict(chol=[[1.0, 5.0], [0.0, 1.0]]), dict(chol=[[-1.0, 0.0], [0.0, 1.0]]),
+], ids=["lower-chol", "cov", "upper-chol", "negative-diagonal"])
+def test_a_gaussian_model_built_from_parameters_saves_and_loads(tmp_path, params):
+    try:
+        model = pai.gaussian_from_params([0.5, -1.0], **params)
+    except InputError as exc:
+        assert str(exc).startswith("chol: is not lower triangular")
+        return
+    pai.save_model(model, tmp_path / "model.json")
+    loaded = pai.load_model(tmp_path / "model.json")
+    assert (loaded.mean.tobytes(), loaded.chol.tobytes()) == (model.mean.tobytes(), model.chol.tobytes())
+    data = np.array([[0.3, -0.2]])
+    np.testing.assert_allclose(model.inverse(model.forward(data)), data)
