@@ -11,12 +11,10 @@ Importing pai loads numpy only: each scipy subpackage is imported inside the
 functions that call it, so a process pays for it at its first such call.
 """
 
-from .assignment import rank_cost_matrix, solve_lsap
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError, PaiError
 from .generators import (
     CopulaTransport,
-    FitInfo,
     GaussianTransport,
     LocationScaleTransport,
     PassConfig,
@@ -29,7 +27,6 @@ from .generators import (
     sample_statistic_null,
     save_model,
 )
-from .halton import halton_block
 from .inference import (
     PivotalReport,
     TestReport,
@@ -38,32 +35,23 @@ from .inference import (
     test_feature_significance,
     test_two_sample_fid,
 )
-from .metrics import GaussianSummary, fid, gaussian_summary
+from .metrics import fid, gaussian_summary
 from .perturb import PerturbationSpec, perturb
 from .predict import (
-    ConformalModel,
-    PredictionInterval,
     conditional_sample,
     conformal_fit,
     conformal_interval,
     pai_interval,
-    regression_mean,
-    regression_noise_sd,
     run_prediction_study,
     simulate_regression_data,
 )
-from .ranks import empirical_ranks, match_ranks
-from .streams import derive_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConformalModel",
     "CopulaTransport",
     "Correction",
     "EmpiricalDistribution",
-    "FitInfo",
-    "GaussianSummary",
     "GaussianTransport",
     "InputError",
     "LocationScaleTransport",
@@ -72,35 +60,27 @@ __all__ = [
     "PassConfig",
     "PerturbationSpec",
     "PivotalReport",
-    "PredictionInterval",
+    "Sidedness",
     "TestReport",
     "conditional_sample",
     "conformal_fit",
     "conformal_interval",
-    "derive_rng",
-    "empirical_ranks",
     "fid",
     "fit_copula",
     "fit_gaussian",
     "fit_location_scale",
     "gaussian_from_params",
     "gaussian_summary",
-    "halton_block",
     "load_model",
-    "match_ranks",
     "p_value",
     "pai_interval",
     "pass_synthesize",
     "perturb",
     "pivotal_inference",
-    "rank_cost_matrix",
-    "regression_mean",
-    "regression_noise_sd",
     "run_prediction_study",
     "sample_statistic_null",
     "save_model",
     "simulate_regression_data",
-    "solve_lsap",
     "test_conditional_coherence",
     "test_feature_significance",
     "test_two_sample_fid",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, as_matrix, exactly, number
+from .dataio import argument, as_matrix, exactly, number, numbers
 from .errors import InputError
 
 
@@ -55,8 +55,16 @@ class EmpiricalDistribution:
         return int(self.values.shape[0])
 
     def quantile(self, q) -> np.ndarray:
-        """Linear-interpolated order-statistic quantile(s)."""
-        return np.quantile(self.values, q)
+        """Linear-interpolated order-statistic quantile(s) at the level or levels ``q``, each in [0, 1]."""
+        return np.quantile(self.values, argument(q, "quantile level q", _unit_levels))
+
+
+def _unit_levels(raw) -> np.ndarray:
+    """A number, or nested lists of numbers, under the rule of :func:`pai.dataio.numbers`, each in [0, 1]."""
+    levels = numbers(raw, (None,) * np.ndim(raw))
+    if not ((levels >= 0.0) & (levels <= 1.0)).all():
+        raise ValueError(f"expected levels in [0, 1], got {raw!r}")
+    return levels
 
 
 def p_value(

@@ -19,7 +19,10 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from pai import InputError, empirical_ranks, halton_block, solve_lsap
+from pai import InputError
+from pai.assignment import solve_lsap
+from pai.halton import halton_block
+from pai.ranks import empirical_ranks
 
 
 def assignment_cost(costs: np.ndarray, perm) -> float:

@@ -26,11 +26,11 @@ from pai import (
     run_prediction_study,
     sample_statistic_null,
     simulate_regression_data,
-    solve_lsap,
 )
 from pai import test_conditional_coherence as coherence_test
 from pai import test_feature_significance as feature_test
 from pai import test_two_sample_fid as fid_test
+from pai.assignment import solve_lsap
 from pai.cli import main as cli_main
 from pai import dataio
 

@@ -21,8 +21,9 @@ conformal model, a ``(features, labels)`` pair or a flag. Each is an
 ``InputError`` naming the argument, raised before a replicate is drawn.
 
 A guard test reads the signatures of the public functions and dataclasses,
-so a new ``int``, ``float``, ``Sidedness``, ``Correction``, ``bool``, pair
-or public-class parameter fails it until it has a row here.
+and of the module functions swept beside them, so a new ``int``, ``float``,
+``Sidedness``, ``Correction``, ``bool``, pair or public-class parameter
+fails it until it has a row here.
 """
 
 import dataclasses
@@ -35,8 +36,10 @@ import numpy as np
 import pytest
 
 import pai
-from pai import Correction, InputError, NumericError, PassConfig, PerturbationSpec, Sidedness, generators
+from pai import Correction, InputError, NumericError, PassConfig, PerturbationSpec, Sidedness, generators, halton
+from pai import streams
 from pai.dataio import Document
+from pai.predict import ConformalModel
 
 HUGE = 10**400
 VALUES = (True, np.True_, 2.5, "1", HUGE, math.nan, math.inf, -math.inf, -0.0, np.int64(3), np.float64(0.5))
@@ -58,10 +61,10 @@ def _feature_test(masked_features, **arguments):
     return pai.test_feature_significance(masked_features=[masked_features], **arguments)
 
 
-# Each swept public name: what to call, and small valid keyword arguments.
+# Each swept name: what to call, and small valid keyword arguments.
 CALLS = {
-    "derive_rng": (lambda master_seed, path: pai.derive_rng(master_seed, path), dict(master_seed=3, path=2)),
-    "halton_block": (pai.halton_block, dict(n=4, d=2)),
+    "derive_rng": (lambda master_seed, path: streams.derive_rng(master_seed, path), dict(master_seed=3, path=2)),
+    "halton_block": (halton.halton_block, dict(n=4, d=2)),
     "PerturbationSpec": (PerturbationSpec, dict(tau=0.3)),
     "PassConfig": (PassConfig, dict(mc_seed=3)),
     "pass_synthesize": (pai.pass_synthesize, dict(model=MODEL, inference=None, cfg=PassConfig(), replicate=2, n=4)),
@@ -114,7 +117,6 @@ SWEEP = {
     ("pivotal_inference", "center"): (1, 0.5),
     ("p_value", "statistic"): (1, 0.5),
     **dict.fromkeys([
-        ("ConformalModel", "k"), ("ConformalModel", "qhat"), ("FitInfo", "n_rows"),
         *((report, field) for report in ("TestReport", "PivotalReport") for field in ("statistic", "p_value", "seed")),
         *(("PivotalReport", field) for field in ("estimate", "scale", "alpha", "lower", "upper")),
     ]),
@@ -213,10 +215,15 @@ def _annotated(obj, kinds):
     return [p.name for p in inspect.signature(obj).parameters.values() if annotation(p) in kinds]
 
 
+# Functions outside ``pai.__all__`` whose scalar arguments the sweep still
+# reads through their modules, so the guard holds them to a row too.
+SWEPT_MODULE_FUNCTIONS = (streams.derive_rng, halton.halton_block)
+
+
 def _public_parameters(kinds):
     return {
         (obj.__name__, parameter)
-        for obj in (getattr(pai, name) for name in pai.__all__)
+        for obj in (*(getattr(pai, name) for name in pai.__all__), *SWEPT_MODULE_FUNCTIONS)
         if inspect.isfunction(obj) or dataclasses.is_dataclass(obj)
         for parameter in _annotated(obj, kinds)
     }
@@ -323,10 +330,11 @@ def test_a_refused_collection_or_matrix_is_an_input_error_naming_it(case):
 
 
 # The annotations of an object argument: a public class (the choices have
-# their own sweep), the union of the transport classes, a pair or a flag.
+# their own sweep), a record a public procedure takes back (a summary, a
+# conformal model), the union of the transport classes, a pair or a flag.
 OBJECT_KINDS = {
     *(name for name in pai.__all__ if inspect.isclass(getattr(pai, name))),
-    "GeneratorModel", "tuple[np.ndarray, np.ndarray]", "bool",
+    "GaussianSummary", "ConformalModel", "GeneratorModel", "tuple[np.ndarray, np.ndarray]", "bool",
 } - {"Sidedness", "Correction"}
 OBJECT_VALUES = (None, "m", 0.5, np.ones((2, 2)))
 # (public name, parameter) -> the label that starts its error, or None for a
@@ -337,7 +345,7 @@ OBJECT_SWEEP = {
         (name, parameter): parameter
         for name, (_, arguments) in CALLS.items()
         for parameter, value in arguments.items()
-        if isinstance(value, (pai.GaussianTransport, PassConfig, pai.ConformalModel, tuple))
+        if isinstance(value, (pai.GaussianTransport, PassConfig, ConformalModel, tuple))
     },
     ("PassConfig", "perturbation"): "perturbation",
     ("PassConfig", "rank_match"): "rank_match",
@@ -347,7 +355,6 @@ OBJECT_SWEEP = {
     ("fid", "b"): "summary b",
     **dict.fromkeys([
         *((report, "null_draws") for report in ("TestReport", "PivotalReport")),
-        *((kind, "fit_info") for kind in ("GaussianTransport", "CopulaTransport", "LocationScaleTransport")),
         ("LocationScaleTransport", "features"),
     ]),
 }

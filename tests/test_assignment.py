@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from oracles import assignment_cost, brute_force_lsap_cost
 
-from pai import InputError, rank_cost_matrix, solve_lsap
+from pai import InputError
+from pai.assignment import rank_cost_matrix, solve_lsap
 
 
 def lsap_cost(costs):

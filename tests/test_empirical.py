@@ -66,6 +66,16 @@ def test_quantile_linear_interpolation():
     assert dist.quantile(0.5) == pytest.approx(1.5)
     lo, hi = dist.quantile([0.0, 1.0])
     assert (lo, hi) == (0.0, 3.0)
+    for q in (0.025, [0.025, 0.975], np.float64(0.3), np.array([0.0, 0.5, 1.0])):
+        assert dist.quantile(q).tobytes() == np.quantile(dist.values, q).tobytes()
+
+
+# Levels that raised a bare numpy error, or were taken, before the level
+# was read by the number rule.
+@pytest.mark.parametrize("q", [2.0, -0.1, np.nan, "a", True, [0.5, 1.5]], ids=repr)
+def test_a_quantile_level_outside_the_unit_interval_is_an_input_error(q):
+    with pytest.raises(InputError, match="^quantile level q: "):
+        EmpiricalDistribution(np.array([0.0, 1.0, 2.0, 3.0])).quantile(q)
 
 
 @given(null_and_statistic(), st.sampled_from(list(Sidedness)))

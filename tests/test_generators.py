@@ -16,9 +16,7 @@ from pai import (
     fit_copula,
     fit_gaussian,
     fit_location_scale,
-    derive_rng,
     gaussian_from_params,
-    halton_block,
     load_model,
     pass_synthesize,
     sample_statistic_null,
@@ -26,8 +24,8 @@ from pai import (
 )
 from pai import dataio, fid, gaussian_summary, generators
 from pai.generators import KINDS, fit_model
-from pai.halton import MAX_DIM
-from pai.streams import PATH_PASS
+from pai.halton import MAX_DIM, halton_block
+from pai.streams import PATH_PASS, derive_rng
 
 
 def test_fit_gaussian_degenerate_sample():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from oracles import halton_point
 
-from pai import InputError, halton_block
-from pai.halton import MAX_DIM
+from pai import InputError
+from pai.halton import MAX_DIM, halton_block
 
 
 def test_radical_inverse_hand_values():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from oracles import wasserstein_exact
 
-from pai import GaussianSummary, InputError, fid, gaussian_summary
+from pai import InputError, fid, gaussian_summary
+from pai.metrics import GaussianSummary
 
 
 def test_gaussian_summary_hand_values():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pai import InputError, PerturbationSpec, derive_rng, perturb
+from pai import InputError, PerturbationSpec, perturb
+from pai.streams import derive_rng
 
 
 def test_spec_validation():

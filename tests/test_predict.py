@@ -15,13 +15,10 @@ from pai import (
     conditional_sample,
     conformal_fit,
     conformal_interval,
-    derive_rng,
     fit_copula,
     fit_location_scale,
     gaussian_from_params,
     pai_interval,
-    regression_mean,
-    regression_noise_sd,
     run_prediction_study,
     simulate_regression_data,
 )
@@ -29,8 +26,9 @@ from pai import TestReport as Report
 from pai import dataio, predict
 from pai.dataio import Document
 from pai.generators import KINDS, fit_model
-from pai.predict import CoverageDocument, IntervalsDocument, PredictionInterval, _knn_indices
-from pai.streams import PATH_CONDITIONAL
+from pai.predict import CoverageDocument, IntervalsDocument, PredictionInterval, _knn_indices, regression_mean
+from pai.predict import regression_noise_sd
+from pai.streams import PATH_CONDITIONAL, derive_rng
 
 # 1e7-draw oracle mean of the benchmark response (analytic series check:
 # 8 + 1/3 + 1/4 + sin(1) + sum_k 1/((k+1)^2 k!) + 0.05 = 10.79271)

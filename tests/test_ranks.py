@@ -5,15 +5,10 @@ import pytest
 from oracles import assignment_cost, brute_force_lsap_cost, rank_discrepancy, row_ranks
 
 import pai.ranks
-from pai import (
-    InputError,
-    empirical_ranks,
-    halton_block,
-    match_ranks,
-    rank_cost_matrix,
-    solve_lsap,
-)
-from pai.assignment import HARD_SIZE_LIMIT
+from pai import InputError
+from pai.assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
+from pai.halton import halton_block
+from pai.ranks import empirical_ranks, match_ranks
 
 
 def lsap_rank_map(sample):

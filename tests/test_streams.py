@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pai import InputError, derive_rng
-from pai.streams import PATH_PASS, derive_rng_block, philox_keys
+from pai import InputError
+from pai.streams import PATH_PASS, derive_rng, derive_rng_block, philox_keys
 
 # Seeds of 1 to 5 uint32 words, and index blocks at the word boundaries:
 # the last one crosses 2**32, where the spawn key gains a word.
