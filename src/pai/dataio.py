@@ -39,7 +39,9 @@ float) and finite as a float64, so an integer beyond float64 is refused.
 :func:`scalar` returns the Python int or float a number equals, so an
 argument read through it is echoed as the caller passed it. A choice is
 read by its enum (``Sidedness``, ``Correction``), which takes a member or its
-string value, and an object by :func:`exactly` or :func:`sized`. :func:`entry`
+string value, and an object by :func:`exactly` or :func:`sized`. A record a
+caller can build by hand reads its own fields the same way when it is built,
+each through :func:`check_field`. :func:`entry`
 declares each field of a :class:`Document` (the four report kinds) once,
 with its parser, and one schema table dispatches a file to its kind.
 """
@@ -153,12 +155,27 @@ def argument(value, label: str, parse, **bounds):
         raise InputError(f"{label}: {exc}") from None
 
 
+def check_field(record, name: str, parse, **bounds) -> None:
+    """Set field ``name`` of a frozen dataclass ``record`` to ``parse`` of its value, read by :func:`argument`.
+
+    Called from ``__post_init__``, so a record is checked when it is built:
+    a refused value is an :class:`InputError` whose message starts with the
+    field's name.
+    """
+    object.__setattr__(record, name, argument(getattr(record, name), name, parse, **bounds))
+
+
+def field_name(path) -> str:
+    """The name of the field at ``path`` (keys and list indices), such as ``marginals[1].ps``."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+
+
 def read_field(doc, what: str, parse, *path):
     """``parse`` of the field at ``path`` (keys and list indices) of a ``what`` document.
 
     A missing field, or a value that ``parse`` refuses, is an :class:`InputError`.
     """
-    name = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+    name = field_name(path)
     value = doc
     try:
         for key in path:
@@ -174,7 +191,10 @@ def numbers(raw, shape: tuple) -> np.ndarray:
     Every entry is a number, not a boolean, and finite as a float64: a JSON
     number, or a Python or numpy integer or float.
     """
-    leaves = [raw]
+    # An integer or float array of the wanted rank has only numpy numbers as leaves, so it skips
+    # the leaf scan, a Python loop over every entry of each array a fitted model is built from.
+    scanned = not (isinstance(raw, np.ndarray) and raw.ndim == len(shape) > 0 and raw.dtype.kind in "fiu")
+    leaves = [raw] if scanned else []
     for _ in shape:
         leaves = itertools.chain.from_iterable(leaves)  # a TypeError where a list is missing
     kinds = set(map(type, leaves)) - {int, float}

@@ -26,12 +26,13 @@ slice bit for bit as alone (every matrix product runs slice by slice, with
 the sizes of one sample, because BLAS rounding can depend on a row's place in
 a larger product);
 ``fit_model`` fits the family named by one of :data:`KINDS`. Each class also
-owns the two things that differ by kind elsewhere: ``conditional_response``
-maps a ``(points, m)`` block of standard-normal draws to the response's
-conditional law at a ``(points, dim - 1)`` block of feature points, row by
-row (what :func:`pai.predict.conditional_sample` samples), and
-``_fields`` / ``_from_fields`` write and validate its own fields of the model
-document, whose common envelope :func:`save_model` / :func:`load_model` own.
+owns what differs by kind elsewhere: ``conditional_response`` maps a
+``(points, m)`` block of standard-normal draws to the response's conditional
+law at a ``(points, dim - 1)`` block of feature points, row by row (what
+:func:`pai.predict.conditional_sample` samples), and its dataclass fields are
+the keys of its model file, one to one, checked when the object is built, so
+a fitted, loaded or hand-built model meets one rule. :func:`save_model` and
+:func:`load_model` are one envelope, which names no kind.
 ``pass_synthesize`` draws a base sample, optionally permutes it to align its
 multivariate ranks with a latent representation of an inference sample,
 perturbs it without changing its law, and maps it through the transport.
@@ -57,12 +58,11 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .dataio import argument, as_matrix, chunk_starts, exactly, integer, numbers, read_field, read_json_object, sized
-from .dataio import write_json
+from .dataio import argument, as_matrix, check_field, chunk_starts, exactly, field_name, integer, numbers, read_field
+from .dataio import read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -93,12 +93,45 @@ def _data_hash(data: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+# Parsers of model fields for dataio.check_field: each refuses a value with a ValueError or TypeError.
+
+
+def _positive(raw, size: int) -> np.ndarray:
+    value = numbers(raw, (size,))
+    if np.any(value <= 0):
+        raise ValueError("must be positive")
+    return value
+
+
+def _chol(raw, dim: int) -> np.ndarray:
+    chol = numbers(raw, (dim, dim))
+    # An empty factor is refused too, so every model has dim >= 1.
+    if not dim or np.any(np.diag(chol) <= 0) or np.any(np.triu(chol, 1) != 0):
+        raise ValueError("is not lower triangular with a positive diagonal")
+    return chol
+
+
+def _grid(raw, size: int | None, cdf: bool = False) -> np.ndarray:
+    grid = numbers(raw, (size,))
+    if grid.shape[0] < 2 or np.any(np.diff(grid) <= 0) or cdf and (grid[0], grid[-1]) != (0.0, 1.0):
+        raise ValueError("is not a strictly increasing grid of at least 2 knots" + (" from 0 to 1" if cdf else ""))
+    return grid
+
+
+def _marginals(raw) -> tuple:
+    return tuple(map(exactly(Marginal), exactly(tuple)(raw)))
+
+
 @dataclass(frozen=True)
 class FitInfo:
     """Descriptor of the holdout sample a model was fitted on."""
 
     n_rows: int
     data_hash: str
+
+    def __post_init__(self) -> None:
+        check_field(self, "n_rows", integer)
+        check_field(self, "data_hash", exactly(str))
 
 
 def _require_finite(fit: str, **fitted: np.ndarray) -> None:
@@ -154,6 +187,11 @@ class GaussianTransport:
 
     kind = "gaussian"
 
+    def __post_init__(self) -> None:
+        check_field(self, "mean", numbers, shape=(None,))
+        check_field(self, "chol", _chol, dim=self.dim)
+        check_field(self, "fit_info", exactly(FitInfo))
+
     @property
     def dim(self) -> int:
         return int(self.mean.shape[0])
@@ -176,17 +214,6 @@ class GaussianTransport:
         """Map standard-normal draws ``Z[i]`` to responses given features ``X[i]``."""
         cond_mean, cond_sd = _schur_conditional(self.cov, self.mean[0], X - self.mean[1:])
         return cond_mean[:, None] + cond_sd * Z
-
-    def _fields(self) -> dict:
-        return {"mean": self.mean.tolist(), "chol": self.chol.tolist()}
-
-    @classmethod
-    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> GaussianTransport:
-        return cls(
-            mean=read_field(payload, "model", partial(numbers, shape=(dim,)), "mean"),
-            chol=read_field(payload, "model", partial(_chol, dim=dim), "chol"),
-            fit_info=info,
-        )
 
 
 @dataclass(frozen=True)
@@ -217,6 +244,8 @@ class Marginal:
     ps: np.ndarray
 
     def __post_init__(self) -> None:
+        check_field(self, "xs", _grid, size=None)
+        check_field(self, "ps", _grid, size=len(self.xs), cdf=True)
         # Not a dataclass field: equality, repr and the model file see only xs and ps.
         object.__setattr__(self, "_slopes", _plotting_slopes(self.xs, self.ps))
 
@@ -295,6 +324,11 @@ class CopulaTransport:
 
     kind = "copula"
 
+    def __post_init__(self) -> None:
+        check_field(self, "marginals", _marginals)
+        check_field(self, "latent_chol", _chol, dim=self.dim)
+        check_field(self, "fit_info", exactly(FitInfo))
+
     @property
     def dim(self) -> int:
         return len(self.marginals)
@@ -332,21 +366,6 @@ class CopulaTransport:
         cond_mean, cond_sd = _schur_conditional(self.latent_chol @ self.latent_chol.T, 0.0, rhs)
         return self.marginals[0].quantile(ndtr(cond_mean[:, None] + cond_sd * Z))
 
-    def _fields(self) -> dict:
-        return {
-            "marginals": [_marginal_doc(m) for m in self.marginals],
-            "latent_chol": self.latent_chol.tolist(),
-        }
-
-    @classmethod
-    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> CopulaTransport:
-        read_field(payload, "model", partial(sized, size=dim), "marginals")
-        return cls(
-            marginals=tuple(_read_marginal(payload, "marginals", j) for j in range(dim)),
-            latent_chol=read_field(payload, "model", partial(_chol, dim=dim), "latent_chol"),
-            fit_info=info,
-        )
-
 
 def _quadratic_design(u: np.ndarray) -> np.ndarray:
     """Columns ``1, u_j, u_j * u_k (j <= k)``: the full second-order polynomial."""
@@ -367,9 +386,10 @@ class LocationScaleTransport:
     """Triangular transport: copula features, location-scale response.
 
     Latent column 0 drives the response and columns 1.. drive the features,
-    which ``features`` (a Gaussian copula over the feature columns) maps to
-    data space. Given features ``x`` with standardized form
-    ``u = (x - x_mean) / x_sd``, the response is
+    which ``features``, the Gaussian copula of ``marginals`` and
+    ``latent_chol`` over the feature columns, maps to data space. Given
+    features ``x`` with standardized form ``u = (x - x_mean) / x_sd``, the
+    response is
     ``m(x) + s(x) * residual.quantile(Phi(z_0))`` where ``m(x)`` is
     ``mean_coef`` applied to the second-order polynomial of ``u`` and
     ``s(x) = exp(scale_coef . (1, u))``. Since ``s > 0`` the response map is
@@ -377,7 +397,8 @@ class LocationScaleTransport:
     residual marginal is.
     """
 
-    features: CopulaTransport
+    marginals: tuple[Marginal, ...]
+    latent_chol: np.ndarray
     x_mean: np.ndarray
     x_sd: np.ndarray
     mean_coef: np.ndarray
@@ -387,9 +408,22 @@ class LocationScaleTransport:
 
     kind = "location-scale"
 
+    def __post_init__(self) -> None:
+        # Not a dataclass field: equality, repr and the model file see only the copula's two fields,
+        # which the copula checks as it is built.
+        features = CopulaTransport(self.marginals, self.latent_chol, self.fit_info)
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "latent_chol", features.latent_chol)
+        p = len(self.marginals)
+        check_field(self, "x_mean", numbers, shape=(p,))
+        check_field(self, "x_sd", _positive, size=p)
+        check_field(self, "mean_coef", numbers, shape=(_quadratic_terms(p),))
+        check_field(self, "scale_coef", numbers, shape=(p + 1,))
+        check_field(self, "residual", exactly(Marginal))
+
     @property
     def dim(self) -> int:
-        return self.features.dim + 1
+        return len(self.marginals) + 1
 
     def location_scale(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Location ``m(x)`` and scale ``s(x)`` of the response at each feature row."""
@@ -428,31 +462,6 @@ class LocationScaleTransport:
             raise NumericError(f"location-scale model is not finite at {X[bad[0]].tolist()}")
         location, scale = pairs.T
         return location[:, None] + scale[:, None] * self.residual.quantile(ndtr(Z))
-
-    def _fields(self) -> dict:
-        return {
-            **self.features._fields(),
-            "x_mean": self.x_mean.tolist(),
-            "x_sd": self.x_sd.tolist(),
-            "mean_coef": self.mean_coef.tolist(),
-            "scale_coef": self.scale_coef.tolist(),
-            "residual": _marginal_doc(self.residual),
-        }
-
-    @classmethod
-    def _from_fields(cls, payload: dict, dim: int, info: FitInfo) -> LocationScaleTransport:
-        if dim < 2:
-            raise InputError("a location-scale model needs dim >= 2 (response plus features)")
-        p = dim - 1
-        return cls(
-            features=CopulaTransport._from_fields(payload, p, info),
-            x_mean=read_field(payload, "model", partial(numbers, shape=(p,)), "x_mean"),
-            x_sd=read_field(payload, "model", partial(_positive, size=p), "x_sd"),
-            mean_coef=read_field(payload, "model", partial(numbers, shape=(_quadratic_terms(p),)), "mean_coef"),
-            scale_coef=read_field(payload, "model", partial(numbers, shape=(p + 1,)), "scale_coef"),
-            residual=_read_marginal(payload, "residual"),
-            fit_info=info,
-        )
 
 
 GeneratorModel = GaussianTransport | CopulaTransport | LocationScaleTransport
@@ -511,11 +520,7 @@ def gaussian_from_params(
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise NumericError("cov is not positive definite") from exc
-    # the model file's own rule, so every model built here saves and loads
-    chol = argument(as_matrix(chol, "chol"), "chol", _chol, dim=d)
-    return GaussianTransport(
-        mean=mean, chol=chol, fit_info=FitInfo(n_rows=0, data_hash="injected")
-    )
+    return GaussianTransport(mean=mean, chol=as_matrix(chol, "chol"), fit_info=FitInfo(n_rows=0, data_hash="injected"))
 
 
 def _average_ranks(column: np.ndarray) -> np.ndarray:
@@ -601,15 +606,16 @@ def fit_location_scale(holdout: np.ndarray) -> LocationScaleTransport:
         raise InputError("response is an exact quadratic of the features; no residual spread to fit")
     log_abs = np.log(np.abs(resid) + _SCALE_OFFSET * mean_abs)
     scale_coef = np.linalg.lstsq(linear, log_abs, rcond=None)[0]
-    info = FitInfo(n_rows=n, data_hash=_data_hash(holdout))
+    features = fit_copula(X)
     return LocationScaleTransport(
-        features=dataclasses.replace(fit_copula(X), fit_info=info),
+        marginals=features.marginals,
+        latent_chol=features.latent_chol,
         x_mean=x_mean,
         x_sd=x_sd,
         mean_coef=mean_coef,
         scale_coef=scale_coef,
         residual=_fit_marginal(resid / np.exp(linear @ scale_coef), 0),
-        fit_info=info,
+        fit_info=FitInfo(n_rows=n, data_hash=_data_hash(holdout)),
     )
 
 
@@ -630,9 +636,9 @@ class PassConfig:
     mc_seed: int = 0
 
     def __post_init__(self) -> None:
-        argument(self.perturbation, "perturbation", exactly(PerturbationSpec))
-        argument(self.rank_match, "rank_match", exactly(bool))
-        object.__setattr__(self, "mc_seed", argument(self.mc_seed, "mc_seed", integer))
+        check_field(self, "perturbation", exactly(PerturbationSpec))
+        check_field(self, "rank_match", exactly(bool))
+        check_field(self, "mc_seed", integer)
 
 
 def allocate(shape: tuple[int, ...]) -> np.ndarray:
@@ -760,24 +766,26 @@ def sample_statistic_null(
     return EmpiricalDistribution(values=values)
 
 
-def _marginal_doc(marginal: Marginal) -> dict:
-    return {"xs": marginal.xs.tolist(), "ps": marginal.ps.tolist()}
+# A model's fit_info is stored as fitted_on; every other field under its name.
+_KEYS = {"fit_info": "fitted_on"}
+
+# The fields that hold records: name -> (record class, whether a tuple of them).
+_RECORDS = {"fit_info": (FitInfo, False), "residual": (Marginal, False), "marginals": (Marginal, True)}
+
+
+def _stored(value):
+    """A field's value as the model file stores it: a record as an object of its fields."""
+    if dataclasses.is_dataclass(value):
+        return {_KEYS.get(f.name, f.name): _stored(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_stored(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 def save_model(model: GeneratorModel, path: str | os.PathLike) -> None:
-    """Serialize a fitted model to a self-describing JSON document."""
+    """Serialize a model to a self-describing JSON document: the envelope and the model's fields."""
     model = argument(model, "model", generator_model)
-    payload = {
-        "schema": MODEL_SCHEMA,
-        "kind": model.kind,
-        "dim": model.dim,
-        **model._fields(),
-        "fitted_on": {"n_rows": model.fit_info.n_rows, "data_hash": model.fit_info.data_hash},
-    }
-    write_json(path, payload)
-
-
-# Parsers of model fields for dataio.read_field: each refuses a value with a ValueError.
+    write_json(path, {"schema": MODEL_SCHEMA, "kind": model.kind, "dim": model.dim, **_stored(model)})
 
 
 def _kind(raw) -> type:
@@ -786,47 +794,38 @@ def _kind(raw) -> type:
     return _MODEL_CLASSES[raw]
 
 
-def _positive(raw, size: int) -> np.ndarray:
-    value = numbers(raw, (size,))
-    if np.any(value <= 0):
-        raise ValueError("must be positive")
-    return value
+def _read(cls, doc: dict, *path):
+    """The ``cls`` at ``path`` of a model document, built (so checked) from its fields read by name.
 
-
-def _chol(raw, dim: int) -> np.ndarray:
-    chol = numbers(raw, (dim, dim))
-    if np.any(np.diag(chol) <= 0) or np.any(np.triu(chol, 1) != 0):
-        raise ValueError("is not lower triangular with a positive diagonal")
-    return chol
-
-
-def _grid(raw, size: int | None, cdf: bool = False) -> np.ndarray:
-    grid = numbers(raw, (size,))
-    if grid.shape[0] < 2 or np.any(np.diff(grid) <= 0) or cdf and (grid[0], grid[-1]) != (0.0, 1.0):
-        raise ValueError("is not a strictly increasing grid of at least 2 knots" + (" from 0 to 1" if cdf else ""))
-    return grid
-
-
-def _read_marginal(payload: dict, *path) -> Marginal:
-    xs = read_field(payload, "model", partial(_grid, size=None), *path, "xs")
-    return Marginal(xs=xs, ps=read_field(payload, "model", partial(_grid, size=len(xs), cdf=True), *path, "ps"))
+    A field that holds records is read as those records in turn, and the
+    refusal of a record inside the model names its path.
+    """
+    fields = {}
+    for field in dataclasses.fields(cls):
+        at = (*path, _KEYS.get(field.name, field.name))
+        record, many = _RECORDS.get(field.name, (None, False))
+        if many:
+            count = len(read_field(doc, "model", exactly(list), *at))
+            fields[field.name] = tuple(_read(record, doc, *at, j) for j in range(count))
+        else:
+            fields[field.name] = _read(record, doc, *at) if record else read_field(doc, "model", lambda raw: raw, *at)
+    return argument(fields, f"model field {field_name(path)!r}" if path else "model", lambda fields: cls(**fields))
 
 
 def load_model(path: str | os.PathLike) -> GeneratorModel:
     """Load a model saved by :func:`save_model`.
 
-    Every field is read by :func:`pai.dataio.read_field` and checked against
-    the model's kind and ``dim`` (shapes, the number rule, triangular factors
-    with positive diagonals, strictly increasing marginal grids), so a
+    The class the envelope's ``kind`` names is built from the file's fields,
+    each read by :func:`pai.dataio.read_field`, and checks them as it is
+    built; a ``dim`` other than the built model's is refused too. So a
     malformed document raises :class:`InputError` rather than loading.
     """
     payload = read_json_object(path, "model")
     if payload.get("schema") != MODEL_SCHEMA:
         raise InputError(f"unrecognized model schema: {payload.get('schema')!r}")
-    info = FitInfo(
-        n_rows=read_field(payload, "model", integer, "fitted_on", "n_rows"),
-        data_hash=read_field(payload, "model", exactly(str), "fitted_on", "data_hash"),
-    )
     model_class = read_field(payload, "model", _kind, "kind")
-    dim = read_field(payload, "model", partial(integer, least=1), "dim")
-    return model_class._from_fields(payload, dim, info)
+    dim = read_field(payload, "model", integer, "dim")
+    model = _read(model_class, payload)
+    if model.dim != dim:
+        raise InputError(f"model field 'dim': {dim} does not match the {model.dim} dimensions of its fields")
+    return model

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, as_matrix, exactly
+from .dataio import argument, as_matrix, check_field, exactly
 from .errors import InputError, NumericError
 
 # Eigenvalue clamp threshold: more negative mass than this in a covariance
@@ -35,6 +35,14 @@ class GaussianSummary:
 
     mean: np.ndarray
     cov: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_field(self, "mean", np.asarray, dtype=np.float64)
+        check_field(self, "cov", np.asarray, dtype=np.float64)
+        want = self.mean.shape + self.mean.shape[-1:]
+        if self.mean.ndim < 1 or self.cov.shape != want:
+            raise InputError(f"cov must have shape (..., d, d) for a mean of shape (..., d), got {self.cov.shape} "
+                             f"for {self.mean.shape}")
 
     @property
     def dim(self) -> int:

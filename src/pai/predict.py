@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Document, argument, as_matrix, chunk_starts, entry, exactly, integer, level, number, numbers, pair
-from .dataio import record, records, two_threads
+from .dataio import Document, argument, as_matrix, check_field, chunk_starts, entry, exactly, integer, level, number
+from .dataio import numbers, pair, record, records, scalar, two_threads
 from .errors import InputError
 from .generators import GeneratorModel, PassConfig, allocate, fit_model, generator_model, latent_block
 from .perturb import PerturbationSpec
@@ -123,6 +123,11 @@ class PredictionInterval:
     center_estimate: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("lower", "upper", "center_estimate"):
+            check_field(self, name, np.asarray, dtype=np.float64)
+        shapes = [self.lower.shape, self.upper.shape, self.center_estimate.shape]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise InputError(f"lower, upper and center_estimate must be arrays of one length, got shapes {shapes}")
         if not np.all(self.lower <= self.upper):
             raise InputError(f"interval {np.argmin(self.lower <= self.upper)} has its bounds out of order")
 
@@ -187,6 +192,19 @@ class ConformalModel:
     table_abs_resid: np.ndarray
     k: int
     qhat: float
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.table_X)
+        if len(shape) != 2:
+            raise InputError(f"table_X has shape {shape}, expected a matrix")
+        n, p = shape
+        for name, want in (("x_mean", (p,)), ("x_sd", (p,)), ("table_y", (n,)), ("table_abs_resid", (n,))):
+            if np.shape(getattr(self, name)) != want:
+                raise InputError(f"{name} has shape {np.shape(getattr(self, name))}, expected {want}")
+        check_field(self, "k", integer, least=1)
+        if self.k > n:
+            raise InputError(f"k: {self.k} exceeds the {n} rows of the table")
+        check_field(self, "qhat", scalar, least=0.0)
 
 
 def _knn_chunks(queries: np.ndarray, table: np.ndarray, k: int, idx: np.ndarray, chunks: list[slice]) -> None:

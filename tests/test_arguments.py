@@ -338,8 +338,8 @@ OBJECT_KINDS = {
 } - {"Sidedness", "Correction"}
 OBJECT_VALUES = (None, "m", 0.5, np.ones((2, 2)))
 # (public name, parameter) -> the label that starts its error, or None for a
-# field of a record the package returns (a model's parts, a report's draws),
-# filled from what it has already read.
+# field of a record the package returns (a report's draws), filled from what
+# it has already read.
 OBJECT_SWEEP = {
     **{
         (name, parameter): parameter
@@ -353,10 +353,7 @@ OBJECT_SWEEP = {
     ("perturb", "spec"): "spec",
     ("fid", "a"): "summary a",
     ("fid", "b"): "summary b",
-    **dict.fromkeys([
-        *((report, "null_draws") for report in ("TestReport", "PivotalReport")),
-        ("LocationScaleTransport", "features"),
-    ]),
+    **dict.fromkeys((report, "null_draws") for report in ("TestReport", "PivotalReport")),
 }
 OBJECT_SWEPT = sorted(key for key, label in OBJECT_SWEEP.items() if label is not None)
 

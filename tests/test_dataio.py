@@ -181,12 +181,16 @@ def test_numbers_is_the_one_number_rule():
         ([10**400, 0.5], (2,)), ([float("nan"), 0.5], (2,)), ([[1.0, 2.0], [3.0]], (2, 2)),
         ([1.0, 2.0], (2, 2)), ([[1.0], [2.0]], (2,)), ([1.0, 2.0, 3.0], (2,)), (True, ()), ("1", ()),
         (np.True_, ()), ([np.bool_(False), 0.5], (2,)),
+        # arrays of another rank, of booleans or complex numbers, or with a non-finite entry
+        (np.array(3.0), ()), (np.ones(2), ()), (np.ones((2, 2)), (None,)), (np.array([True, False]), (2,)),
+        (np.array([1j, 0.5]), (2,)), (np.array([np.inf, 0.5]), (2,)),
     ]
     for raw, shape in refused:
         with pytest.raises((TypeError, ValueError, OverflowError)):
             dataio.numbers(raw, shape)
     # numpy scalars are numbers too, and a scalar is read as the Python number it equals
     assert dataio.numbers([np.int64(1), np.float32(2.5)], (2,)).tolist() == [1.0, 2.5]
+    assert dataio.numbers(np.array([[1, 2]], dtype=np.uint8), (1, 2)).tolist() == [[1.0, 2.0]]
     assert [(value, type(value)) for value in map(dataio.scalar, (3, np.int64(3), np.float64(0.5)))] == [
         (3, int), (3, int), (0.5, float),
     ]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from pai import (
     save_model,
 )
 from pai import dataio, fid, gaussian_summary, generators
-from pai.generators import KINDS, fit_model
+from pai.generators import KINDS, CopulaTransport, FitInfo, GaussianTransport, LocationScaleTransport, Marginal
+from pai.generators import fit_model
 from pai.halton import MAX_DIM, halton_block
 from pai.streams import PATH_PASS, derive_rng
 
@@ -599,12 +601,101 @@ def test_a_nested_field_error_names_its_path(tmp_path):
     doc = json.loads(path.read_text())
     doc["marginals"][1]["ps"][1] = True
     path.write_text(json.dumps(doc))
-    with pytest.raises(InputError, match=r"^model field 'marginals\[1\]\.ps': expected numbers, found \['bool'\]$"):
+    with pytest.raises(InputError, match=r"^model field 'marginals\[1\]': ps: expected numbers, found \['bool'\]$"):
         load_model(path)
     del doc["marginals"][1]["ps"]
     path.write_text(json.dumps(doc))
     with pytest.raises(InputError, match=r"^model document lacks field 'marginals\[1\]\.ps'$"):
         load_model(path)
+
+
+# One model file per kind, written from hand-chosen arrays; nothing is fitted,
+# so BLAS rounding cannot move their bytes.
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _plotting_grid(n):
+    return np.concatenate(([0.0], (np.arange(1, n + 1) - 0.5) / n, [1.0]))
+
+
+def _hand_built(kind):
+    """The model of the pinned file of ``kind``, built by its constructors (lists, numpy scalars and all)."""
+    info = FitInfo(n_rows=np.int64(3), data_hash="hand-built")
+    if kind == "gaussian":
+        return GaussianTransport(mean=[0.5, -1.25], chol=[[1.5, 0.0], [0.1, 0.75]], fit_info=FitInfo(12, "hand-built"))
+    if kind == "copula":
+        return CopulaTransport((Marginal(xs=[-2.0, -0.5, 0.0, 1.5, 3.0], ps=_plotting_grid(3)),), np.eye(1), info)
+    return LocationScaleTransport(
+        marginals=(
+            Marginal(xs=np.array([-1.0, 0.1, 0.2, 0.3, 1.4]), ps=_plotting_grid(3)),
+            # a tied grid
+            Marginal(xs=np.array([-0.5, 0.5, 1.5, 2.5]), ps=np.array([0.0, 1 / 6, 5 / 6, 1.0])),
+        ),
+        latent_chol=np.array([[1.0, 0.0], [0.6, 0.8]]),
+        x_mean=np.array([0.2, 0.8333333333333334]),
+        x_sd=np.array([0.1, 0.4714045207910317]),
+        mean_coef=np.array([1.0, -0.5, 0.25, 0.125, -0.0625, 0.03125]),
+        scale_coef=np.array([-1.0, 0.2, -0.3]),
+        residual=Marginal(xs=np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), ps=_plotting_grid(3)),
+        fit_info=info,
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_pinned_model_file_keeps_its_bytes(tmp_path, kind):
+    save_model(load_model(DATA / f"model-{kind}.json"), tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == (DATA / f"model-{kind}.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_model_its_constructor_accepts_saves_and_loads_with_the_same_bytes(tmp_path, kind):
+    save_model(_hand_built(kind), tmp_path / "built.json")
+    assert (tmp_path / "built.json").read_bytes() == (DATA / f"model-{kind}.json").read_bytes()
+    save_model(load_model(tmp_path / "built.json"), tmp_path / "loaded.json")
+    assert (tmp_path / "loaded.json").read_bytes() == (tmp_path / "built.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "build, kind, edit, message",
+    [
+        (
+            lambda: GaussianTransport(mean=np.zeros(2), chol=np.array([[1.0, 5.0], [0.0, 1.0]]), fit_info=FitInfo(0, "x")),
+            "gaussian", lambda doc: doc.update(chol=[[1.0, 5.0], [0.0, 1.0]]),
+            r"chol: is not lower triangular with a positive diagonal",
+        ),
+        (
+            lambda: GaussianTransport(mean=np.zeros(3), chol=np.eye(2), fit_info=FitInfo(0, "x")),
+            "gaussian", lambda doc: doc.update(mean=[0.0, 0.0, 0.0], chol=[[1.0, 0.0], [0.0, 1.0]]),
+            r"chol: has shape \(2, 2\), expected \(3, 3\)",
+        ),
+        (
+            lambda: FitInfo(n_rows="x", data_hash=3),
+            "gaussian", lambda doc: doc.update(fitted_on={"n_rows": "x", "data_hash": 3}),
+            r"n_rows: expected numbers, found \['str'\]",
+        ),
+        (
+            lambda: dataclasses.replace(_hand_built("location-scale"), mean_coef=np.ones(5)),
+            "location-scale", lambda doc: doc.update(mean_coef=[1.0] * 5),
+            r"mean_coef: has shape \(5,\), expected \(6,\)",
+        ),
+        (
+            lambda: Marginal(xs=np.array([0.0, 2.0, 1.0]), ps=np.array([0.0, 0.5, 1.0])),
+            "copula", lambda doc: doc["marginals"][0].update(xs=[0.0, 2.0, 1.0], ps=[0.0, 0.5, 1.0]),
+            r"xs: is not a strictly increasing grid of at least 2 knots",
+        ),
+    ],
+    ids=["upper-chol", "chol-for-another-dim", "fit-info", "short-mean-coef", "decreasing-xs"],
+)
+def test_a_constructor_refuses_what_load_model_refuses(tmp_path, build, kind, edit, message):
+    with pytest.raises(InputError, match=f"^{message}$") as built:
+        build()
+    doc = json.loads((DATA / f"model-{kind}.json").read_text())
+    edit(doc)
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with pytest.raises(InputError) as loaded:
+        load_model(tmp_path / "model.json")
+    # the load error is the constructor's, behind the path of the record it concerns
+    assert str(loaded.value).endswith(f": {built.value}")
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "copula", "location-scale"])

@@ -35,6 +35,13 @@ def test_fid_hand_values():
     assert fid(c, d) == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("cov", [np.eye(3), np.zeros(2)], ids=["3x3-for-2", "vector"])
+def test_a_summary_whose_cov_does_not_fit_its_mean_is_an_input_error(rng, cov):
+    # a bare ValueError from matmul, and an AxisError, before summaries checked their shapes
+    with pytest.raises(InputError, match=r"^cov must have shape \(\.\.\., d, d\) for a mean of shape \(\.\.\., d\)"):
+        fid(GaussianSummary(np.zeros(2), cov), gaussian_summary(rng.standard_normal((10, 2))))
+
+
 def test_fid_symmetry_and_translation(rng):
     for _ in range(10):
         m = rng.standard_normal((80, 3))

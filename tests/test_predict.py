@@ -209,6 +209,20 @@ def test_conformal_halfwidth_scales_with_spread():
     assert base.lower[0] <= base.center_estimate[0] <= base.upper[0]
 
 
+def test_hand_built_conformal_models_and_intervals_are_checked_when_built(rng):
+    import dataclasses
+
+    X = rng.random((100, 2))
+    model = conformal_fit((X, X.sum(axis=1)), 0.25, 0.1, k=5, seed=1)
+    # a bare ValueError from argpartition before the model checked its k
+    with pytest.raises(InputError, match=r"^k: 100 exceeds the 75 rows of the table$"):
+        conformal_interval(dataclasses.replace(model, k=100), X[:3])
+    with pytest.raises(InputError, match=r"^table_y has shape \(74,\), expected \(75,\)$"):
+        dataclasses.replace(model, table_y=model.table_y[1:])
+    with pytest.raises(InputError, match="^lower, upper and center_estimate must be arrays of one length"):
+        PredictionInterval(lower=np.zeros(2), upper=np.ones(1), center_estimate=np.zeros(2))
+
+
 def test_conformal_marginal_validity_over_seeds():
     # distribution-free guarantee: average coverage over 20 seeded splits
     # stays within 0.03 of the nominal level
