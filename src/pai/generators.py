@@ -24,7 +24,9 @@ All three expose the invertible pair ``forward`` (latent to data) /
 ``forward`` also maps a ``(..., n, dim)`` stack of latent samples, each
 slice bit for bit as alone (every matrix product runs slice by slice, with
 the sizes of one sample, because BLAS rounding can depend on a row's place in
-a larger product);
+a larger product; the Gaussian kind then adds its mean to each sample's
+``n * dim`` values as one row, ``mean`` tiled ``n`` times, in one long loop
+instead of ``n`` loops of ``dim`` values, with the same sums);
 ``fit_model`` fits the family named by one of :data:`KINDS`. Each class also
 owns what differs by kind elsewhere: ``conditional_response`` maps a
 ``(points, m)`` block of standard-normal draws to the response's conditional
@@ -202,7 +204,12 @@ class GaussianTransport:
 
     def forward(self, latent: np.ndarray) -> np.ndarray:
         latent = as_matrix(latent, "latent", self.dim, stack=True)
-        return self.mean + latent @ self.chol.T
+        # Broadcast over rows, the mean would go in as n loops of dim values a
+        # sample; as one row of n * dim values it is one loop, with the same sums.
+        n = latent.shape[-2]
+        flat = (latent @ self.chol.T).reshape(latent.shape[:-2] + (n * self.dim,))
+        flat += np.tile(self.mean, n)
+        return flat.reshape(latent.shape)
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
         from scipy.linalg import solve_triangular

@@ -5,9 +5,19 @@ between two summaries is the squared 2-Wasserstein distance between the
 Gaussians they fit. It is the statistic of the two-sample fid and coherence
 tests. Both functions broadcast over leading stack axes, so a chunk of Monte
 Carlo replicates is summarised and compared in one call; every slice equals
-the single-sample result bit for bit, because each step (``axis=-2`` means,
-stacked matrix products and ``eigh``, diagonal traces) runs the same
-arithmetic per slice.
+the single-sample result bit for bit, because each step (the means, stacked
+matrix products and ``eigh``, diagonal traces) runs the same arithmetic per
+slice.
+
+The layout rule of ``gaussian_summary``: with ``d >= 2`` columns it sums and
+centres a new row-major copy of the sample, ``(n, ..., d)``, adding its rows
+in sequence. That is the order numpy itself uses for a row-major ``(..., n, d)``
+sample, but each step is one long loop over the whole stack instead of ``n``
+loops over ``d`` values per sample; and the bits depend on the values alone,
+not on how the caller's array is laid out. A single column (``d = 1``) keeps
+numpy's own mean along the rows: on a row-major sample that is a pairwise sum,
+already one long loop, and a row-major copy would add the rows in sequence
+and change its bits.
 """
 
 from __future__ import annotations
@@ -60,8 +70,17 @@ def gaussian_summary(sample: np.ndarray) -> GaussianSummary:
     n = sample.shape[-2]
     if n < 2:
         raise InputError(f"need at least 2 rows for a Gaussian summary, got {n}")
-    mean = sample.mean(axis=-2)
-    centered = sample - mean[..., None, :]
+    if sample.shape[-1] == 1:
+        # numpy already sums a column along its rows, pairwise, in one long loop
+        mean = sample.mean(axis=-2)
+        centered = sample - mean[..., None, :]
+    else:
+        # A new row-major copy (never the caller's array, which is centred in
+        # place): its sum runs row by row, each row one long loop over the stack.
+        rows = np.moveaxis(sample, -2, 0).copy(order="C")
+        mean = np.add.reduce(rows, axis=0) / n
+        rows -= mean
+        centered = np.moveaxis(rows, 0, -2)
     cov = np.swapaxes(centered, -1, -2) @ centered / (n - 1)
     return GaussianSummary(mean=mean, cov=cov)
 

@@ -7,10 +7,17 @@ its own primality check.
 
 ``assignment_cost`` is the one statement of an assignment's total cost.
 
-The others are instruments built on the library's solvers, for measuring
+Three are instruments built on the library's solvers, for measuring
 samples rather than for checking those solvers: ``row_ranks`` and
 ``rank_discrepancy`` read ranks from ``empirical_ranks``, and
 ``wasserstein_exact`` solves its matching with ``solve_lsap``.
+
+``numpy_summary`` and ``numpy_gaussian_forward`` are the plain numpy
+expressions for a Gaussian summary and the Gaussian transport's forward map,
+evaluated in numpy's own loop order over a ``(..., n, d)`` stack. The library
+runs the same arithmetic in a different loop layout; the tests hold it to
+these bits, so a numpy release that reorders either sum shows up as a failure.
+``row_major_layouts`` gives the layouts those tests feed both.
 """
 
 import itertools
@@ -29,6 +36,40 @@ def assignment_cost(costs: np.ndarray, perm) -> float:
     """Total cost of assigning column ``i`` the row ``perm[i]``: ``sum(costs[perm[i], i])``."""
     perm = np.asarray(perm, dtype=np.intp)
     return float(costs[perm, np.arange(perm.shape[0])].sum())
+
+
+def numpy_summary(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and (n-1)-denominator covariance of ``sample`` over its last two axes."""
+    n = sample.shape[-2]
+    mean = sample.mean(axis=-2)
+    centered = sample - mean[..., None, :]
+    return mean, np.swapaxes(centered, -1, -2) @ centered / (n - 1)
+
+
+def numpy_gaussian_forward(mean: np.ndarray, chol: np.ndarray, latent: np.ndarray) -> np.ndarray:
+    """``mean + L v`` for each row ``v`` of ``latent``."""
+    return mean + latent @ chol.T
+
+
+def row_major_layouts(rng: np.random.Generator, n: int, d: int) -> dict:
+    """``(..., n, d)`` samples whose rows each lie in one piece of memory, by name.
+
+    A C-ordered stack, the two strided halves of a pooled stack that the
+    coherence statistic summarises, a stack of every other row of a larger
+    one, one matrix and, for ``d = 1``, a 1-D column.
+    """
+    stack = rng.standard_normal((4, n, d)) * 3.0 + rng.standard_normal(d)
+    pooled = rng.standard_normal((4, 2 * n + 1, d)) - 2.0
+    layouts = {
+        "stack": stack,
+        "first half": pooled[:, :n],
+        "second half": pooled[:, n:],
+        "every other row": (rng.standard_normal((4, 2 * n, d)) + 5.0)[:, ::2],
+        "matrix": stack[0],
+    }
+    if d == 1:
+        layouts["column"] = stack[0, :, 0]
+    return layouts
 
 
 def brute_force_lsap_cost(costs: np.ndarray) -> float:

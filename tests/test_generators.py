@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import rank_discrepancy
+from oracles import numpy_gaussian_forward, rank_discrepancy, row_major_layouts
 from scipy import stats
 
 from pai import (
@@ -349,6 +349,29 @@ def test_forward_scans_its_latent_once(monkeypatch, kind):
     monkeypatch.setattr(generators, "as_matrix", counting_as_matrix)
     assert model.forward(latent).tobytes() == expected.tobytes()
     assert scans == [("latent", latent.shape)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("shape", [(50, 4), (10, 50, 4)], ids=["matrix", "stack"])
+def test_forward_leaves_its_latent_unchanged(kind, shape):
+    model = _model_of_kind(kind)
+    latent = np.random.default_rng(33).standard_normal(shape)
+    before = latent.tobytes()
+    model.forward(latent)
+    assert latent.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 150])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_gaussian_forward_has_the_bits_of_numpys_own_expression(d, n):
+    rng = np.random.default_rng(34)
+    model = fit_gaussian(rng.standard_normal((40, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d))
+    layouts = row_major_layouts(rng, n, d)
+    layouts["fortran stack"] = np.asfortranarray(layouts["stack"])
+    layouts["fortran matrix"] = np.asfortranarray(layouts["matrix"])
+    for name, latent in layouts.items():
+        expected = numpy_gaussian_forward(model.mean, model.chol, latent[:, None] if latent.ndim == 1 else latent)
+        assert model.forward(latent).tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import wasserstein_exact
+from oracles import numpy_summary, row_major_layouts, wasserstein_exact
 
 from pai import InputError, fid, gaussian_summary
 from pai.metrics import GaussianSummary
@@ -58,23 +58,53 @@ def test_fid_symmetry_and_translation(rng):
         assert fid(shifted_one, a) == pytest.approx(delta @ delta, abs=1e-8)
 
 
-@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("n", [3, 8, 9, 150])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_summary_has_the_bits_of_numpys_own_expressions(rng, d, n):
+    for name, sample in row_major_layouts(rng, n, d).items():
+        summary = gaussian_summary(sample)
+        mean, cov = numpy_summary(sample[:, None] if sample.ndim == 1 else sample)
+        assert summary.mean.tobytes() == mean.tobytes(), name
+        assert summary.cov.tobytes() == cov.tobytes(), name
+    # numpy's own sum order depends on the layout: down a Fortran-ordered
+    # matrix, and down a Fortran-ordered stack of columns, it sums pairwise.
+    # With d >= 2 the summary depends on the values alone and has the bits of
+    # the C-ordered sample; a column keeps numpy's own.
+    stack = row_major_layouts(rng, n, d)["stack"]
+    for name, sample in {"fortran stack": stack, "fortran matrix": stack[0]}.items():
+        fortran = np.asfortranarray(sample)
+        summary = gaussian_summary(fortran)
+        mean, cov = numpy_summary(fortran if d == 1 else sample)
+        assert summary.mean.tobytes() == mean.tobytes(), name
+        assert summary.cov.tobytes() == cov.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", [(40, 1), (40, 2), (40, 3), (5, 40, 2), (5, 40, 3)])
+def test_summary_leaves_its_sample_unchanged(rng, shape):
+    sample = rng.standard_normal(shape)
+    before = sample.tobytes()
+    gaussian_summary(sample)
+    assert sample.tobytes() == before
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
 def test_stacked_summary_and_fid_equal_per_slice_calls(rng, d):
-    stack = rng.standard_normal((7, 30, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
-    ref = gaussian_summary(rng.standard_normal((50, d)))
-    stacked = gaussian_summary(stack)
-    assert stacked.dim == d and stacked.mean.shape == (7, d) and stacked.cov.shape == (7, d, d)
-    against_ref = fid(ref, stacked)
-    halves = fid(gaussian_summary(stack[:, :13]), gaussian_summary(stack[:, 13:]))
-    assert against_ref.shape == halves.shape == (7,)
-    for k in range(7):
-        alone = gaussian_summary(stack[k])
-        assert stacked.mean[k].tobytes() == alone.mean.tobytes()
-        assert stacked.cov[k].tobytes() == alone.cov.tobytes()
-        assert against_ref[k].tobytes() == np.float64(fid(ref, alone)).tobytes()
-        split = fid(gaussian_summary(stack[k, :13]), gaussian_summary(stack[k, 13:]))
-        assert halves[k].tobytes() == np.float64(split).tobytes()
-    assert isinstance(fid(ref, gaussian_summary(stack[0])), float)
+    big = rng.standard_normal((7, 60, d)) @ rng.standard_normal((d, d)) + rng.standard_normal(d)
+    for stack in (big[:, :30].copy(), big[:, ::2]):
+        ref = gaussian_summary(rng.standard_normal((50, d)))
+        stacked = gaussian_summary(stack)
+        assert stacked.dim == d and stacked.mean.shape == (7, d) and stacked.cov.shape == (7, d, d)
+        against_ref = fid(ref, stacked)
+        halves = fid(gaussian_summary(stack[:, :13]), gaussian_summary(stack[:, 13:]))
+        assert against_ref.shape == halves.shape == (7,)
+        for k in range(7):
+            alone = gaussian_summary(stack[k])
+            assert stacked.mean[k].tobytes() == alone.mean.tobytes()
+            assert stacked.cov[k].tobytes() == alone.cov.tobytes()
+            assert against_ref[k].tobytes() == np.float64(fid(ref, alone)).tobytes()
+            split = fid(gaussian_summary(stack[k, :13]), gaussian_summary(stack[k, 13:]))
+            assert halves[k].tobytes() == np.float64(split).tobytes()
+        assert isinstance(fid(ref, gaussian_summary(stack[0])), float)
 
 
 def test_negative_eigenvalue_warning_fires_for_one_bad_slice(rng):
