@@ -13,7 +13,7 @@ remaining columns are features.
 
 Each handler passes its flags to the library as they are, and the library
 reads them as it reads any argument (a sidedness, a correction, the
-one-column pivotal sample, a labeled file's feature columns). Every output
+one-column pivotal sample, a labeled file, label column and all). Every output
 document echoes its command in its config. ``verify-report`` reads any of
 the four report kinds (test, pivotal, intervals, coverage) and checks what
 that kind's ``is_consistent`` can re-derive.
@@ -132,8 +132,8 @@ def cmd_test_feature(args) -> int:
     if not mask:
         raise UsageError("--mask must name at least one feature index")
     report = test_feature_significance(
-        (train[:, 1:], train[:, 0]),
-        (inference[:, 1:], inference[:, 0]),
+        train,
+        inference,
         mask,
         model,
         D=args.mc,

@@ -6,7 +6,8 @@ column, two dimensions (or a stack of matrices where the caller maps
 stacks), every entry finite, and a given column count where the caller
 needs one. Data numpy cannot read as float64 is refused by the same
 :class:`InputError`, read through :func:`argument`. A caller adds only its
-own rule, such as a minimum row count.
+own rule, such as a minimum row count. A labeled sample is one such
+matrix, label or response in column 0, read through :func:`joint` first.
 
 CSV files are headerless by default (``header=True`` skips one line), one
 row of comma-separated finite decimal numbers per sample; blank lines are
@@ -39,7 +40,7 @@ float) and finite as a float64, so an integer beyond float64 is refused.
 :func:`scalar` returns the Python int or float a number equals, so an
 argument read through it is echoed as the caller passed it. A choice is
 read by its enum (``Sidedness``, ``Correction``), which takes a member or its
-string value, and an object by :func:`exactly` or :func:`sized`. A record a
+string value, and an object by :func:`exactly`. A record a
 caller can build by hand reads its own fields the same way when it is built,
 each through :func:`check_field`. :func:`entry`
 declares each field of a :class:`Document` (the four report kinds) once,
@@ -49,7 +50,6 @@ with its parser, and one schema table dispatches a file to its kind.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -250,14 +250,11 @@ def exactly(*kinds: type):
     return parse
 
 
-def sized(raw, size: int, kind: type = list):
-    """``raw``, a ``kind`` (and no subclass) of ``size`` items."""
-    if len(exactly(kind)(raw)) != size:
-        raise ValueError(f"expected a {kind.__name__} of {size}, got {len(raw)}")
+def joint(raw):
+    """``raw``, a labeled sample but not a tuple: numpy reads a pair of 1-D arrays as two matrix rows."""
+    if isinstance(raw, tuple):
+        raise TypeError("expected one joint matrix, label or response in column 0, got a tuple")
     return raw
-
-
-pair = functools.partial(sized, size=2, kind=tuple)
 
 
 def record(fields: dict, what: str):

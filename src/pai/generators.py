@@ -705,8 +705,9 @@ def pass_synthesize(
     the perturbation is applied; the transport maps the result to data space.
     Output rows are an independent sample from the model's law, and the same
     ``(mc_seed, replicate)`` pair always reproduces the same sample bit for
-    bit. ``replicate`` must lie below ``2**64``. ``n`` is the sample size
-    when no inference sample is given.
+    bit. ``replicate`` must lie below ``2**64``. ``n`` is the sample size;
+    with an inference sample it may be left out, and when given it must be
+    the sample's row count.
     """
     model = argument(model, "model", generator_model)
     cfg = argument(cfg, "cfg", exactly(PassConfig))
@@ -715,9 +716,12 @@ def pass_synthesize(
         raise InputError("rank matching requires an inference sample")
     if inference is not None:
         inference = as_matrix(inference, "inference", model.dim)
+        if n is not None and argument(n, "sample size n", integer) != inference.shape[0]:
+            raise InputError(f"sample size n: {n} is not the {inference.shape[0]} rows of the inference sample")
+        n = inference.shape[0]
     elif n is None:
         raise InputError("provide an inference sample or an explicit n")
-    n_rows = argument(n if inference is None else inference.shape[0], "sample size n", integer, least=1)
+    n_rows = argument(n, "sample size n", integer, least=1)
     if cfg.rank_match:
         # the rank targets' shape is known before anything is drawn
         _check_shape(n_rows, model.dim)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Document, argument, as_matrix, entry, exactly, integer, level, number, numbers, pair, scalar
+from .dataio import Document, argument, as_matrix, entry, exactly, integer, joint, level, number, numbers, scalar
 from .dataio import two_threads
 from .empirical import Correction, EmpiricalDistribution, Sidedness, p_value
 from .errors import InputError, NumericError
@@ -244,8 +244,8 @@ def _risk_difference_statistic(
 
 
 def test_feature_significance(
-    train: tuple[np.ndarray, np.ndarray],
-    inference: tuple[np.ndarray, np.ndarray],
+    train: np.ndarray,
+    inference: np.ndarray,
     masked_features,
     model: GeneratorModel,
     D: int,
@@ -254,14 +254,16 @@ def test_feature_significance(
 ) -> TestReport:
     """Significance test for a feature subset in binary classification.
 
+    ``train`` and ``inference`` are ``(n, model.dim)`` matrices in the joint
+    ``(label, features)`` layout of ``model``, its CSV files and its
+    replicates: the binary 0/1 label in column 0, the features after it.
     The statistic is the paired-studentized difference between the inference
     risks of a classifier trained on all features and one trained with the
     masked columns zeroed (after standardization); informative features make
     the difference negative, so the p-value is lower-tailed. Null replicates
-    are drawn from ``model``, a transport over the joint ``(label,
-    features)`` layout with the label in column 0; synthesized label columns
-    are binarized at 0.5. Each replicate is split into train and inference
-    parts with the same sizes as the real data.
+    are drawn from ``model``; synthesized label columns are binarized at 0.5.
+    Each replicate is split into train and inference parts with the same
+    sizes as the real data, by the one split that also scores the real pair.
 
     ``model`` must embody the null hypothesis: fit it on data where the
     masked features carry no signal, e.g. on a holdout sample with the
@@ -275,36 +277,32 @@ def test_feature_significance(
     correction = argument(correction, "correction", Correction)
     masked_features = argument(masked_features, "masked features", list)
     mask = sorted({argument(i, "masked feature index", integer) for i in masked_features})
-    (train_X, train_y), (inf_X, inf_y) = argument(train, "train", pair), argument(inference, "inference", pair)
-    p = model.dim - 1  # the label is column 0 of the model's layout
-    train_X = as_matrix(train_X, "train features", p)
-    inf_X = as_matrix(inf_X, "inference features", p)
-    train_y, inf_y = as_matrix(train_y, "train labels", 1)[:, 0], as_matrix(inf_y, "inference labels", 1)[:, 0]
-    for name, y, X in (("train", train_y, train_X), ("inference", inf_y, inf_X)):
-        if y.shape != (X.shape[0],):
-            raise InputError(f"{name} labels must be one per row")
-        if not np.all(np.isin(y, (0.0, 1.0))):
+    train = as_matrix(argument(train, "train", joint), "train", model.dim)
+    inference = as_matrix(argument(inference, "inference", joint), "inference", model.dim)
+    for name, labels in (("train", train[:, 0]), ("inference", inference[:, 0])):
+        if not np.all(np.isin(labels, (0.0, 1.0))):
             raise InputError(f"{name} labels must be binary 0/1")
-    if np.unique(train_y).shape[0] < 2:
+    if np.unique(train[:, 0]).shape[0] < 2:
         raise InputError("train labels contain a single class")
     if not mask:
         raise InputError("masked feature set is empty")
+    p = model.dim - 1  # the label is column 0 of the model's layout
     # Compared as Python ints, so an index beyond int64 is refused like any other.
     if mask[-1] >= p:
         raise InputError(f"masked feature indices must lie in 0..{p - 1}")
     mask = np.asarray(mask, dtype=np.intp)
-    n_train, n_inf = train_X.shape[0], inf_X.shape[0]
+    n_train, n_inf = train.shape[0], inference.shape[0]
 
-    def replicate_statistic(chunk: np.ndarray) -> np.ndarray:
-        labels = (chunk[..., 0] >= _LABEL_THRESHOLD).astype(np.float64)
-        features = chunk[..., 1:]
-        values, _ = _risk_difference_statistic(
-            features[:, :n_train], labels[:, :n_train], features[:, n_train:], labels[:, n_train:], mask
+    def split_statistic(joint: np.ndarray):
+        """The statistic of the first ``n_train`` rows against the rest, over leading batch axes."""
+        labels = (joint[..., 0] >= _LABEL_THRESHOLD).astype(np.float64)
+        features = joint[..., 1:]
+        return _risk_difference_statistic(
+            features[..., :n_train, :], labels[..., :n_train], features[..., n_train:, :], labels[..., n_train:], mask
         )
-        return values
 
-    draws = sample_statistic_null(model, n_train + n_inf, D, replicate_statistic, cfg)
-    statistic, degenerate = _risk_difference_statistic(train_X, train_y, inf_X, inf_y, mask)
+    draws = sample_statistic_null(model, n_train + n_inf, D, lambda chunk: split_statistic(chunk)[0], cfg)
+    statistic, degenerate = split_statistic(np.concatenate((train, inference)))
     config = {
         "n_train": n_train,
         "n_inference": n_inf,

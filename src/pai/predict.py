@@ -29,7 +29,7 @@ and the coverage study returns a :class:`CoverageDocument`
 results imply with the rule that built them.
 
 Joint data layout everywhere: column 0 is the response, columns 1.. are the
-features.
+features, in :func:`conformal_fit`'s training matrix as in a transport's.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import Document, argument, as_matrix, check_field, chunk_starts, entry, exactly, integer, level, number
-from .dataio import numbers, pair, record, records, scalar, two_threads
+from .dataio import joint, numbers, record, records, scalar, two_threads
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, allocate, fit_model, generator_model, latent_block
+from .generators import GeneratorModel, PassConfig, _kind, allocate, fit_model, generator_model, latent_block
 from .perturb import PerturbationSpec
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
@@ -53,6 +53,8 @@ _SIGMA_FLOOR = 1e-6
 # Conformal baseline of the prediction study: k-NN size and calibration share.
 _STUDY_K_NEIGHBORS = 25
 _STUDY_CALIBRATION_FRACTION = 0.2
+# Fresh draws of the true response at each test point of the study.
+_STUDY_TRUTH_DRAWS = 2000
 
 
 def regression_mean(X: np.ndarray) -> np.ndarray:
@@ -157,26 +159,24 @@ def pai_interval(
     alpha: float,
     m: int,
     cfg: PassConfig,
-    stream_index: int = 0,
 ) -> PredictionInterval:
     """Monte Carlo prediction intervals from conditional synthesis at each point of ``X``.
 
     Point ``i`` takes its ``m`` draws from :func:`conditional_sample` stream
-    ``stream_index + i``, in the :func:`~pai.dataio.chunk_starts` chunks of
-    points of ``m`` values each.
+    ``i``, in the :func:`~pai.dataio.chunk_starts` chunks of points of ``m``
+    values each.
     """
     model = argument(model, "model", generator_model)
     cfg = argument(cfg, "cfg", exactly(PassConfig))
     alpha = argument(alpha, "alpha", level)
     m = argument(m, "draw count m", integer)
-    stream_index = argument(stream_index, "stream index", integer)
     if m < _least_draws(alpha):
         raise InputError(f"need at least ceil(4/alpha) = {_least_draws(alpha)} draws, got {m}")
     X = _point_block(model, X)
     bounds = allocate((3, X.shape[0]))
     starts = chunk_starts(X.shape[0], m)
     for start in starts:
-        draws = conditional_sample(model, X[start : start + starts.step], m, cfg, stream_index + start)
+        draws = conditional_sample(model, X[start : start + starts.step], m, cfg, start)
         bounds[:, start : start + starts.step] = np.quantile(draws, [alpha / 2.0, 0.5, 1.0 - alpha / 2.0], axis=1)
     return PredictionInterval(lower=bounds[0], upper=bounds[2], center_estimate=bounds[1])
 
@@ -246,7 +246,7 @@ def _conformal_predict(model: ConformalModel, X: np.ndarray):
 
 
 def conformal_fit(
-    train: tuple[np.ndarray, np.ndarray],
+    train: np.ndarray,
     calibration_fraction: float,
     alpha: float,
     k: int,
@@ -254,9 +254,11 @@ def conformal_fit(
 ) -> ConformalModel:
     """Fit the point/spread models and calibrate the conformal quantile.
 
-    The training data is split at random into a modeling part (k-NN tables,
-    in-sample absolute errors) and a calibration part whose normalized
-    deviations ``|y - point| / max(spread, floor)`` supply the
+    ``train`` is an ``(n, 1 + p)`` matrix in the joint layout: the response
+    in column 0, the ``p >= 1`` features after it. It is split at random
+    into a modeling part (k-NN tables, in-sample absolute errors) and a
+    calibration part whose normalized deviations
+    ``|y - point| / max(spread, floor)`` supply the
     ``ceil((n_cal + 1)(1 - alpha))``-th order statistic as the half-width
     multiplier.
     """
@@ -264,11 +266,10 @@ def conformal_fit(
     alpha = argument(alpha, "alpha", level)
     k = argument(k, "k", integer, least=1)
     seed = argument(seed, "seed", integer)
-    X, y = argument(train, "train", pair)
-    X = as_matrix(X, "train features")
-    y = as_matrix(y, "train responses", 1)[:, 0]
-    if y.shape != (X.shape[0],):
-        raise InputError("train must be (X, y) with one label per row")
+    train = as_matrix(argument(train, "train", joint), "train")
+    if train.shape[1] < 2:
+        raise InputError(f"train has {train.shape[1]} columns, expected a response and at least one feature")
+    y, X = train[:, 0], train[:, 1:]
     n = X.shape[0]
     n_cal = int(round(n * calibration_fraction))
     if n_cal < 20:
@@ -452,7 +453,6 @@ def run_prediction_study(
     kind: str,
     tau: float = 0.0,
     pai_draws: int,
-    truth_draws: int = 2000,
 ) -> CoverageDocument:
     """End-to-end benchmark: simulate, fit both methods, report coverage.
 
@@ -462,33 +462,31 @@ def run_prediction_study(
     from fresh truth draws. ``kind`` names the generator family fitted to the
     joint (response, features) sample, one of
     :data:`~pai.generators.KINDS`. The truth draws of test point ``i`` are
-    the tau-0 :func:`~pai.generators.latent_block` draws of stream
+    the 2000 tau-0 :func:`~pai.generators.latent_block` draws of stream
     ``(seed, PATH_TRUTH, i)``. Returns the study's :class:`CoverageDocument`.
     """
     seed = argument(seed, "seed", integer)
     n_total = argument(n_total, "n_total", integer)
     n_train = argument(n_train, "n_train", integer, least=1)
     alpha = argument(alpha, "alpha", level)
+    kind = argument(kind, "kind", _kind).kind
     pai_draws = argument(pai_draws, "pai_draws", integer)
-    truth_draws = argument(truth_draws, "truth_draws", integer, least=1)
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
     if n_train >= n_total:
         raise InputError(f"need n_train < n_total, got n_train={n_train}, n_total={n_total}")
     X, y = simulate_regression_data(n_total, seed)
-    X_train, y_train = X[:n_train], y[:n_train]
+    train = np.column_stack((y[:n_train], X[:n_train]))
     X_test = X[n_train:]
-    model = fit_model(kind, np.column_stack((y_train, X_train)))
+    model = fit_model(kind, train)
     pai_iv = pai_interval(model, X_test, alpha, pai_draws, cfg)
-    conf_model = conformal_fit(
-        (X_train, y_train), _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed
-    )
+    conf_model = conformal_fit(train, _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed)
     conf_iv = conformal_interval(conf_model, X_test)
-    truths = latent_block(PassConfig(mc_seed=seed), PATH_TRUTH, 0, X_test.shape[0], truth_draws, 1)[..., 0]
+    truths = latent_block(PassConfig(mc_seed=seed), PATH_TRUTH, 0, X_test.shape[0], _STUDY_TRUTH_DRAWS, 1)[..., 0]
     truths *= regression_noise_sd(X_test)[:, None]
     truths += regression_mean(X_test)[:, None]
     return CoverageDocument.build(
         X_test, pai_iv, conf_iv, truths,
         seed=seed, n_total=n_total, n_train=n_train, n_test=n_total - n_train, alpha=alpha, kind=kind,
         tau=cfg.perturbation.tau, pai_draws=pai_draws, k_neighbors=_STUDY_K_NEIGHBORS,
-        calibration_fraction=_STUDY_CALIBRATION_FRACTION, truth_draws=truth_draws,
+        calibration_fraction=_STUDY_CALIBRATION_FRACTION, truth_draws=_STUDY_TRUTH_DRAWS,
     )

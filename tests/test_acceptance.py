@@ -119,15 +119,11 @@ def test_criterion_3_null_calibration_all_tests():
     valid = 0
     for r in range(R):
         real = pass_synthesize(joint_model, None, PassConfig(mc_seed=40_000 + r), replicate=0, n=300)
-        y = (real[:, 0] >= 0.5).astype(float)
-        X = real[:, 1:]
-        if np.unique(y[:150]).shape[0] < 2:
+        real[:, 0] = real[:, 0] >= 0.5
+        if np.unique(real[:150, 0]).shape[0] < 2:
             continue
         valid += 1
-        rep = feature_test(
-            (X[:150], y[:150]), (X[150:], y[150:]), [2], joint_model, D=D,
-            cfg=PassConfig(mc_seed=50_000 + r),
-        )
+        rep = feature_test(real[:150], real[150:], [2], joint_model, D=D, cfg=PassConfig(mc_seed=50_000 + r))
         rej_feat += rep.p_value <= alpha
     rate_feat = rej_feat / valid
 
@@ -179,10 +175,8 @@ def test_criterion_4_power():
         masked_holdout = np.column_stack((hold_y, hold_X))
         masked_holdout[:, 1] = 0.0
         null_model = fit_gaussian(masked_holdout)
-        rep = feature_test(
-            (X[:1000], y[:1000]), (X[1000:], y[1000:]), [0], null_model, D=99,
-            cfg=PassConfig(mc_seed=180_000 + r),
-        )
+        data = np.column_stack((y, X))
+        rep = feature_test(data[:1000], data[1000:], [0], null_model, D=99, cfg=PassConfig(mc_seed=180_000 + r))
         rej_feat += rep.p_value <= 0.05
     power_feat = rej_feat / R_feat
 
@@ -267,7 +261,7 @@ def test_criterion_6_perturbation_size_invariance():
 def test_criterion_7_prediction_interval_study():
     study = run_prediction_study(
         seed=1, n_total=3200, n_train=3000, alpha=0.05, kind="location-scale",
-        pai_draws=4000, truth_draws=2000,
+        pai_draws=4000,
     )
     s = study.summary
     median_ok = 0.90 <= s["median_coverage"] <= 0.98

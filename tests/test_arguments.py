@@ -17,12 +17,16 @@ enum member, down to the bytes a report saves, and any other value is an
 A third sweep puts each of ``OBJECT_VALUES`` (``None``, a string, a float,
 a matrix, and an object of another public type) on every object argument:
 a model, a config, a null distribution, a perturbation spec, a summary, a
-conformal model, a ``(features, labels)`` pair or a flag. Each is an
-``InputError`` naming the argument, raised before a replicate is drawn.
+conformal model or a flag. Each is an ``InputError`` naming the argument,
+raised before a replicate is drawn. The same sweep puts ``None``, a string,
+an object of another public type and an old-style ``(features, labels)``
+pair on every labeled sample, a joint matrix with its label or response in
+column 0: each is an ``InputError`` naming the argument, so a pair never
+gives a result.
 
 A guard test reads the signatures of the public functions and dataclasses,
 and of the module functions swept beside them, so a new ``int``, ``float``,
-``Sidedness``, ``Correction``, ``bool``, pair or public-class parameter
+``Sidedness``, ``Correction``, ``bool`` or public-class parameter
 fails it until it has a row here.
 """
 
@@ -47,9 +51,9 @@ VALUES = (True, np.True_, 2.5, "1", HUGE, math.nan, math.inf, -math.inf, -0.0, n
 _rng = np.random.default_rng(23)
 MODEL = pai.gaussian_from_params(np.zeros(2), cov=[[1.0, 0.5], [0.5, 1.0]])
 SAMPLE = _rng.standard_normal((8, 2))
-LABELED = (_rng.standard_normal((16, 2)), np.tile([0.0, 1.0], 8))
+LABELED = np.column_stack((np.tile([0.0, 1.0], 8), _rng.standard_normal((16, 2))))
 PIVOTAL = 1.0 + _rng.standard_normal(6)
-CONFORMAL = pai.conformal_fit((_rng.random((50, 2)), _rng.random(50)), 0.5, 0.3, 3, 4)
+CONFORMAL = pai.conformal_fit(_rng.random((50, 3)), 0.5, 0.3, 3, 4)
 
 
 def _mean(chunk):
@@ -67,7 +71,8 @@ CALLS = {
     "halton_block": (halton.halton_block, dict(n=4, d=2)),
     "PerturbationSpec": (PerturbationSpec, dict(tau=0.3)),
     "PassConfig": (PassConfig, dict(mc_seed=3)),
-    "pass_synthesize": (pai.pass_synthesize, dict(model=MODEL, inference=None, cfg=PassConfig(), replicate=2, n=4)),
+    # given an inference sample, so the sweep reaches n where a sample sets the size
+    "pass_synthesize": (pai.pass_synthesize, dict(model=MODEL, inference=SAMPLE, cfg=PassConfig(), replicate=2, n=8)),
     "sample_statistic_null": (
         pai.sample_statistic_null, dict(model=MODEL, n=4, D=3, statistic=_mean, cfg=PassConfig(), first_replicate=2)
     ),
@@ -85,13 +90,13 @@ CALLS = {
         inference=PIVOTAL, D=3, cfg=PassConfig(), alpha=0.3, theta0=1, sigma=1.5, center=0.5,
     )),
     "conditional_sample": (pai.conditional_sample, dict(model=MODEL, X=[[0.3]], m=3, cfg=PassConfig(), stream_index=2)),
-    "pai_interval": (pai.pai_interval, dict(model=MODEL, X=[[0.3]], alpha=0.5, m=10, cfg=PassConfig(), stream_index=2)),
+    "pai_interval": (pai.pai_interval, dict(model=MODEL, X=[[0.3]], alpha=0.5, m=10, cfg=PassConfig())),
     "conformal_fit": (pai.conformal_fit, dict(
-        train=(_rng.random((50, 2)), _rng.random(50)), calibration_fraction=0.5, alpha=0.3, k=3, seed=4,
+        train=_rng.random((50, 3)), calibration_fraction=0.5, alpha=0.3, k=3, seed=4,
     )),
     "simulate_regression_data": (pai.simulate_regression_data, dict(n=5, seed=3)),
     "run_prediction_study": (pai.run_prediction_study, dict(
-        seed=3, n_total=102, n_train=100, alpha=0.5, kind="gaussian", tau=0.3, pai_draws=8, truth_draws=5,
+        seed=3, n_total=102, n_train=100, alpha=0.5, kind="gaussian", tau=0.3, pai_draws=8,
     )),
     "p_value": (pai.p_value, dict(dist=pai.EmpiricalDistribution(np.linspace(0.0, 1.0, 5)), statistic=0.5)),
     "perturb": (pai.perturb, dict(base_rows=np.ones((2, 2)), spec=PerturbationSpec(tau=0.3), noise=np.ones((2, 2)))),
@@ -173,14 +178,17 @@ ONCE_TAKEN = (
     ("PerturbationSpec", "tau", True, "perturbation size tau"),
     ("pivotal_inference", "sigma", True, "sigma"),
     ("pai_interval", "m", 100.7, "draw count m"),
-    ("pai_interval", "stream_index", 0.5, "stream index"),
     ("pai_interval", "alpha", "0.05", "alpha"),
     ("conditional_sample", "m", 5.5, "draw count m"),
     ("conformal_fit", "k", 2.5, "k"),
     ("conformal_fit", "calibration_fraction", "x", "calibration_fraction"),
     ("simulate_regression_data", "n", 2.5, "n"),
     ("run_prediction_study", "n_total", 100.5, "n_total"),
-    ("run_prediction_study", "truth_draws", 2.5, "truth_draws"),
+    ("run_prediction_study", "kind", "bogus", "kind"),
+    ("pass_synthesize", "n", "abc", "sample size n"),
+    ("pass_synthesize", "n", 2.5, "sample size n"),
+    ("pass_synthesize", "n", -3, "sample size n"),
+    ("pass_synthesize", "n", 7, "sample size n"),
     ("pivotal_inference", "sigma", "1", "sigma"),
     ("pivotal_inference", "center", HUGE, "center"),
     ("PerturbationSpec", "tau", HUGE, "perturbation size tau"),
@@ -237,7 +245,8 @@ def test_the_argument_sweep_covers_every_scalar_parameter():
     found = _public_parameters({"Sidedness", "Correction"})
     assert found == set(CHOICE_SWEEP), f"choice rows differ from {sorted(found)}"
     found = _public_parameters(OBJECT_KINDS)
-    assert found == set(OBJECT_SWEEP), f"object rows differ from {sorted(found)}"
+    assert found == set(OBJECT_SWEEP) - LABELED_SAMPLES, f"object rows differ from {sorted(found)}"
+    assert all(parameter in inspect.signature(getattr(pai, name)).parameters for name, parameter in LABELED_SAMPLES)
 
 
 CHOICE_VALUES = ("upper", "bogus", True, None, ["two"])
@@ -313,7 +322,20 @@ REFUSED_INPUTS = {
     # argument's label, before the feature labels and the Gaussian parameters
     # were read by the matrix rule and the number rule
     "feature-string-labels": (
-        lambda: _call("test_feature_significance", "train", (LABELED[0], ["a"] * 16)), "train labels: "
+        lambda: _call("test_feature_significance", "train", np.column_stack((["a"] * 16, LABELED[:, 1:]))),
+        "train: ",
+    ),
+    # two rows of one feature: numpy reads the old pair of 1-D arrays as a 2 x 2 matrix
+    "feature-two-row-pair": (
+        lambda: pai.test_feature_significance(
+            ([0.0, 1.0], [1.0, 0.0]), np.array([[0.0, 0.5], [1.0, 1.5]]), [0],
+            pai.gaussian_from_params(np.zeros(2), np.eye(2)), 3, PassConfig(),
+        ),
+        "train: expected one joint matrix",
+    ),
+    "conformal-one-column-train": (
+        lambda: _call("conformal_fit", "train", LABELED[:, :1]),
+        "train has 1 columns, expected a response and at least one feature",
     ),
     "gaussian-2x2-mean": (
         lambda: pai.gaussian_from_params(np.zeros((2, 2)), np.eye(4)), "mean has 2 columns, expected 1"
@@ -331,12 +353,15 @@ def test_a_refused_collection_or_matrix_is_an_input_error_naming_it(case):
 
 # The annotations of an object argument: a public class (the choices have
 # their own sweep), a record a public procedure takes back (a summary, a
-# conformal model), the union of the transport classes, a pair or a flag.
+# conformal model), the union of the transport classes or a flag.
 OBJECT_KINDS = {
     *(name for name in pai.__all__ if inspect.isclass(getattr(pai, name))),
-    "GaussianSummary", "ConformalModel", "GeneratorModel", "tuple[np.ndarray, np.ndarray]", "bool",
+    "GaussianSummary", "ConformalModel", "GeneratorModel", "bool",
 } - {"Sidedness", "Correction"}
 OBJECT_VALUES = (None, "m", 0.5, np.ones((2, 2)))
+# The labeled samples: joint matrices, label or response in column 0.
+LABELED_SAMPLES = {("test_feature_significance", "train"), ("test_feature_significance", "inference"),
+                   ("conformal_fit", "train")}
 # (public name, parameter) -> the label that starts its error, or None for a
 # field of a record the package returns (a report's draws), filled from what
 # it has already read.
@@ -345,8 +370,9 @@ OBJECT_SWEEP = {
         (name, parameter): parameter
         for name, (_, arguments) in CALLS.items()
         for parameter, value in arguments.items()
-        if isinstance(value, (pai.GaussianTransport, PassConfig, ConformalModel, tuple))
+        if isinstance(value, (pai.GaussianTransport, PassConfig, ConformalModel))
     },
+    **{key: key[1] for key in LABELED_SAMPLES},
     ("PassConfig", "perturbation"): "perturbation",
     ("PassConfig", "rank_match"): "rank_match",
     ("p_value", "dist"): "dist",
@@ -363,10 +389,15 @@ OBJECT_SWEPT = sorted(key for key, label in OBJECT_SWEEP.items() if label is not
 )
 def test_every_object_argument_refuses_other_objects_before_a_draw(monkeypatch, name, parameter):
     monkeypatch.setattr(generators, "_draw_replicate", _must_not_draw)
+    valid = CALLS[name][1].get(parameter)
     # an object of another public type: a model where a config is due, a config elsewhere
-    other = MODEL if isinstance(CALLS[name][1].get(parameter), PassConfig) else PassConfig()
-    for value in (*OBJECT_VALUES, other):
-        with pytest.raises(InputError, match=f"^{OBJECT_SWEEP[name, parameter]}: "):
+    other = MODEL if isinstance(valid, PassConfig) else PassConfig()
+    values, start = OBJECT_VALUES, f"{OBJECT_SWEEP[name, parameter]}: "
+    if (name, parameter) in LABELED_SAMPLES:
+        # what numpy cannot read as a matrix, and the old (features, labels) pair of its columns
+        values, start = (None, "m", (valid[:, 1:], valid[:, 0])), f"{parameter}( must be a 2-D matrix|: )"
+    for value in (*values, other):
+        with pytest.raises(InputError, match=f"^{start}"):
             _call(name, parameter, value)
 
 

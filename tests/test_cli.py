@@ -60,6 +60,20 @@ def test_synthesize_rank_match_requires_input(tmp_path, sim_csv):
     assert dataio.read_matrix(tmp_path / "rm.csv").shape == (200, 8)
 
 
+@pytest.mark.parametrize("n", [7, -3])
+def test_rank_match_with_an_n_other_than_the_sample_rows_is_a_data_error(tmp_path, capsys, sim_csv, n):
+    # the size of a rank-matched sample is the inference sample's row count
+    model, out = tmp_path / "model.json", tmp_path / "rm.csv"
+    run("fit", "--input", sim_csv, "--seed", 1, "--out", model)
+    capsys.readouterr()
+    argv = ("synthesize", "--model", model, "--rank-match", "--input", sim_csv, f"--n={n}", "--seed", 3)
+    assert run(*argv, "--out", out) == 3
+    assert capsys.readouterr().err.startswith("data error: sample size n: ")
+    assert not out.exists()
+    assert run(*argv[:-2], "--n", 200, "--seed", 3, "--out", out) == 0
+    assert dataio.read_matrix(out).shape == (200, 8)
+
+
 def test_fit_copula_constant_column_exit_code(tmp_path):
     bad = tmp_path / "bad.csv"
     data = np.random.default_rng(1).random((60, 3))

@@ -80,20 +80,18 @@ def test_fid_errors(rng):
 
 
 def _logistic_data(rng, n, coef=1.5, d=3):
+    """A joint ``(label, features)`` sample of ``n`` rows, the label in column 0."""
     X = rng.standard_normal((n, d))
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-coef * X[:, 0]))).astype(float)
-    return X, y
+    return np.column_stack((y, X))
 
 
 def test_feature_masking_informative_column(rng):
-    X, y = _logistic_data(rng, 1200)
-    holdX, holdy = _logistic_data(rng, 1200)
-    masked_holdout = np.column_stack((holdy, holdX))
+    data = _logistic_data(rng, 1200)
+    masked_holdout = _logistic_data(rng, 1200)
     masked_holdout[:, 1] = 0.0  # null generator: masked feature carries no signal
     model = fit_gaussian(masked_holdout)
-    report = feature_test(
-        (X[:600], y[:600]), (X[600:], y[600:]), [0], model, D=99, cfg=PassConfig(mc_seed=5)
-    )
+    report = feature_test(data[:600], data[600:], [0], model, D=99, cfg=PassConfig(mc_seed=5))
     assert report.statistic < -3.0
     assert report.p_value <= 0.05
     assert report.sidedness is Sidedness.LOWER_TAIL
@@ -102,12 +100,10 @@ def test_feature_masking_informative_column(rng):
 
 
 def test_feature_degenerate_mask_gives_p_one(rng):
-    X, y = _logistic_data(rng, 400)
-    X[:, 2] = 0.0  # all-zero column: masked and unmasked classifiers coincide
-    model = fit_gaussian(np.column_stack((y, X)))
-    report = feature_test(
-        (X[:200], y[:200]), (X[200:], y[200:]), [2], model, D=20, cfg=PassConfig(mc_seed=6)
-    )
+    data = _logistic_data(rng, 400)
+    data[:, 3] = 0.0  # all-zero feature 2: masked and unmasked classifiers coincide
+    model = fit_gaussian(data)
+    report = feature_test(data[:200], data[200:], [2], model, D=20, cfg=PassConfig(mc_seed=6))
     assert report.statistic == 0.0
     assert report.p_value == 1.0
     # p = 1 is the report rule for a config that records the convention, so it verifies
@@ -119,8 +115,8 @@ def test_feature_degenerate_mask_gives_p_one(rng):
 def test_feature_null_does_not_depend_on_the_chunk_budget(monkeypatch, rng):
     # the null, fed chunk by chunk, has the bytes of the learner run once over
     # the stack of all D pass_synthesize samples
-    X, y = _logistic_data(rng, 80, d=2)
-    model = fit_gaussian(np.column_stack((y, X)))
+    data = _logistic_data(rng, 80, d=2)
+    model = fit_gaussian(data)
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), mc_seed=12)
     n_train, n, D = 30, 80, 7
     joints = np.stack([pass_synthesize(model, None, cfg, replicate=k, n=n) for k in range(D)])
@@ -139,18 +135,18 @@ def test_feature_null_does_not_depend_on_the_chunk_budget(monkeypatch, rng):
             return learner(train_X, *args)
 
         monkeypatch.setattr(inference, "_risk_difference_statistic", recording_learner)
-        report = feature_test((X[:n_train], y[:n_train]), (X[n_train:], y[n_train:]), [1], model, D=D, cfg=cfg)
+        report = feature_test(data[:n_train], data[n_train:], [1], model, D=D, cfg=cfg)
         assert batches == [(size,) for size in sizes] + [()]
         assert report.null_draws.values.tobytes() == np.sort(expected).tobytes()
 
 
 def test_feature_null_memory_does_not_grow_with_D(rng):
     # one chunk of replicates and the learner's temporaries over it, never a D x n stack
-    X, y = _logistic_data(rng, 300)
+    data = _logistic_data(rng, 300)
     model = gaussian_from_params(np.array([0.5, 0.0, 0.0, 0.0]), cov=np.eye(4))
     tracemalloc.start()
     try:
-        feature_test((X[:150], y[:150]), (X[150:], y[150:]), [2], model, D=2000, cfg=PassConfig(mc_seed=4))
+        feature_test(data[:150], data[150:], [2], model, D=2000, cfg=PassConfig(mc_seed=4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,8 +221,8 @@ def test_threaded_fits_match_serial_fits(monkeypatch, rng, batch, mask, degenera
 
 
 def test_masked_fit_failure_propagates_and_leaves_no_thread(monkeypatch, rng):
-    X, y = _logistic_data(rng, 120)
-    model = fit_gaussian(np.column_stack((y, X)))
+    data = _logistic_data(rng, 120)
+    model = fit_gaussian(data)
     fit = inference._fit_logistic
 
     def failing_fit(X, y):
@@ -237,7 +233,7 @@ def test_masked_fit_failure_propagates_and_leaves_no_thread(monkeypatch, rng):
     monkeypatch.setattr(inference, "_fit_logistic", failing_fit)
     before = threading.active_count()
     with pytest.raises(FloatingPointError, match="masked fit failed"):
-        feature_test((X[:60], y[:60]), (X[60:], y[60:]), [1], model, D=5, cfg=PassConfig(mc_seed=3))
+        feature_test(data[:60], data[60:], [1], model, D=5, cfg=PassConfig(mc_seed=3))
     assert threading.active_count() == before
 
 
@@ -246,8 +242,8 @@ def test_only_the_logistic_fit_leaves_the_calling_thread(monkeypatch, rng):
     # spans must nest on one thread: a traced pai function entered on a worker
     # thread would interleave with the caller's spans. Only the untraced
     # learner may run off the calling thread.
-    X, y = _logistic_data(rng, 120)
-    model = fit_gaussian(np.column_stack((y, X)))
+    data = _logistic_data(rng, 120)
+    model = fit_gaussian(data)
     entered = set()
 
     def profile(frame, event, arg):
@@ -256,45 +252,50 @@ def test_only_the_logistic_fit_leaves_the_calling_thread(monkeypatch, rng):
 
     threading.setprofile(profile)
     try:
-        feature_test((X[:60], y[:60]), (X[60:], y[60:]), [1], model, D=5, cfg=PassConfig(mc_seed=3))
+        feature_test(data[:60], data[60:], [1], model, D=5, cfg=PassConfig(mc_seed=3))
     finally:
         threading.setprofile(None)
     assert entered == {"_fit_logistic"}
 
 
 def test_feature_errors(rng):
-    X, y = _logistic_data(rng, 100)
-    model = fit_gaussian(np.column_stack((y, X)))
-    with pytest.raises(InputError):
-        feature_test((X, np.zeros(100)), (X, y), [0], model, 10, PassConfig())
-    with pytest.raises(InputError):
-        feature_test((X, y), (X, y), [], model, 10, PassConfig())
-    with pytest.raises(InputError):
-        feature_test((X, y), (X, y), [7], model, 10, PassConfig())
-    with pytest.raises(InputError):
-        feature_test((X, y + 1.0), (X, y), [0], model, 10, PassConfig())
-    with pytest.raises(InputError, match="inference features has 2 columns, expected 3"):
-        feature_test((X, y), (X[:, :2], y), [0], model, 10, PassConfig())
+    data = _logistic_data(rng, 100)
+    model = fit_gaussian(data)
+    one_class, shifted = data.copy(), data.copy()
+    one_class[:, 0] = 0.0
+    shifted[:, 0] += 1.0
+    with pytest.raises(InputError, match="^train labels contain a single class$"):
+        feature_test(one_class, data, [0], model, 10, PassConfig())
+    with pytest.raises(InputError, match="^masked feature set is empty$"):
+        feature_test(data, data, [], model, 10, PassConfig())
+    with pytest.raises(InputError, match=r"^masked feature indices must lie in 0\.\.2$"):
+        feature_test(data, data, [7], model, 10, PassConfig())
+    with pytest.raises(InputError, match="^train labels must be binary 0/1$"):
+        feature_test(shifted, data, [0], model, 10, PassConfig())
+    with pytest.raises(InputError, match="^inference labels must be binary 0/1$"):
+        feature_test(data, shifted, [0], model, 10, PassConfig())
+    with pytest.raises(InputError, match="^inference has 3 columns, expected 4$"):
+        feature_test(data, data[:, :3], [0], model, 10, PassConfig())
     # indices beyond int64 are range errors, not overflows of the index array
     for index in (2**63, -(2**63) - 1, 2**64):
         refusal = "index: expected an integer >= 0" if index < 0 else r"indices must lie in 0\.\.2"
         with pytest.raises(InputError, match=f"^masked feature {refusal}"):
-            feature_test((X, y), (X, y), [0, index], model, 10, PassConfig())
+            feature_test(data, data, [0, index], model, 10, PassConfig())
 
 
 @pytest.mark.parametrize("index", [0.5, True, np.True_, 1.0, "1"], ids=["half", "true", "np-true", "float", "string"])
 def test_feature_test_refuses_an_index_that_is_not_an_integer(rng, monkeypatch, index):
-    X, y = _logistic_data(rng, 100)
-    model = fit_gaussian(np.column_stack((y, X)))
+    data = _logistic_data(rng, 100)
+    model = fit_gaussian(data)
     monkeypatch.setattr(generators, "latent_block", _must_not_draw)
     with pytest.raises(InputError, match="^masked feature index: "):
-        feature_test((X, y), (X, y), [index], model, 10, PassConfig())
+        feature_test(data, data, [index], model, 10, PassConfig())
 
 
 def test_feature_test_takes_numpy_integer_indices(rng):
-    X, y = _logistic_data(rng, 100)
-    model = fit_gaussian(np.column_stack((y, X)))
-    reports = [feature_test((X, y), (X, y), mask, model, 5, PassConfig()) for mask in ([1], [np.int64(1)])]
+    data = _logistic_data(rng, 100)
+    model = fit_gaussian(data)
+    reports = [feature_test(data, data, mask, model, 5, PassConfig()) for mask in ([1], [np.int64(1)])]
     assert reports[0].to_dict() == reports[1].to_dict()
     assert reports[1].config["masked_features"] == [1]
 
@@ -316,12 +317,12 @@ def _must_not_draw(*args):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("split", ["train", "inference"])
 def test_feature_test_rejects_non_finite_features_before_drawing(rng, monkeypatch, split, bad):
-    X, y = _logistic_data(rng, 120)
-    model = fit_gaussian(np.column_stack((y, X)))
-    parts = {"train": (X[:60].copy(), y[:60]), "inference": (X[60:].copy(), y[60:])}
-    parts[split][0][7, 2] = bad
+    data = _logistic_data(rng, 120)
+    model = fit_gaussian(data)
+    parts = {"train": data[:60].copy(), "inference": data[60:].copy()}
+    parts[split][7, 3] = bad
     monkeypatch.setattr(generators, "_draw_replicate", _must_not_draw)
-    with pytest.raises(InputError, match=rf"{split} features entry \(7, 2\) is not finite"):
+    with pytest.raises(InputError, match=rf"{split} entry \(7, 3\) is not finite"):
         feature_test(parts["train"], parts["inference"], [1], model, D=50, cfg=PassConfig(mc_seed=3))
 
 

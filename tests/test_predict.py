@@ -187,7 +187,7 @@ def test_conformal_collapses_on_noiseless_gridded_data():
     x_grid = np.repeat(np.linspace(0.0, 0.9, 10), 30)
     X = np.column_stack((x_grid, np.zeros_like(x_grid)))
     y = 2.0 * x_grid
-    model = conformal_fit((X, y), calibration_fraction=0.2, alpha=0.1, k=1, seed=41)
+    model = conformal_fit(np.column_stack((y, X)), calibration_fraction=0.2, alpha=0.1, k=1, seed=41)
     assert model.qhat == 0.0
     interval = conformal_interval(model, X[0])
     assert interval.length.tolist() == [0.0]
@@ -198,7 +198,7 @@ def test_conformal_halfwidth_scales_with_spread():
     rng = np.random.default_rng(42)
     X = rng.random((400, 2))
     y = X[:, 0] + 0.3 * rng.standard_normal(400)
-    model = conformal_fit((X, y), 0.25, 0.1, k=10, seed=43)
+    model = conformal_fit(np.column_stack((y, X)), 0.25, 0.1, k=10, seed=43)
     import dataclasses
 
     doubled = dataclasses.replace(model, table_abs_resid=2.0 * model.table_abs_resid)
@@ -213,7 +213,7 @@ def test_hand_built_conformal_models_and_intervals_are_checked_when_built(rng):
     import dataclasses
 
     X = rng.random((100, 2))
-    model = conformal_fit((X, X.sum(axis=1)), 0.25, 0.1, k=5, seed=1)
+    model = conformal_fit(np.column_stack((X.sum(axis=1), X)), 0.25, 0.1, k=5, seed=1)
     # a bare ValueError from argpartition before the model checked its k
     with pytest.raises(InputError, match=r"^k: 100 exceeds the 75 rows of the table$"):
         conformal_interval(dataclasses.replace(model, k=100), X[:3])
@@ -230,21 +230,24 @@ def test_conformal_marginal_validity_over_seeds():
     coverages = []
     for seed in range(20):
         X, y = simulate_regression_data(800, seed=6000 + seed)
-        model = conformal_fit((X[:600], y[:600]), 0.25, alpha, k=25, seed=seed)
+        model = conformal_fit(np.column_stack((y[:600], X[:600])), 0.25, alpha, k=25, seed=seed)
         iv = conformal_interval(model, X[600:800])
         coverages.append(iv.contains(y[600:800, None]).mean())
     assert np.mean(coverages) >= 1 - alpha - 0.03
 
 
 def test_conformal_fit_validation(rng):
-    X = rng.random((100, 2))
-    y = rng.random(100)
-    with pytest.raises(InputError):
-        conformal_fit((X, y), 0.05, 0.1, k=5, seed=1)  # calibration split below 20 rows
-    with pytest.raises(InputError):
-        conformal_fit((X, y), 0.9, 0.1, k=50, seed=1)  # modeling split smaller than k
-    with pytest.raises(InputError):
-        conformal_fit((X, y[:50]), 0.3, 0.1, k=5, seed=1)
+    train = rng.random((100, 3))
+    with pytest.raises(InputError, match="^calibration split has 5 rows; need at least 20$"):
+        conformal_fit(train, 0.05, 0.1, k=5, seed=1)
+    with pytest.raises(InputError, match="^modeling split smaller than k$"):
+        conformal_fit(train, 0.9, 0.1, k=50, seed=1)
+    # a response with no feature column
+    with pytest.raises(InputError, match="^train has 1 columns, expected a response and at least one feature$"):
+        conformal_fit(train[:, :1], 0.3, 0.1, k=5, seed=1)
+    # the old (features, responses) pair is not a matrix
+    with pytest.raises(InputError, match="^train: "):
+        conformal_fit((train[:, 1:], train[:, 0]), 0.3, 0.1, k=5, seed=1)
 
 
 def test_conformal_rejects_non_finite_and_misshapen_features(rng):
@@ -252,11 +255,11 @@ def test_conformal_rejects_non_finite_and_misshapen_features(rng):
     y = X.sum(axis=1) + rng.standard_normal(200)
     bad_X, bad_y = X.copy(), y.copy()
     bad_X[3, 1], bad_y[5] = np.nan, np.inf
-    with pytest.raises(InputError, match=r"train features entry \(3, 1\) is not finite"):
-        conformal_fit((bad_X, y), 0.25, 0.1, k=5, seed=1)
-    with pytest.raises(InputError, match=r"train responses entry \(5, 0\) is not finite"):
-        conformal_fit((X, bad_y), 0.25, 0.1, k=5, seed=1)
-    model = conformal_fit((X, y), 0.25, 0.1, k=5, seed=1)
+    with pytest.raises(InputError, match=r"train entry \(3, 2\) is not finite"):
+        conformal_fit(np.column_stack((y, bad_X)), 0.25, 0.1, k=5, seed=1)
+    with pytest.raises(InputError, match=r"train entry \(5, 0\) is not finite"):
+        conformal_fit(np.column_stack((bad_y, X)), 0.25, 0.1, k=5, seed=1)
+    model = conformal_fit(np.column_stack((y, X)), 0.25, 0.1, k=5, seed=1)
     with pytest.raises(InputError, match=r"points entry \(0, 1\) is not finite"):
         conformal_interval(model, bad_X[3])
     with pytest.raises(InputError, match="points has 3 columns, expected 7"):
@@ -376,14 +379,14 @@ def _interval_array(interval):
 @pytest.mark.parametrize("tau", [0.0, 0.3])
 @pytest.mark.parametrize("kind", KINDS)
 def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
-    # a block of points equals its one-row calls at stream_index = first + i,
-    # whether its draws come in one chunk or split 3-3-1
+    # point i of a block has the quantiles of its own conditional draws at
+    # stream_index = i, whether the draws come in one chunk or split 3-3-1
     X, y = simulate_regression_data(400, seed=49)
     model = fit_model(kind, np.column_stack((y, X)))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=50)
-    points, m, first = simulate_regression_data(7, seed=51)[0], 100, 5
-    rows = [pai_interval(model, x, 0.05, m, cfg, stream_index=first + i) for i, x in enumerate(points)]
-    expected = np.concatenate([_interval_array(row) for row in rows], axis=1).tobytes()
+    points, m = simulate_regression_data(7, seed=51)[0], 100
+    rows = [conditional_sample(model, x, m, cfg, stream_index=i)[0] for i, x in enumerate(points)]
+    expected = np.quantile(np.stack(rows), [0.05 / 2, 0.5, 1 - 0.05 / 2], axis=1)[[0, 2, 1]].tobytes()
     sample = predict.conditional_sample
     for budget, sizes in ((dataio._CHUNK_VALUES, [7]), (3 * m, [3, 3, 1])):
         monkeypatch.setattr(dataio, "_CHUNK_VALUES", budget)
@@ -394,7 +397,7 @@ def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
             return sample(model, X, *args)
 
         monkeypatch.setattr(predict, "conditional_sample", recording_sample)
-        block = pai_interval(model, points, 0.05, m, cfg, stream_index=first)
+        block = pai_interval(model, points, 0.05, m, cfg)
         assert chunks == sizes
         assert block.lower.shape == (7,)
         assert _interval_array(block).tobytes() == expected
@@ -477,7 +480,7 @@ def test_only_the_knn_chunk_helper_leaves_the_calling_thread():
 
     threading.setprofile(profile)
     try:
-        conformal_fit((X, y), 0.2, 0.05, k=25, seed=60)
+        conformal_fit(np.column_stack((y, X)), 0.2, 0.05, k=25, seed=60)
     finally:
         threading.setprofile(None)
     assert entered == {"_knn_chunks"}
@@ -488,9 +491,10 @@ def test_conformal_fit_memory_is_bounded():
     import scipy.spatial.distance  # noqa: F401  (its import is not the fit's memory)
 
     X, y = simulate_regression_data(3000, seed=55)
+    train = np.column_stack((y, X))
     tracemalloc.start()
     try:
-        conformal_fit((X, y), 0.2, 0.05, k=25, seed=56)
+        conformal_fit(train, 0.2, 0.05, k=25, seed=56)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
