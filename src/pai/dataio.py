@@ -60,8 +60,8 @@ import numpy as np
 from .errors import InputError
 
 # The package's one chunk budget, in values (1 MiB of float64): the Monte Carlo
-# engine, the prediction intervals, the k-NN search and the CSV writer all
-# take their chunks from chunk_starts.
+# engine, the prediction intervals, the k-NN search, the rank cost matrix and
+# the CSV writer all take their chunks from chunk_starts.
 _CHUNK_VALUES = 2**17
 
 

@@ -19,14 +19,18 @@ matrix.
 That solve is warm-started. The samples being ranked are standard normal
 latents, and the optimal map from N(0, I) to the uniform cube is ``Phi``
 applied coordinate by coordinate, whose Kantorovich potential on the target
-side is ``v(h) = |h|^2 + 2 * sum_k pdf(ndtri(h_k))`` in closed form. The cost
-matrix is reduced in place: ``v / n`` is subtracted from every column, then
-the row minima, the column minima and the row minima again. Subtracting a
+side is ``v(h) = |h|^2 + 2 * sum_k pdf(ndtri(h_k))`` in closed form.
+:func:`~pai.assignment.rank_cost_matrix` reduces the cost matrix as it builds
+it, in one sweep with two row blocks in flight: ``v / n`` is subtracted from
+every column, then the row minima, then the column minima. Subtracting a
 constant from a row or a column moves the total of every permutation by the
 same amount, so the optimal permutations are those of the original costs,
 but the solver then starts next to the optimal dual and its augmenting paths
 stay short. Every reduced entry stays non-negative exactly, as the solver
-requires, and the permutation is that of the plain solve. A sample with
+requires, and the permutation is that of the plain solve. Once the row step
+has left a ``+0.0`` in every row, that zero sits in a column whose minimum is
+0, so the column step keeps it and the row minima after it are all zero: a
+further row step would change no bit, and there is none. A sample with
 repeated rows (equal as floats) has several optimal permutations, and a
 different dual start can break the tie differently, so such a sample gets
 the plain solve on the unreduced costs.
@@ -76,19 +80,6 @@ def _has_repeated_rows(sample: np.ndarray) -> bool:
     return bool((ordered[1:] == ordered[:-1]).all(axis=1).any())
 
 
-def _reduce_costs(costs: np.ndarray, potential: np.ndarray) -> None:
-    """Shift the rows and columns of ``costs`` in place towards the optimal dual.
-
-    Each step subtracts a constant per row or per column, which moves every
-    permutation's total alike. Subtracting a row's or column's own minimum
-    leaves each entry exactly non-negative in floating point.
-    """
-    costs -= potential
-    costs -= costs.min(axis=1)[:, None]
-    costs -= costs.min(axis=0)
-    costs -= costs.min(axis=1)[:, None]
-
-
 @lru_cache(maxsize=RANK_MAP_CACHE_SIZE)
 def _solve_rank_map(key: bytes, n: int, d: int) -> np.ndarray:
     """Read-only rank-map permutation of the sample whose float64 bytes are ``key``."""
@@ -98,10 +89,8 @@ def _solve_rank_map(key: bytes, n: int, d: int) -> np.ndarray:
         perm = np.empty(n, dtype=np.intp)
         perm[np.argsort(targets[:, 0])] = np.argsort(sample[:, 0], kind="stable")
     else:
-        costs = rank_cost_matrix(sample, targets)
-        if not _has_repeated_rows(sample):
-            _reduce_costs(costs, _target_potential(n, d))
-        perm = solve_lsap(costs)
+        potential = None if _has_repeated_rows(sample) else _target_potential(n, d)
+        perm = solve_lsap(rank_cost_matrix(sample, targets, potential))
     perm.setflags(write=False)
     return perm
 

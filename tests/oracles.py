@@ -7,6 +7,12 @@ its own primality check.
 
 ``assignment_cost`` is the one statement of an assignment's total cost.
 
+``reduced_rank_costs`` is the rank cost matrix as whole-matrix numpy passes:
+``cdist / n``, then a potential off each column, the row minima, the column
+minima and the row minima again. The library builds the same matrix in row
+blocks and leaves out the last pass, which subtracts exact zeros; the tests
+hold it to these bits.
+
 Three are instruments built on the library's solvers, for measuring
 samples rather than for checking those solvers: ``row_ranks`` and
 ``rank_discrepancy`` read ranks from ``empirical_ranks``, and
@@ -36,6 +42,18 @@ def assignment_cost(costs: np.ndarray, perm) -> float:
     """Total cost of assigning column ``i`` the row ``perm[i]``: ``sum(costs[perm[i], i])``."""
     perm = np.asarray(perm, dtype=np.intp)
     return float(costs[perm, np.arange(perm.shape[0])].sum())
+
+
+def reduced_rank_costs(points: np.ndarray, targets: np.ndarray, potential=None) -> np.ndarray:
+    """``cdist(points, targets, "sqeuclidean") / n``, reduced by ``potential`` when one is given."""
+    costs = cdist(points, targets, "sqeuclidean")
+    costs /= points.shape[0]
+    if potential is not None:
+        costs -= potential
+        costs -= costs.min(axis=1)[:, None]
+        costs -= costs.min(axis=0)
+        costs -= costs.min(axis=1)[:, None]
+    return costs
 
 
 def numpy_summary(sample: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,15 @@
+import threading
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
-from oracles import assignment_cost, brute_force_lsap_cost
+from oracles import assignment_cost, brute_force_lsap_cost, reduced_rank_costs
 
-from pai import InputError
+from pai import InputError, NumericError, dataio
 from pai.assignment import rank_cost_matrix, solve_lsap
+from pai.halton import halton_block
+from pai.ranks import _target_potential
 
 
 def lsap_cost(costs):
@@ -76,3 +82,58 @@ def test_rank_cost_matrix_examples():
 
     with pytest.raises(InputError):
         rank_cost_matrix(np.zeros((2, 1)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("d", [2, 8])
+@pytest.mark.parametrize("n, blocks", [(300, 1), (400, 2), (1024, 8), (2000, 31)])
+def test_the_blocked_sweep_keeps_the_bits_of_the_whole_matrix(rng, n, d, blocks):
+    starts = dataio.chunk_starts(n, n)
+    assert len(starts) == blocks
+    if n == 2000:
+        assert n % starts.step == 50  # a ragged last block
+    points, targets = rng.standard_normal((n, d)), halton_block(n, d)
+    # no potential: exactly cdist / n
+    for potential in (None, _target_potential(n, d)):
+        got, want = rank_cost_matrix(points, targets, potential), reduced_rank_costs(points, targets, potential)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_rank_costs_that_overflow_float64_are_a_numeric_error_before_the_matrix(rng):
+    n = 2000
+    points, targets = rng.standard_normal((n, 2)), halton_block(n, 2)
+    points[7, 1] = 1e160
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NumericError,
+                match=r"^the squared distances from sample row 7 \(\[.+, 1e\+160\]\) to the rank targets overflow float64$",
+            ):
+                rank_cost_matrix(points, targets, _target_potential(n, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 16
+    # squares of 1e153 are finite, and so are their costs
+    points[7, 1] = 1e153
+    assert np.isfinite(rank_cost_matrix(points, targets)).all()
+
+
+def test_an_error_in_a_worker_block_propagates_and_the_worker_ends(rng, monkeypatch):
+    import scipy.spatial.distance
+
+    cdist = scipy.spatial.distance.cdist
+
+    def failing_cdist(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("worker cdist failed")
+        return cdist(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial.distance, "cdist", failing_cdist)
+    n = 400  # two blocks, the second on the worker
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="worker cdist failed"):
+        rank_cost_matrix(rng.standard_normal((n, 2)), halton_block(n, 2), _target_potential(n, 2))
+    assert threading.active_count() == before

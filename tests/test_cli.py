@@ -254,7 +254,7 @@ def test_fit_writes_no_model_whose_parameters_overflow(tmp_path, capsys, kind, s
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["fit", "test-pivotal"])
+@pytest.mark.parametrize("command", ["fit", "test-pivotal", "synthesize"])
 def test_an_overflow_prints_one_stderr_line(tmp_path, command):
     # numpy's floating-point warnings would print before the error line.
     data, out = tmp_path / "x.csv", tmp_path / "out.json"
@@ -262,6 +262,13 @@ def test_an_overflow_prints_one_stderr_line(tmp_path, command):
     if command == "fit":
         dataio.write_matrix(data, 1e200 * rng.standard_normal((40, 3)))
         argv, code = ["--kind", "gaussian"], 4
+    elif command == "synthesize":
+        # the rank costs of a row holding 1e160 overflow float64
+        sample = rng.standard_normal((6, 2))
+        sample[2, 1] = 1e160
+        dataio.write_matrix(data, sample)
+        save_model(gaussian_from_params(np.zeros(2), chol=np.eye(2)), tmp_path / "g.json")
+        argv, code = ["--model", str(tmp_path / "g.json"), "--rank-match"], 4
     else:
         dataio.write_matrix(data, rng.standard_normal((40, 1)))
         argv, code = ["--sigma", "1e308", "--mc", "19"], 4

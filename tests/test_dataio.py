@@ -295,4 +295,8 @@ def test_one_function_of_the_package_leaves_the_calling_thread():
     # dataio.two_threads.
     imports, calls = _thread_sites()
     assert imports == {("dataio", "two_threads")}
-    assert calls == {("inference", "_risk_difference_statistic"), ("predict", "_knn_indices")}
+    assert calls == {
+        ("assignment", "rank_cost_matrix"),
+        ("inference", "_risk_difference_statistic"),
+        ("predict", "_knn_indices"),
+    }

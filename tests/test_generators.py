@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy import stats
 
 from pai import (
     InputError,
+    NumericError,
     PassConfig,
     PerturbationSpec,
     fit_copula,
@@ -148,6 +150,16 @@ def test_pass_rank_match_zero_tau_keeps_ranks(rng):
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.0), rank_match=True, mc_seed=77)
     sample = pass_synthesize(model, Z, cfg, replicate=0)
     assert rank_discrepancy(model.inverse(sample), model.inverse(Z)) == 0.0
+
+
+def test_rank_matching_a_sample_whose_rank_costs_overflow_is_a_numeric_error(rng):
+    model = gaussian_from_params(np.zeros(2), chol=np.eye(2))
+    inference = rng.standard_normal((6, 2))
+    inference[2, 1] = 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"^the squared distances from sample row 2 .* overflow float64$"):
+            pass_synthesize(model, inference, PassConfig(rank_match=True), replicate=0)
 
 
 def test_pass_determinism():

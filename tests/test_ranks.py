@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from oracles import assignment_cost, brute_force_lsap_cost, rank_discrepancy, row_ranks
 
 import pai.ranks
-from pai import InputError
+from pai import InputError, PassConfig, gaussian_from_params, pass_synthesize
 from pai.assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
 from pai.halton import halton_block
 from pai.ranks import empirical_ranks, match_ranks
@@ -218,3 +219,34 @@ def test_a_rank_map_solve_holds_one_cost_matrix(rng):
         tracemalloc.stop()
     # one n x n float64 cost matrix is 32 MB; the reduction adds no second one
     assert peak < 1.25 * n * n * 8
+
+
+@pytest.mark.parametrize("n", [40, 400, 2000])
+@pytest.mark.parametrize("d", [2, 8])
+def test_rank_maps_follow_a_permutation_of_the_rows(rng, n, d):
+    # A row written to another block, or a block shifted by another block's
+    # row minima, would move some row's rank.
+    sample = rng.standard_normal((n, d))
+    pi = rng.permutation(n)
+    np.testing.assert_array_equal(empirical_ranks(sample[pi]), np.argsort(pi)[empirical_ranks(sample)])
+
+
+def test_only_the_cost_sweep_helpers_leave_the_calling_thread(rng):
+    # The benchmark tracer keeps one span stack for the whole process, so a
+    # traced pai function entered on a worker thread would interleave with
+    # the caller's spans. Only the untraced sweep helpers may run off it.
+    model = gaussian_from_params(np.zeros(3), chol=np.eye(3))
+    inference = rng.standard_normal((400, 3))
+    pai.ranks._solve_rank_map.cache_clear()
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("pai"):
+            entered.add(frame.f_code.co_name)
+
+    threading.setprofile(profile)
+    try:
+        pass_synthesize(model, inference, PassConfig(rank_match=True), replicate=0)
+    finally:
+        threading.setprofile(None)
+    assert entered == {"_cost_rows", "_shift_columns"}
