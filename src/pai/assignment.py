@@ -4,11 +4,12 @@ Cost matrices are plain square ``numpy`` arrays of non-negative finite reals;
 ``solve_lsap`` returns the minimum-cost perfect matching as a column-to-row
 permutation (no caller reads its total cost, so none is summed). The solver
 is scipy's shortest-augmenting-path implementation (Jonker-Volgenant family,
-worst case O(n^3)); this module owns the cost-matrix check, the permutation
-orientation used throughout the package, and desk-scale size guards.
-``rank_cost_matrix`` takes its points and targets through
-:func:`pai.dataio.as_matrix`, the package's one matrix rule, and adds only
-its own: equal shapes. Tie-breaking among equally optimal permutations
+worst case O(n^3)); this module owns the cost-matrix check and the
+permutation orientation used throughout the package, and no size guard: the
+``n x n`` cost matrix is allocated by :func:`pai.dataio.allocate` under the
+package's one size budget. ``rank_cost_matrix`` takes its points and targets
+through :func:`pai.dataio.as_matrix`, the package's one matrix rule, and
+adds only its own: equal shapes. Tie-breaking among equally optimal permutations
 follows the solver's deterministic scan order and is not part of the
 contract - only the minimality of the total cost is.
 
@@ -37,17 +38,10 @@ inputs before the matrix is allocated.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .dataio import as_matrix, chunk_starts, two_threads
+from .dataio import allocate, as_matrix, chunk_starts, two_threads
 from .errors import InputError, NumericError
-
-# Above the soft limit an n^3 solve is minutes of work; above the hard limit
-# it is no longer a desk-scale computation at all.
-SOFT_SIZE_LIMIT = 4096
-HARD_SIZE_LIMIT = 16384
 
 
 def _validate_costs(costs: np.ndarray) -> np.ndarray:
@@ -78,17 +72,6 @@ def solve_lsap(costs: np.ndarray) -> np.ndarray:
     n = costs.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    if n > HARD_SIZE_LIMIT:
-        raise InputError(
-            f"assignment size {n} exceeds the hard limit {HARD_SIZE_LIMIT}"
-        )
-    if n > SOFT_SIZE_LIMIT:
-        warnings.warn(
-            f"assignment size {n} exceeds {SOFT_SIZE_LIMIT}; an O(n^3) solve "
-            "at this scale may take a long time",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     row_ind, col_ind = linear_sum_assignment(costs)
     perm = np.empty(n, dtype=np.intp)
     perm[col_ind] = row_ind
@@ -154,7 +137,7 @@ def rank_cost_matrix(points: np.ndarray, targets: np.ndarray, potential: np.ndar
             f"the squared distances from sample row {far[0]} ({points[far[0]].tolist()}) "
             "to the rank targets overflow float64"
         )
-    costs = np.empty((n, n))
+    costs = allocate((n, n))
     starts = chunk_starts(n, n)
     blocks = [slice(start, start + starts.step) for start in starts]
     odd, even = blocks[1::2], blocks[::2]

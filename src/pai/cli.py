@@ -180,9 +180,9 @@ def cmd_test_pivotal(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    X, y = simulate_regression_data(args.n, args.seed)
-    dataio.write_matrix(args.out, np.column_stack((y, X)))
-    print(f"simulate: {args.n} rows (response + {X.shape[1]} features) -> {args.out}")
+    data = simulate_regression_data(args.n, args.seed)
+    dataio.write_matrix(args.out, data)
+    print(f"simulate: {args.n} rows (response + {data.shape[1] - 1} features) -> {args.out}")
     return 0
 
 

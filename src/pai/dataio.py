@@ -1,4 +1,4 @@
-"""The data boundary: the one matrix check, CSV matrices and JSON documents.
+"""The data boundary: the one matrix check, the two budgets, CSV matrices and JSON documents.
 
 :func:`as_matrix` is the package's one rule for an in-memory data matrix,
 and every function that takes data applies it: float64, a 1-D array as one
@@ -23,6 +23,12 @@ byte-identical; rows are formatted and written in the chunks of
 :func:`chunk_starts`, so the text held at once does not grow with the matrix.
 Every read turns a missing, unreadable or non-UTF-8 file into
 :class:`InputError`.
+
+Two budgets bound memory: ``_CHUNK_VALUES`` values in each chunk that
+:func:`chunk_starts` hands a chunked loop, and ``_MAX_VALUES`` in any one
+array. :func:`check_size` is the one size rule and :func:`allocate` applies
+it, so a size past the budget is a ``MemoryError`` before anything is
+allocated or drawn.
 
 :func:`two_threads` is the package's one way off the calling thread, and
 its docstring the one statement of the thread contract.
@@ -63,6 +69,22 @@ from .errors import InputError
 # engine, the prediction intervals, the k-NN search, the rank cost matrix and
 # the CSV writer all take their chunks from chunk_starts.
 _CHUNK_VALUES = 2**17
+
+# The package's one size budget, in values (2 GiB of float64): the n x n cost
+# matrix of a 16384-row rank map, the largest array the package admits.
+_MAX_VALUES = 2**28
+
+
+def check_size(shape: tuple[int, ...]) -> None:
+    """Refuse a float64 array of ``shape`` past the size budget with a ``MemoryError`` naming the shape."""
+    if math.prod(shape) > _MAX_VALUES:
+        raise MemoryError(f"cannot allocate {' x '.join(map(str, shape))} float64 values")
+
+
+def allocate(shape: tuple[int, ...]) -> np.ndarray:
+    """``np.empty(shape)`` of float64, once :func:`check_size` has passed ``shape``."""
+    check_size(shape)
+    return np.empty(shape)
 
 
 def chunk_starts(count: int, item_values: int) -> range:

@@ -41,7 +41,7 @@ perturbs it without changing its law, and maps it through the transport.
 ``sample_statistic_null`` is the one Monte Carlo engine of the package: it
 draws the ``D`` such samples, without rank matching, of every null
 distribution the inference procedures build, in stacked chunks of at most
-the package's one budget ``pai.dataio._CHUNK_VALUES`` of values, each
+the package's one chunk budget ``pai.dataio._CHUNK_VALUES`` of values, each
 through one ``forward`` call, and applies a batched statistic (a chunk of
 ``B`` samples to ``B`` values) to each chunk. Every indexed draw of the
 package - a synthesis replicate, a chunk of null replicates, the
@@ -63,8 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import argument, as_matrix, check_field, chunk_starts, exactly, field_name, integer, numbers, read_field
-from .dataio import read_json_object, write_json
+from .dataio import allocate, argument, as_matrix, check_field, check_size, chunk_starts, exactly, field_name, integer
+from .dataio import numbers, read_field, read_json_object, write_json
 from .empirical import EmpiricalDistribution
 from .errors import InputError, NumericError
 from .halton import _check_shape
@@ -648,18 +648,6 @@ class PassConfig:
         check_field(self, "mc_seed", integer)
 
 
-def allocate(shape: tuple[int, ...]) -> np.ndarray:
-    """``np.empty(shape)`` of float64, with every impossible size a ``MemoryError``.
-
-    numpy raises ``ValueError`` for a shape whose byte count no signed 64-bit
-    integer holds; such a request fails here as the ``MemoryError`` of any
-    other allocation that cannot succeed, before anything is drawn.
-    """
-    if math.prod(shape) > np.iinfo(np.intp).max // 8:
-        raise MemoryError(f"cannot allocate {' x '.join(map(str, shape))} float64 values")
-    return np.empty(shape)
-
-
 def _draw_replicate(rng: np.random.Generator, out: np.ndarray) -> None:
     rng.standard_normal(out=out)
 
@@ -723,8 +711,9 @@ def pass_synthesize(
         raise InputError("provide an inference sample or an explicit n")
     n_rows = argument(n, "sample size n", integer, least=1)
     if cfg.rank_match:
-        # the rank targets' shape is known before anything is drawn
+        # the rank targets' shape and the rank map's cost matrix are known before anything is drawn
         _check_shape(n_rows, model.dim)
+        check_size((n_rows, n_rows))
     align = (lambda base: match_ranks(model.inverse(inference), base)) if cfg.rank_match else None
     return model.forward(latent_block(cfg, PATH_PASS, replicate, 1, n_rows, model.dim, align)[0])
 

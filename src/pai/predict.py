@@ -39,10 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import Document, argument, as_matrix, check_field, chunk_starts, entry, exactly, integer, level, number
-from .dataio import joint, numbers, record, records, scalar, two_threads
+from .dataio import Document, allocate, argument, as_matrix, check_field, chunk_starts, entry, exactly, integer
+from .dataio import joint, level, number, numbers, record, records, scalar, two_threads
 from .errors import InputError
-from .generators import GeneratorModel, PassConfig, _kind, allocate, fit_model, generator_model, latent_block
+from .generators import GeneratorModel, PassConfig, _kind, _positive, fit_model, generator_model, latent_block
 from .perturb import PerturbationSpec
 from .streams import PATH_CONDITIONAL, PATH_SIMULATE, PATH_SPLIT, PATH_TRUTH, derive_rng
 
@@ -76,15 +76,16 @@ def regression_noise_sd(X: np.ndarray) -> np.ndarray:
     return 0.4 * X[..., 0]
 
 
-def simulate_regression_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` rows from the benchmark law; returns ``(X, y)``."""
+def simulate_regression_data(n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` rows from the benchmark law as an ``(n, 1 + N_FEATURES)`` joint matrix, the response in column 0."""
     n = argument(n, "n", integer, least=1)
     seed = argument(seed, "seed", integer)
-    X = allocate((n, N_FEATURES))
+    data = allocate((n, 1 + N_FEATURES))
     rng = derive_rng(seed, PATH_SIMULATE)
-    rng.random(out=X)
-    y = regression_mean(X) + regression_noise_sd(X) * rng.standard_normal(n)
-    return X, y
+    X = data[:, 1:]
+    X[...] = rng.random((n, N_FEATURES))
+    data[:, 0] = regression_mean(X) + regression_noise_sd(X) * rng.standard_normal(n)
+    return data
 
 
 def _point_block(model: GeneratorModel, X) -> np.ndarray:
@@ -194,13 +195,12 @@ class ConformalModel:
     qhat: float
 
     def __post_init__(self) -> None:
-        shape = np.shape(self.table_X)
-        if len(shape) != 2:
-            raise InputError(f"table_X has shape {shape}, expected a matrix")
-        n, p = shape
-        for name, want in (("x_mean", (p,)), ("x_sd", (p,)), ("table_y", (n,)), ("table_abs_resid", (n,))):
-            if np.shape(getattr(self, name)) != want:
-                raise InputError(f"{name} has shape {np.shape(getattr(self, name))}, expected {want}")
+        check_field(self, "table_X", numbers, shape=(None, None))
+        n, p = self.table_X.shape
+        check_field(self, "x_mean", numbers, shape=(p,))
+        check_field(self, "x_sd", _positive, size=p)
+        check_field(self, "table_y", numbers, shape=(n,))
+        check_field(self, "table_abs_resid", numbers, shape=(n,))
         check_field(self, "k", integer, least=1)
         if self.k > n:
             raise InputError(f"k: {self.k} exceeds the {n} rows of the table")
@@ -474,9 +474,8 @@ def run_prediction_study(
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), rank_match=False, mc_seed=seed)
     if n_train >= n_total:
         raise InputError(f"need n_train < n_total, got n_train={n_train}, n_total={n_total}")
-    X, y = simulate_regression_data(n_total, seed)
-    train = np.column_stack((y[:n_train], X[:n_train]))
-    X_test = X[n_train:]
+    data = simulate_regression_data(n_total, seed)
+    train, X_test = data[:n_train], data[n_train:, 1:]
     model = fit_model(kind, train)
     pai_iv = pai_interval(model, X_test, alpha, pai_draws, cfg)
     conf_model = conformal_fit(train, _STUDY_CALIBRATION_FRACTION, alpha, _STUDY_K_NEIGHBORS, seed)

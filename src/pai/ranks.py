@@ -35,6 +35,10 @@ repeated rows (equal as floats) has several optimal permutations, and a
 different dual start can break the tie differently, so such a sample gets
 the plain solve on the unreduced costs.
 
+A sample whose ``n x n`` cost matrix would pass the package's one size
+budget (:func:`pai.dataio.check_size`) is refused, in any dimension, before
+anything is built.
+
 Solved maps are memoised by the bytes of the sample, so rank-matched
 synthesis solves the latent map of an inference sample once rather than
 once per replicate. Equal bytes give the same deterministic solve, so a
@@ -47,8 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
-from .dataio import as_matrix
+from .assignment import rank_cost_matrix, solve_lsap
+from .dataio import as_matrix, check_size
 from .errors import InputError
 from .halton import halton_block
 
@@ -104,10 +108,7 @@ def empirical_ranks(sample: np.ndarray) -> np.ndarray:
     """
     sample = as_matrix(sample, "sample")
     n, d = sample.shape
-    if n > HARD_SIZE_LIMIT:
-        raise InputError(
-            f"rank map size {n} exceeds the hard limit {HARD_SIZE_LIMIT}"
-        )
+    check_size((n, n))
     key = np.ascontiguousarray(sample).tobytes()
     return _solve_rank_map(key, n, d).copy()
 

@@ -229,14 +229,12 @@ def test_criterion_5_rank_preservation():
 def test_criterion_6_perturbation_size_invariance():
     # Distances between synthetic and evaluation samples agree across tau
     # within 3 repeat standard errors (10 seeds, n = 1024).
-    X, y = simulate_regression_data(2000, 201)
-    model = fit_copula(np.column_stack((y, X)))
+    model = fit_copula(simulate_regression_data(2000, 201))
     taus = (0.0, 0.2, 0.5, 1.0)
     n = 1024
     values = {m: np.zeros((len(taus), 10)) for m in ("fid", "w1", "w2")}
     for s in range(10):
-        Xe, ye = simulate_regression_data(n, 300 + s)
-        evaluation = np.column_stack((ye, Xe))
+        evaluation = simulate_regression_data(n, 300 + s)
         eval_summary = pai.gaussian_summary(evaluation)
         for ti, tau in enumerate(taus):
             cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=400 + s)

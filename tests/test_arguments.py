@@ -6,8 +6,8 @@ scalars) on every scalar argument of every public procedure. Each call
 returns or raises ``InputError``, ``NumericError`` or ``MemoryError``; a bare
 ``TypeError`` or ``OverflowError`` never escapes. A numpy scalar gives what
 the Python number it equals gives, down to the bytes a document saves. Every
-valid value of the table is small, and no swept value is a size that passes
-the allocation guard and really allocates.
+valid value of the table is small, and no swept value is a size near the one
+size budget of ``pai.dataio.check_size``, so no call really allocates much.
 
 A second sweep puts each of ``CHOICE_VALUES`` on every ``Sidedness`` and
 ``Correction`` argument: a string the enum takes gives the result of its

@@ -133,10 +133,10 @@ def test_mc_flag_validation(tmp_path, sim_csv):
     assert run("coverage", "--mc", 1, "--seed", 1, "--out", tmp_path / "c.json") == 2
 
 
-# Sizes whose arrays exceed any 47-bit address space, so no allocation
-# succeeds even where the kernel overcommits memory; the second one's byte
-# count does not even fit a signed 64-bit integer.
-IMPOSSIBLE_SIZES = (10**15, 10**30)
+# Sizes whose arrays are past the one size budget of pai.dataio: the first
+# just over it, the second past any 47-bit address space, and the third's
+# byte count does not even fit a signed 64-bit integer.
+IMPOSSIBLE_SIZES = (dataio._MAX_VALUES + 1, 10**15, 10**30)
 
 
 def _no_replicate_may_be_drawn(*args):

@@ -215,11 +215,11 @@ def test_every_float_flag_takes_every_edge_value(workdir, command, flag, value):
     _run_edge(workdir, command, flag, value)
 
 
-# -1, 0, the integers just past each end of int64, 2**64 and an integer
-# beyond float64, each put on every integer flag and on ``--mask`` (a list of
-# feature indices). Sizes between 2**31 and 2**62 are left out: some pass the
-# allocation guard and really allocate.
-EDGE_INTS = ("-1", "0", str(2**63), str(2**64), str(-(2**63) - 1), str(10**400))
+# -1, 0, 2**31, 2**62, the integers just past each end of int64, 2**64 and
+# an integer beyond float64, each put on every integer flag and on ``--mask``
+# (a list of feature indices). Every size past the one size budget is refused
+# before anything is allocated or drawn.
+EDGE_INTS = ("-1", "0", str(2**31), str(2**62), str(2**63), str(2**64), str(-(2**63) - 1), str(10**400))
 INT_FLAGS = _typed_flags(int, _mc_count) + [("test-feature", "--mask")]
 
 

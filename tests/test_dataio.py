@@ -1,6 +1,7 @@
 import ast
 import contextvars
 import io
+import math
 import tempfile
 import threading
 import time
@@ -109,6 +110,21 @@ def test_write_matrix_bytes_match_per_value_formatting(tmp_path, shape):
     path = tmp_path / "m.csv"
     dataio.write_matrix(path, matrix)
     assert path.read_bytes() == _reference_csv(matrix).encode("ascii")
+
+
+def test_the_size_budget_is_checked_before_anything_is_allocated():
+    side = math.isqrt(dataio._MAX_VALUES)
+    assert side == 16384
+    tracemalloc.start()
+    try:
+        dataio.check_size((side, side))
+        for refuse in (dataio.check_size, dataio.allocate):
+            with pytest.raises(MemoryError, match=r"^cannot allocate 16385 x 16384 float64 values$"):
+                refuse((side + 1, side))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_one_budget_sizes_every_chunked_loop(monkeypatch, tmp_path):

@@ -319,6 +319,14 @@ def test_rank_matching_rejects_a_dimension_without_halton_targets_before_drawing
         halton_block(6, dim)
 
 
+def test_rank_matching_refuses_a_cost_matrix_past_the_budget_before_drawing(monkeypatch):
+    n = math.isqrt(dataio._MAX_VALUES) + 1
+    model = gaussian_from_params(np.zeros(1), cov=np.eye(1))
+    monkeypatch.setattr(generators, "_draw_replicate", _must_not_run)
+    with pytest.raises(MemoryError, match=f"^cannot allocate {n} x {n} float64 values$"):
+        pass_synthesize(model, np.zeros((n, 1)), PassConfig(rank_match=True), replicate=0)
+
+
 def test_null_replicates_stack_unmatched_pass_streams(monkeypatch):
     model = gaussian_from_params(np.zeros(2), cov=np.eye(2))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=0.3), rank_match=True, mc_seed=5)

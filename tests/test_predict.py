@@ -47,7 +47,8 @@ def test_regression_surface_hand_values():
 
 def test_simulated_mean_matches_oracle():
     n = 100_000
-    X, y = simulate_regression_data(n, seed=4242)
+    data = simulate_regression_data(n, seed=4242)
+    y, X = data[:, 0], data[:, 1:]
     se = ORACLE_SD_Y / math.sqrt(n)
     assert abs(y.mean() - ORACLE_MEAN_Y) < 3 * se
     # light oracle re-check so the frozen constant cannot drift unnoticed
@@ -55,7 +56,7 @@ def test_simulated_mean_matches_oracle():
     Xo = rng.random((1_000_000, 7))
     yo = regression_mean(Xo) + regression_noise_sd(Xo) * rng.standard_normal(1_000_000)
     assert abs(yo.mean() - ORACLE_MEAN_Y) < 4 * ORACLE_SD_Y / 1000.0
-    assert X.shape == (n, 7)
+    assert data.shape == (n, 1 + 7)
     assert X.min() >= 0.0 and X.max() <= 1.0
 
 
@@ -217,8 +218,16 @@ def test_hand_built_conformal_models_and_intervals_are_checked_when_built(rng):
     # a bare ValueError from argpartition before the model checked its k
     with pytest.raises(InputError, match=r"^k: 100 exceeds the 75 rows of the table$"):
         conformal_interval(dataclasses.replace(model, k=100), X[:3])
-    with pytest.raises(InputError, match=r"^table_y has shape \(74,\), expected \(75,\)$"):
+    with pytest.raises(InputError, match=r"^table_y: has shape \(74,\), expected \(75,\)$"):
         dataclasses.replace(model, table_y=model.table_y[1:])
+    # a NaN x_mean gave wrong intervals silently, a zero x_sd divided by zero
+    # and an infinite table_y gave [inf, inf] intervals
+    for name, bad in (("x_mean", np.nan), ("x_sd", 0.0), ("table_y", np.inf), ("table_abs_resid", -np.inf),
+                      ("table_X", np.nan)):
+        value = getattr(model, name).copy()
+        value.flat[0] = bad
+        with pytest.raises(InputError, match=f"^{name}: "):
+            dataclasses.replace(model, **{name: value})
     with pytest.raises(InputError, match="^lower, upper and center_estimate must be arrays of one length"):
         PredictionInterval(lower=np.zeros(2), upper=np.ones(1), center_estimate=np.zeros(2))
 
@@ -229,10 +238,10 @@ def test_conformal_marginal_validity_over_seeds():
     alpha = 0.1
     coverages = []
     for seed in range(20):
-        X, y = simulate_regression_data(800, seed=6000 + seed)
-        model = conformal_fit(np.column_stack((y[:600], X[:600])), 0.25, alpha, k=25, seed=seed)
-        iv = conformal_interval(model, X[600:800])
-        coverages.append(iv.contains(y[600:800, None]).mean())
+        data = simulate_regression_data(800, seed=6000 + seed)
+        model = conformal_fit(data[:600], 0.25, alpha, k=25, seed=seed)
+        iv = conformal_interval(model, data[600:, 1:])
+        coverages.append(iv.contains(data[600:, :1]).mean())
     assert np.mean(coverages) >= 1 - alpha - 0.03
 
 
@@ -300,7 +309,7 @@ def test_coverage_report_shorter_fraction():
 
 def test_prediction_documents_round_trip_through_json(tmp_path):
     study = run_prediction_study(seed=4, n_total=230, n_train=200, alpha=0.1, kind="gaussian", pai_draws=50)
-    model = fit_model("gaussian", np.column_stack(simulate_regression_data(60, 2)[::-1]))
+    model = fit_model("gaussian", simulate_regression_data(60, 2))
     X = np.random.default_rng(5).random((3, 7))
     intervals = IntervalsDocument.build(X, pai_interval(model, X, 0.1, 40, PassConfig()), 0.1, 40, 0.0)
     for document in (study, intervals):
@@ -329,7 +338,7 @@ def test_prediction_documents_round_trip_through_json(tmp_path):
     ],
 )
 def test_intervals_document_refuses_malformed_fields(edit, message):
-    model = fit_model("gaussian", np.column_stack(simulate_regression_data(60, 2)[::-1]))
+    model = fit_model("gaussian", simulate_regression_data(60, 2))
     X = np.random.default_rng(5).random((3, 7))
     doc = IntervalsDocument.build(X, pai_interval(model, X, 0.1, 40, PassConfig()), 0.1, 40, 0.0).to_dict()
     edit(doc)
@@ -381,10 +390,9 @@ def _interval_array(interval):
 def test_pai_interval_does_not_depend_on_the_block(monkeypatch, kind, tau):
     # point i of a block has the quantiles of its own conditional draws at
     # stream_index = i, whether the draws come in one chunk or split 3-3-1
-    X, y = simulate_regression_data(400, seed=49)
-    model = fit_model(kind, np.column_stack((y, X)))
+    model = fit_model(kind, simulate_regression_data(400, seed=49))
     cfg = PassConfig(perturbation=PerturbationSpec(tau=tau), mc_seed=50)
-    points, m = simulate_regression_data(7, seed=51)[0], 100
+    points, m = simulate_regression_data(7, seed=51)[:, 1:], 100
     rows = [conditional_sample(model, x, m, cfg, stream_index=i)[0] for i, x in enumerate(points)]
     expected = np.quantile(np.stack(rows), [0.05 / 2, 0.5, 1 - 0.05 / 2], axis=1)[[0, 2, 1]].tobytes()
     sample = predict.conditional_sample
@@ -471,7 +479,7 @@ def test_only_the_knn_chunk_helper_leaves_the_calling_thread():
     # The benchmark tracer keeps one span stack for the whole process, so a
     # traced pai function entered on a worker thread would interleave with
     # the caller's spans. Only the untraced chunk helper may run off it.
-    X, y = simulate_regression_data(600, seed=59)
+    train = simulate_regression_data(600, seed=59)
     entered = set()
 
     def profile(frame, event, arg):
@@ -480,7 +488,7 @@ def test_only_the_knn_chunk_helper_leaves_the_calling_thread():
 
     threading.setprofile(profile)
     try:
-        conformal_fit(np.column_stack((y, X)), 0.2, 0.05, k=25, seed=60)
+        conformal_fit(train, 0.2, 0.05, k=25, seed=60)
     finally:
         threading.setprofile(None)
     assert entered == {"_knn_chunks"}
@@ -490,8 +498,7 @@ def test_conformal_fit_memory_is_bounded():
     # chunked k-NN distances, never an n x n distance or argpartition array
     import scipy.spatial.distance  # noqa: F401  (its import is not the fit's memory)
 
-    X, y = simulate_regression_data(3000, seed=55)
-    train = np.column_stack((y, X))
+    train = simulate_regression_data(3000, seed=55)
     tracemalloc.start()
     try:
         conformal_fit(train, 0.2, 0.05, k=25, seed=56)

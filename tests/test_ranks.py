@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 from oracles import assignment_cost, brute_force_lsap_cost, rank_discrepancy, row_ranks
 
 import pai.ranks
-from pai import InputError, PassConfig, gaussian_from_params, pass_synthesize
-from pai.assignment import HARD_SIZE_LIMIT, rank_cost_matrix, solve_lsap
+from pai import InputError, PassConfig, dataio, gaussian_from_params, pass_synthesize
+from pai.assignment import rank_cost_matrix, solve_lsap
 from pai.halton import halton_block
 from pai.ranks import empirical_ranks, match_ranks
 
@@ -170,10 +171,11 @@ def test_mutating_the_input_in_place_gives_a_fresh_rank_map(rng, d):
 
 
 def test_size_guard_fires_before_any_allocation():
-    sample = np.zeros((HARD_SIZE_LIMIT + 1, 8))
+    n = math.isqrt(dataio._MAX_VALUES) + 1  # the first n whose n x n cost matrix is past the budget
+    sample = np.zeros((n, 8))
     tracemalloc.start()
     try:
-        with pytest.raises(InputError, match="hard limit"):
+        with pytest.raises(MemoryError, match=f"^cannot allocate {n} x {n} float64 values$"):
             empirical_ranks(sample)
         _, peak = tracemalloc.get_traced_memory()
     finally:
